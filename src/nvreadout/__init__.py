@@ -1,6 +1,7 @@
 """Rate-equation simulation and online laser-waveform optimization for
 NV-center spin readout."""
 
+from .config import default_sweep_spec
 from .errors import (
     ConfigurationError,
     DegenerateModelError,
@@ -16,7 +17,6 @@ from .harness import (
     OloSpec,
     SweepResult,
     SweepSpec,
-    default_sweep_spec,
     make_snr_objective,
     run_olo,
     run_sweep,
@@ -63,8 +63,10 @@ from .pumpsim import (
 from .rabi import (
     RabiConfig,
     RabiCurve,
+    SCHEMES,
     SchemeComparison,
     compare_schemes,
+    make_scheme_configs,
     rabi_expectations,
     simulate_rabi,
 )

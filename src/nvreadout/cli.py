@@ -46,7 +46,7 @@ from .io import (
     write_waveform_csv,
 )
 from .pumpsim import simulate_pair
-from .rabi import RabiConfig, compare_schemes
+from .rabi import RabiConfig, compare_schemes, make_scheme_configs
 from .waveform import make_constant
 
 EXIT_OK = 0
@@ -158,12 +158,6 @@ def cmd_optimize(args) -> int:
 
 def _rabi_scheme_configs(cfg: dict, args, params) -> dict[str, RabiConfig]:
     seq = build_sequence(cfg)
-    omega = rabi_omega(cfg)
-    taus = build_rabi_taus(cfg)
-    reps = float(cfg["rabi"]["repetitions"])
-    stochastic = bool(args.stochastic)
-    seed = int(cfg["seed"])
-
     wf_path = cfg["rabi"]["olo_waveform"]
     if not wf_path:
         raise ConfigurationError(
@@ -180,26 +174,13 @@ def _rabi_scheme_configs(cfg: dict, args, params) -> dict[str, RabiConfig]:
     olo_init = make_constant(float(cfg["sequence"]["init_duration_ns"]),
                              float(init_amp))
 
-    snr_best = run_sweep(build_sweep_spec(cfg, seq, mode="global"), params)
-    con_spec = build_sweep_spec(cfg, seq, mode="global")
-    con_best = run_sweep(replace(con_spec, metric="contrast"), params)
-    wf_cs = make_constant(snr_best.best_duration_ns, snr_best.best_amplitude)
-    wf_cc = make_constant(con_best.best_duration_ns, con_best.best_amplitude)
-
-    def scheme(source, init_wf, readout_wf, k):
-        base = replace(seq, init_wf=init_wf, readout_wf=readout_wf,
-                       bin_width_ns=readout_wf.duration_ns,
-                       detection_offset_ns=0.0, detection_width_ns=None,
-                       repetitions=reps)
-        return RabiConfig(omega_rad_per_ns=omega, taus_ns=taus, base=base,
-                          source=source, stochastic=stochastic,
-                          sample_seed=3 * seed + k)
-
-    return {
-        "olo-snr": scheme("olo-snr", olo_init, olo_wf, 0),
-        "constant-snr": scheme("constant-snr", wf_cs, wf_cs, 1),
-        "constant-contrast": scheme("constant-contrast", wf_cc, wf_cc, 2),
-    }
+    sweep_spec = build_sweep_spec(cfg, seq, mode="global")
+    return make_scheme_configs(
+        seq, rabi_omega(cfg), build_rabi_taus(cfg),
+        float(cfg["rabi"]["repetitions"]), olo_init, olo_wf,
+        sweep_snr=run_sweep(sweep_spec, params),
+        sweep_contrast=run_sweep(replace(sweep_spec, metric="contrast"), params),
+        stochastic=bool(args.stochastic), seed=int(cfg["seed"]))
 
 
 def cmd_rabi(args) -> int:

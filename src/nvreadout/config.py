@@ -216,6 +216,20 @@ def build_sweep_spec(cfg: dict, base: SequenceConfig,
     )
 
 
+def default_sweep_spec(base: SequenceConfig, metric: str = "snr") -> SweepSpec:
+    """The stock traversal grid of ``DEFAULT_CONFIG``, the constant-scheme
+    baseline.
+
+    The duration axis starts at 400 ns: windows shorter than that are not
+    practical settings for the constant scheme here, and the floor is what
+    exposes the readout-noise penalty of strong pumping (at high power the
+    spin polarizes well before the window closes, so the remaining
+    illumination only adds shot noise).
+    """
+    return build_sweep_spec({"sweep": {**DEFAULT_CONFIG["sweep"], "metric": metric}},
+                            base, mode="global")
+
+
 def build_olo_spec(cfg: dict, base: SequenceConfig, params: RateParams,
                    stochastic: bool = False, seed: int = 0) -> OloSpec:
     c = cfg["olo"]

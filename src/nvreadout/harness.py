@@ -9,7 +9,7 @@ per-piece amplitudes against the measured (here: simulated) SNR.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -126,25 +126,6 @@ def run_sweep(spec: SweepSpec, params: RateParams) -> SweepResult:
     )
 
 
-def default_sweep_spec(base: SequenceConfig, metric: str = "snr",
-                       n_amplitudes: int = 20, n_durations: int = 20) -> SweepSpec:
-    """The stock 20x20 traversal grid used as the constant-scheme baseline.
-
-    The duration axis starts at 400 ns: windows shorter than that are not
-    practical settings for the constant scheme here, and the floor is what
-    exposes the readout-noise penalty of strong pumping (at high power the
-    spin polarizes well before the window closes, so the remaining
-    illumination only adds shot noise).
-    """
-    return SweepSpec(
-        amplitudes=np.linspace(0.02, 1.0, n_amplitudes),
-        durations_ns=np.linspace(400.0, 2000.0, n_durations),
-        base=base,
-        mode="global",
-        metric=metric,
-    )
-
-
 @dataclass(frozen=True)
 class OloSpec:
     """Online readout-waveform optimization run.
@@ -158,12 +139,11 @@ class OloSpec:
     base: SequenceConfig
     params: RateParams
     optimizer: OptimizerConfig
+    init_scan_amplitudes: np.ndarray
     start_duration_ns: float = 920.0
     start_amplitude: float = 0.02
     n_init: int = 1
     n_read: int = 20
-    init_scan_amplitudes: np.ndarray = field(
-        default_factory=lambda: np.linspace(0.05, 1.0, 20))
     stochastic: bool = False
     sample_seed: int = 0
 
@@ -192,35 +172,29 @@ class OloResult:
     trace1: PumpTrace
 
 
-def _detection_window(cfg: SequenceConfig, duration_ns: float):
-    """Detection window for a readout pulse of the given duration."""
-    if cfg.detection_width_ns is None:
-        return 0.0, duration_ns
-    return cfg.detection_offset_ns, cfg.detection_width_ns
-
-
 def make_snr_objective(spec: OloSpec, init_wf: PiecewiseWaveform):
     """SNR of the readout window as a function of the piece amplitudes.
 
     The initialization and wait stages are fixed, so the two branch states
-    are computed once; each query only simulates the readout pulse.  In
-    stochastic mode the window totals are Poisson-sampled per branch from a
-    seed supplied by the optimizer, mimicking single experimental queries.
+    are computed once; each query walks the readout pulse once for both.
+    The detection window is the base sequence's, applied to the readout
+    pulse of ``spec.start_duration_ns``.  In stochastic mode the window
+    totals are Poisson-sampled per branch from a seed supplied by the
+    optimizer, mimicking single experimental queries.
     """
     cfg = replace(spec.base, init_wf=init_wf,
                   readout_wf=make_constant(spec.start_duration_ns,
                                            spec.start_amplitude, spec.n_read),
                   bin_width_ns=spec.start_duration_ns)
-    p0, p1 = prepared_states(cfg, spec.params)
-    offset, width = _detection_window(spec.base, spec.start_duration_ns)
+    branches = np.column_stack(prepared_states(cfg, spec.params))
+    offset, width = cfg.detection_offset_ns, cfg.effective_detection_width_ns
     bounds = spec.optimizer.bounds
-    n_reps = spec.base.repetitions
 
     def expected_counts(u):
         wf = PiecewiseWaveform(spec.start_duration_ns, u, bounds)
-        L0 = n_reps * window_expectation(p0, wf, spec.params, offset, width)
-        L1 = n_reps * window_expectation(p1, wf, spec.params, offset, width)
-        return L0, L1
+        L0, L1 = cfg.repetitions * window_expectation(branches, wf, spec.params,
+                                                      offset, width)
+        return float(L0), float(L1)
 
     if not spec.stochastic:
         def objective(u):
@@ -262,17 +236,15 @@ def _scan_init_amplitude(spec: OloSpec) -> float:
     return best_amp
 
 
-def run_olo(spec: OloSpec, baseline: SweepResult | float | None = None) -> OloResult:
+def run_olo(spec: OloSpec, baseline: SweepResult | float) -> OloResult:
     """Full online optimization of the readout waveform.
 
     ``baseline`` is the constant-scheme reference the improvement ratio is
-    measured against: a sweep result, a plain SNR value, or None to run the
-    default traversal grid.  The reported final SNR is always the
-    deterministic window expectation of the returned waveform, so stochastic
-    runs are judged on what they found rather than on a lucky draw.
+    measured against: a sweep result or a plain SNR value.  The reported
+    final SNR is always the deterministic window expectation of the returned
+    waveform, so stochastic runs are judged on what they found rather than
+    on a lucky draw.
     """
-    if baseline is None:
-        baseline = run_sweep(default_sweep_spec(spec.base), spec.params)
     baseline_snr = baseline.best_value if isinstance(baseline, SweepResult) else float(baseline)
 
     init_amp = _scan_init_amplitude(spec)

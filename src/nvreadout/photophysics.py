@@ -128,10 +128,6 @@ class RateParams:
     def singlet_lifetime_ns(self) -> float:
         return 1.0 / (self.k_s0 + self.k_s1)
 
-    def _key(self) -> tuple:
-        """Hashable identity of everything that enters the rate matrix."""
-        return (self.k_rad, self.k_isc0, self.k_isc1, self.k_s0, self.k_s1, self.eta)
-
 
 def pure_state(level: Level | int) -> np.ndarray:
     """Population vector with all weight on one level."""
@@ -149,16 +145,19 @@ def thermal_ground_state() -> np.ndarray:
 
 def check_populations(p: np.ndarray, *, entry_tol: float = 1e-12,
                       sum_tol: float = 1e-9) -> np.ndarray:
-    """Validate a population vector; returns it as a float array."""
+    """Validate a population vector, or one vector per column of a (5, k)
+    array; returns it as a float array."""
     p = np.asarray(p, dtype=float)
-    if p.shape != (N_LEVELS,):
-        raise ParameterError(f"populations must have shape ({N_LEVELS},), got {p.shape}")
-    if not np.all(np.isfinite(p)):
+    if p.shape[:1] != (N_LEVELS,) or p.ndim > 2:
+        raise ParameterError(
+            f"populations must have shape ({N_LEVELS},) or ({N_LEVELS}, k), got {p.shape}")
+    if not np.isfinite(p).all():
         raise NumericError("population vector contains non-finite entries")
-    if np.any(p < -entry_tol) or np.any(p > 1.0 + entry_tol):
+    if p.min() < -entry_tol or p.max() > 1.0 + entry_tol:
         raise ParameterError(f"population entries outside [0, 1]: {p}")
-    if abs(p.sum() - 1.0) > sum_tol:
-        raise ParameterError(f"populations sum to {p.sum()}, expected 1")
+    sums = p.sum(axis=0)
+    if np.abs(sums - 1.0).max() > sum_tol:
+        raise ParameterError(f"populations sum to {sums}, expected 1")
     return p
 
 

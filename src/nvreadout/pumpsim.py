@@ -1,20 +1,26 @@
 """Initialization→(MW)→readout sequence simulation.
 
 Expected photon counts are computed exactly for the piecewise-constant
-drive: each constant segment is propagated with the matrix exponential of a
-6x6 block matrix whose extra row accumulates the time integral of the
-detected emission rate.  No quadrature and no per-step error enter anywhere;
-Poisson shot noise is applied only on demand, on window totals.
+drive.  :func:`_split` cuts a waveform's pieces at the times a caller
+needs (bin edges, window ends), and :func:`_walk`, the only segment loop,
+propagates each constant segment with the matrix exponential of a 6x6 block
+matrix whose extra row accumulates the time integral of the detected
+emission rate (Van Loan 1978).  No quadrature and no per-step error enter
+anywhere.  The model is linear, so a (5, k) array of population columns
+walks at the price of one: every segment is one matrix product.  Both spin
+branches, and every Rabi tau, therefore cost a single walk.  Poisson shot
+noise is applied only on demand, on window totals.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import ConfigurationError, NumericError, ParameterError
+from .errors import ConfigurationError, ParameterError
 from .photophysics import (
     N_LEVELS,
     Level,
@@ -27,58 +33,63 @@ from .waveform import PiecewiseWaveform
 
 _REL_TOL = 1e-9
 
-# Cache of augmented segment propagators keyed by (rate set, beta, dt).  The
-# optimizer revisits the same amplitude lattice thousands of times, so hits
-# dominate after warm-up.  Purely a speed-up; results are bit-identical.
-_PROPAGATORS: dict[tuple, np.ndarray] = {}
-_PROPAGATOR_LIMIT = 1 << 17
 
-
+# Process-wide memo: the optimizer revisits the same amplitude lattice
+# thousands of times, so hits dominate after warm-up.  Purely a speed-up;
+# results are bit-identical.
+@lru_cache(maxsize=1 << 17)
 def _segment_propagator(params: RateParams, beta: float, dt: float) -> np.ndarray:
-    key = (params._key(), float(beta), float(dt))
-    E = _PROPAGATORS.get(key)
-    if E is None:
-        M = build_rate_matrix(params, beta)
-        A = np.zeros((N_LEVELS + 1, N_LEVELS + 1))
-        A[:N_LEVELS, :N_LEVELS] = M
-        A[N_LEVELS, Level.E0] = A[N_LEVELS, Level.E1] = params.eta * params.k_rad
-        E = expm(A * dt)
-        E.setflags(write=False)
-        if len(_PROPAGATORS) >= _PROPAGATOR_LIMIT:
-            _PROPAGATORS.clear()
-        _PROPAGATORS[key] = E
+    """Rows 0-4: populations after dt; row 5: detected photons in dt.
+
+    Only the population columns of the augmented exponential are kept; the
+    accumulator column is the unit vector and never needed.
+    """
+    M = build_rate_matrix(params, beta)
+    A = np.zeros((N_LEVELS + 1, N_LEVELS + 1))
+    A[:N_LEVELS, :N_LEVELS] = M
+    A[N_LEVELS, Level.E0] = A[N_LEVELS, Level.E1] = params.eta * params.k_rad
+    E = np.ascontiguousarray(expm(A * dt)[:, :N_LEVELS])
+    E.setflags(write=False)
     return E
 
 
-def _step(p: np.ndarray, params: RateParams, beta: float, dt: float):
-    """Advance populations by dt and return (p_next, detected counts in dt)."""
-    if dt == 0.0:
-        return p, 0.0
-    E = _segment_propagator(params, beta, dt)
-    p_next = E[:N_LEVELS, :N_LEVELS] @ p
-    counts = float(E[N_LEVELS, :N_LEVELS] @ p)
-    return p_next, counts
+def _midpoints(edges: np.ndarray) -> np.ndarray:
+    return 0.5 * (edges[:-1] + edges[1:])
 
 
-def _merged_edges(duration: float, *widths: float) -> np.ndarray:
-    """Sorted union of the edge grids 0, w, 2w, … for each width, up to duration."""
-    edges = [np.array([0.0, duration])]
-    for w in widths:
-        k = int(round(duration / w))
-        edges.append(np.arange(1, k) * w)
-    merged = np.sort(np.concatenate(edges))
-    keep = np.concatenate([[True], np.diff(merged) > _REL_TOL * max(duration, 1.0)])
-    return merged[keep]
+def _split(wf: PiecewiseWaveform, params: RateParams, cuts):
+    """Edges of ``wf``'s pieces split at the ``cuts`` times, and the pumping
+    rate of every split segment."""
+    width = wf.piece_width_ns
+    edges = np.sort(np.concatenate([np.arange(wf.n) * width, [wf.duration_ns],
+                                    np.asarray(cuts, dtype=float)]))
+    keep = np.diff(edges) > _REL_TOL * max(wf.duration_ns, 1.0)
+    edges = edges[np.concatenate([[True], keep])]
+    pieces = np.minimum((_midpoints(edges) / width).astype(int), wf.n - 1)
+    return edges, params.amp_map.rate(wf.amplitudes)[pieces]
+
+
+def _walk(p0: np.ndarray, params: RateParams, edges, betas):
+    """The one segment loop: propagate through constant-rate segments.
+
+    ``p0`` is one population vector (5,) or one per column (5, k);
+    segment i runs from ``edges[i]`` to ``edges[i + 1]`` at rate
+    ``betas[i]``.  Returns the final populations and the detected photons
+    per repetition of every segment, with shape
+    ``(n_segments,) + p0.shape[1:]``.
+    """
+    p = check_populations(p0)
+    counts = np.empty((len(betas),) + p.shape[1:])
+    for i, (beta, dt) in enumerate(zip(betas, np.diff(edges))):
+        q = _segment_propagator(params, float(beta), float(dt)) @ p
+        p, counts[i] = q[:N_LEVELS], q[N_LEVELS]
+    return p, counts
 
 
 def propagate_waveform(p0: np.ndarray, wf: PiecewiseWaveform,
                        params: RateParams) -> np.ndarray:
     """Populations at the end of a waveform, ignoring photon counting."""
-    p = check_populations(p0)
-    width = wf.piece_width_ns
-    for beta in params.amp_map.rate(wf.amplitudes):
-        p, _ = _step(p, params, float(beta), width)
-    return p
+    return _walk(p0, params, *_split(wf, params, []))[0]
 
 
 @dataclass(frozen=True)
@@ -108,7 +119,6 @@ def simulate_pump(p0: np.ndarray, wf: PiecewiseWaveform, params: RateParams,
     interval has a constant pumping rate and lies inside exactly one bin.
     ``bin_width_ns`` must divide the waveform duration.
     """
-    p = check_populations(p0)
     if bin_width_ns <= 0:
         raise ConfigurationError(f"bin width must be positive, got {bin_width_ns}")
     n_bins_f = wf.duration_ns / bin_width_ns
@@ -117,34 +127,27 @@ def simulate_pump(p0: np.ndarray, wf: PiecewiseWaveform, params: RateParams,
         raise ConfigurationError(
             f"bin width {bin_width_ns} ns does not divide duration {wf.duration_ns} ns"
         )
-    betas = params.amp_map.rate(wf.amplitudes)
-    piece_width = wf.piece_width_ns
-    edges = _merged_edges(wf.duration_ns, piece_width, bin_width_ns)
-    counts = np.zeros(n_bins)
-    for t0, t1 in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (t0 + t1)
-        i_piece = min(int(mid / piece_width), wf.n - 1)
-        i_bin = min(int(mid / bin_width_ns), n_bins - 1)
-        p, c = _step(p, params, float(betas[i_piece]), t1 - t0)
-        counts[i_bin] += c
+    edges, betas = _split(wf, params, np.arange(1, n_bins) * bin_width_ns)
+    p, counts = _walk(p0, params, edges, betas)
+    bins = np.minimum((_midpoints(edges) / bin_width_ns).astype(int), n_bins - 1)
+    binned = np.zeros(n_bins)
+    np.add.at(binned, bins, counts)
     return PumpTrace(
         bin_starts_ns=np.arange(n_bins) * bin_width_ns,
         bin_width_ns=bin_width_ns,
-        expected_counts_per_rep=counts,
+        expected_counts_per_rep=binned,
         final_populations=check_populations(p),
     )
 
 
 def window_expectation(p0: np.ndarray, wf: PiecewiseWaveform, params: RateParams,
-                       offset_ns: float = 0.0,
-                       width_ns: float | None = None) -> float:
+                       offset_ns: float = 0.0, width_ns: float | None = None):
     """Expected detected photons per repetition inside a detection window.
 
-    Faster than :func:`simulate_pump` when only the window total matters
-    (the optimization objective); integrates exactly over the window
-    without building per-bin output.
+    Integrates exactly over the window without building per-bin output.
+    Given one population vector it returns a float; given (5, k) columns it
+    returns the k window totals from a single walk.
     """
-    p = check_populations(p0)
     if width_ns is None:
         width_ns = wf.duration_ns - offset_ns
     if offset_ns < -_REL_TOL or width_ns < 0:
@@ -155,20 +158,12 @@ def window_expectation(p0: np.ndarray, wf: PiecewiseWaveform, params: RateParams
             f"detection window [{offset_ns}, {end}] ns exceeds waveform duration "
             f"{wf.duration_ns} ns"
         )
-    betas = params.amp_map.rate(wf.amplitudes)
-    piece_width = wf.piece_width_ns
-    edges = _merged_edges(wf.duration_ns, piece_width)
-    cuts = np.sort(np.unique(np.concatenate([edges, [offset_ns, min(end, wf.duration_ns)]])))
-    total = 0.0
-    for t0, t1 in zip(cuts[:-1], cuts[1:]):
-        if t1 - t0 <= _REL_TOL * max(wf.duration_ns, 1.0):
-            continue
-        mid = 0.5 * (t0 + t1)
-        i_piece = min(int(mid / piece_width), wf.n - 1)
-        p, c = _step(p, params, float(betas[i_piece]), t1 - t0)
-        if offset_ns - _REL_TOL <= mid <= end + _REL_TOL:
-            total += c
-    return total
+    edges, betas = _split(wf, params, [offset_ns, min(end, wf.duration_ns)])
+    counts = _walk(p0, params, edges, betas)[1]
+    mids = _midpoints(edges)
+    inside = (mids >= offset_ns - _REL_TOL) & (mids <= end + _REL_TOL)
+    total = counts[inside].sum(axis=0)
+    return float(total) if total.ndim == 0 else total
 
 
 @dataclass(frozen=True)
@@ -228,7 +223,7 @@ def prepared_states(cfg: SequenceConfig, params: RateParams):
     additionally gets the ideal π-pulse.
     """
     p = propagate_waveform(thermal_ground_state(), cfg.init_wf, params)
-    p, _ = _step(p, params, 0.0, cfg.wait_ns)
+    p = _walk(p, params, [0.0, cfg.wait_ns], [0.0])[0]
     return p, _swap_ground(p)
 
 
@@ -262,12 +257,11 @@ def window_counts(trace: PumpTrace, offset_ns: float, width_ns: float,
 
 def pair_window_counts(cfg: SequenceConfig, params: RateParams):
     """Expected (L0, L1) window totals for the two spin preparations."""
-    p0, p1 = prepared_states(cfg, params)
-    offset = cfg.detection_offset_ns
-    width = cfg.effective_detection_width_ns
-    L0 = cfg.repetitions * window_expectation(p0, cfg.readout_wf, params, offset, width)
-    L1 = cfg.repetitions * window_expectation(p1, cfg.readout_wf, params, offset, width)
-    return L0, L1
+    branches = np.column_stack(prepared_states(cfg, params))
+    L0, L1 = cfg.repetitions * window_expectation(
+        branches, cfg.readout_wf, params, cfg.detection_offset_ns,
+        cfg.effective_detection_width_ns)
+    return float(L0), float(L1)
 
 
 def sample_counts(expected: float, seed: int) -> int:

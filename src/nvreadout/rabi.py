@@ -32,14 +32,13 @@ from .photophysics import Level, RateParams
 from .pumpsim import (
     SequenceConfig,
     prepared_states,
-    propagate_waveform,
+    propagate_waveform,  # noqa: F401  (unused; perfbench/tracer.py patches it here)
     sample_counts,
     window_expectation,
-    _step,
 )
-from .photophysics import thermal_ground_state
+from .waveform import PiecewiseWaveform, make_constant
 
-SCHEME_SOURCES = ("olo-snr", "constant-snr", "constant-contrast")
+SCHEMES = ("olo-snr", "constant-snr", "constant-contrast")
 
 
 @dataclass(frozen=True)
@@ -49,7 +48,6 @@ class RabiConfig:
     omega_rad_per_ns: float
     taus_ns: np.ndarray
     base: SequenceConfig
-    source: str = "constant-snr"
     stochastic: bool = False
     sample_seed: int = 0
 
@@ -65,8 +63,6 @@ class RabiConfig:
             raise ConfigurationError(
                 f"tau grid spans {taus.max() - taus.min():.1f} ns, "
                 f"less than one Rabi period ({period:.1f} ns)")
-        if self.source not in SCHEME_SOURCES:
-            raise ConfigurationError(f"unknown waveform source {self.source!r}")
         taus.setflags(write=False)
         object.__setattr__(self, "taus_ns", taus)
 
@@ -84,10 +80,14 @@ class RabiCurve:
     fit_message: str | None = None
 
 
-def _rotate_ground(p: np.ndarray, angle: float) -> np.ndarray:
-    """Population transfer of a resonant MW pulse of rotation angle Ω·tau."""
-    q = p.copy()
-    c2 = np.cos(0.5 * angle) ** 2
+def _rotate_ground(p: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """Population transfer of resonant MW pulses of rotation angles Ω·tau.
+
+    Returns one rotated copy of ``p`` per angle, as the columns of a
+    (5, n_angles) array.
+    """
+    q = np.repeat(p[:, None], angles.size, axis=1)
+    c2 = np.cos(0.5 * angles) ** 2
     s2 = 1.0 - c2
     q[Level.G0] = p[Level.G0] * c2 + p[Level.G1] * s2
     q[Level.G1] = p[Level.G0] * s2 + p[Level.G1] * c2
@@ -97,20 +97,15 @@ def _rotate_ground(p: np.ndarray, angle: float) -> np.ndarray:
 def rabi_expectations(cfg: RabiConfig, params: RateParams) -> np.ndarray:
     """Expected window totals L(tau) over all repetitions, no sampling.
 
-    The init+wait state is computed once; each tau only applies the ground
-    rotation and re-runs the readout integral.
+    The init+wait state comes from :func:`prepared_states`; the rotated
+    states of every tau then go through the readout as columns of one walk.
     """
     base = cfg.base
-    p_ready = propagate_waveform(thermal_ground_state(), base.init_wf, params)
-    p_ready, _ = _step(p_ready, params, 0.0, base.wait_ns)
-    offset = base.detection_offset_ns
-    width = base.effective_detection_width_ns
-    L = np.empty(cfg.taus_ns.size)
-    for k, tau in enumerate(cfg.taus_ns):
-        p = _rotate_ground(p_ready, cfg.omega_rad_per_ns * float(tau))
-        L[k] = base.repetitions * window_expectation(p, base.readout_wf, params,
-                                                     offset, width)
-    return L
+    p_ready, _ = prepared_states(base, params)
+    columns = _rotate_ground(p_ready, cfg.omega_rad_per_ns * cfg.taus_ns)
+    return base.repetitions * window_expectation(
+        columns, base.readout_wf, params, base.detection_offset_ns,
+        base.effective_detection_width_ns)
 
 
 def realize_curve(cfg: RabiConfig, expected: np.ndarray) -> RabiCurve:
@@ -153,6 +148,36 @@ def simulate_rabi(cfg: RabiConfig, params: RateParams) -> RabiCurve:
     return realize_curve(cfg, rabi_expectations(cfg, params))
 
 
+def make_scheme_configs(base: SequenceConfig, omega_rad_per_ns: float,
+                        taus_ns: np.ndarray, repetitions: float,
+                        olo_init_wf: PiecewiseWaveform,
+                        olo_readout_wf: PiecewiseWaveform,
+                        sweep_snr, sweep_contrast, stochastic: bool,
+                        seed: int) -> dict[str, RabiConfig]:
+    """Rabi configs of the three readout schemes, keyed by scheme name.
+
+    The OLO scheme uses the optimized init and readout waveforms; each
+    constant scheme uses the best square pulse of its sweep (``sweep_snr``
+    and ``sweep_contrast`` are sweep results) for both init and readout.
+    Every scheme detects over its whole readout pulse, and scheme k of
+    :data:`SCHEMES` samples with seed ``3 * seed + k``.
+    """
+    wf_cs = make_constant(sweep_snr.best_duration_ns, sweep_snr.best_amplitude)
+    wf_cc = make_constant(sweep_contrast.best_duration_ns,
+                          sweep_contrast.best_amplitude)
+    pulses = ((olo_init_wf, olo_readout_wf), (wf_cs, wf_cs), (wf_cc, wf_cc))
+    cfgs = {}
+    for k, (name, (init_wf, readout_wf)) in enumerate(zip(SCHEMES, pulses)):
+        scheme_base = replace(base, init_wf=init_wf, readout_wf=readout_wf,
+                              bin_width_ns=readout_wf.duration_ns,
+                              detection_offset_ns=0.0, detection_width_ns=None,
+                              repetitions=repetitions)
+        cfgs[name] = RabiConfig(omega_rad_per_ns=omega_rad_per_ns,
+                                taus_ns=taus_ns, base=scheme_base,
+                                stochastic=stochastic, sample_seed=3 * seed + k)
+    return cfgs
+
+
 @dataclass(frozen=True)
 class SchemeComparison:
     """Per-scheme Rabi metrics plus the headline orderings."""
@@ -166,11 +191,11 @@ class SchemeComparison:
 def compare_schemes(cfgs: dict[str, RabiConfig], params: RateParams) -> SchemeComparison:
     """Run one Rabi sweep per readout scheme and compare the outcomes.
 
-    ``cfgs`` maps each of the three scheme names ("olo-snr", "constant-snr",
-    "constant-contrast") to a config whose ``base`` carries that scheme's
-    init and readout waveforms.
+    ``cfgs`` maps each name in :data:`SCHEMES` to a config whose ``base``
+    carries that scheme's init and readout waveforms, as built by
+    :func:`make_scheme_configs`.
     """
-    missing = [s for s in SCHEME_SOURCES if s not in cfgs]
+    missing = [s for s in SCHEMES if s not in cfgs]
     if missing:
         raise ConfigurationError(f"missing scheme configs: {missing}")
     curves, contrasts, mean_devs = {}, {}, {}

@@ -37,33 +37,24 @@ def default_olo_spec(params, base_seq):
     )
 
 
-def rabi_scheme_configs(params, base_seq, repetitions, stochastic, seed):
-    """The three scheme configs of the Fig.-4-style comparison."""
+def scheme_inputs(params, base_seq):
+    """Sweep optima and OLO run behind the Fig.-4-style comparison."""
     sweep_snr = nv.run_sweep(nv.default_sweep_spec(base_seq, "snr"), params)
     sweep_con = nv.run_sweep(nv.default_sweep_spec(base_seq, "contrast"),
                              params)
     olo = nv.run_olo(default_olo_spec(params, base_seq), baseline=sweep_snr)
-    wf_cs = nv.make_constant(sweep_snr.best_duration_ns,
-                             sweep_snr.best_amplitude)
-    wf_cc = nv.make_constant(sweep_con.best_duration_ns,
-                             sweep_con.best_amplitude)
+    return sweep_snr, sweep_con, olo
+
+
+def rabi_scheme_configs(inputs, base_seq, repetitions, stochastic, seed):
+    """The three scheme configs of the Fig.-4-style comparison."""
+    sweep_snr, sweep_con, olo = inputs
     olo_init = nv.make_constant(base_seq.init_wf.duration_ns,
                                 olo.init_amplitude)
-    taus = np.linspace(0.0, 600.0, 241)
-    omega = 2 * np.pi / 200.0
-
-    def scheme(source, init_wf, wf, k):
-        base = replace(base_seq, init_wf=init_wf, readout_wf=wf,
-                       bin_width_ns=wf.duration_ns, repetitions=repetitions)
-        return nv.RabiConfig(omega_rad_per_ns=omega, taus_ns=taus, base=base,
-                             source=source, stochastic=stochastic,
-                             sample_seed=3 * seed + k)
-
-    return {
-        "olo-snr": scheme("olo-snr", olo_init, olo.waveform, 0),
-        "constant-snr": scheme("constant-snr", wf_cs, wf_cs, 1),
-        "constant-contrast": scheme("constant-contrast", wf_cc, wf_cc, 2),
-    }
+    return nv.make_scheme_configs(
+        base_seq, 2 * np.pi / 200.0, np.linspace(0.0, 600.0, 241),
+        repetitions, olo_init, olo.waveform, sweep_snr, sweep_con,
+        stochastic=stochastic, seed=seed)
 
 
 def test_criterion_01_singlet_lifetime(params):
@@ -176,8 +167,8 @@ def test_criterion_07_order_of_magnitude_anchor(params, base_seq):
 
 def test_criterion_08_rabi_orderings_deterministic(params, base_seq):
     t0 = time.perf_counter()
-    cfgs = rabi_scheme_configs(params, base_seq, repetitions=1e8,
-                               stochastic=False, seed=0)
+    cfgs = rabi_scheme_configs(scheme_inputs(params, base_seq), base_seq,
+                               repetitions=1e8, stochastic=False, seed=0)
     comp = nv.compare_schemes(cfgs, params)
     elapsed = time.perf_counter() - t0
     contrast_ok = comp.orderings["olo_contrast_above_constant_snr"]
@@ -196,9 +187,10 @@ def test_criterion_08_rabi_orderings_deterministic(params, base_seq):
 
 def test_criterion_08_rabi_orderings_stochastic(params, base_seq):
     t0 = time.perf_counter()
+    inputs = scheme_inputs(params, base_seq)
     hold = 0
     for seed in range(20):
-        cfgs = rabi_scheme_configs(params, base_seq, repetitions=1e6,
+        cfgs = rabi_scheme_configs(inputs, base_seq, repetitions=1e6,
                                    stochastic=True, seed=seed)
         comp = nv.compare_schemes(cfgs, params)
         if (comp.orderings["olo_contrast_above_constant_snr"]

@@ -77,6 +77,28 @@ class TestRunSweep:
                          mode="readout-only")
 
 
+class TestSnrObjective:
+    def test_open_width_reads_from_the_offset_to_the_end(self, params,
+                                                         base_seq):
+        # width None means "from the offset to the end of the readout", as
+        # in SequenceConfig and pair_window_counts
+        def objective(start_duration_ns=920.0, **window):
+            spec = nv.OloSpec(base=replace(base_seq, **window), params=params,
+                              optimizer=nv.OptimizerConfig(),
+                              init_scan_amplitudes=np.array([0.2]),
+                              start_duration_ns=start_duration_ns)
+            return nv.make_snr_objective(spec, nv.make_constant(1000.0, 0.2))[0]
+
+        u = np.full(20, 0.3)
+        open_width = objective(detection_offset_ns=460.0)(u)
+        assert open_width == objective(detection_offset_ns=460.0,
+                                       detection_width_ns=460.0)(u)
+        assert open_width != objective()(u)
+        with pytest.raises(ConfigurationError):
+            objective(start_duration_ns=600.0, detection_offset_ns=460.0,
+                      detection_width_ns=460.0)
+
+
 class TestRunOlo:
     def test_final_never_below_start(self, olo_result):
         assert olo_result.final_snr >= olo_result.start_snr

@@ -17,8 +17,7 @@ def rabi_base(base_seq):
 def make_cfg(rabi_base, taus=None, **kw):
     if taus is None:
         taus = np.linspace(0.0, 600.0, 61)
-    defaults = dict(omega_rad_per_ns=OMEGA, taus_ns=taus, base=rabi_base,
-                    source="constant-snr")
+    defaults = dict(omega_rad_per_ns=OMEGA, taus_ns=taus, base=rabi_base)
     defaults.update(kw)
     return nv.RabiConfig(**defaults)
 
@@ -118,29 +117,16 @@ class TestSimulateRabi:
             make_cfg(rabi_base, taus=np.linspace(0.0, 100.0, 11))  # < 1 period
         with pytest.raises(ConfigurationError):
             make_cfg(rabi_base, omega_rad_per_ns=-1.0)
-        with pytest.raises(ConfigurationError):
-            make_cfg(rabi_base, source="optimal")
 
 
 class TestCompareSchemes:
     @pytest.fixture(scope="class")
     def schemes(self, params, rabi_base, sweep_snr, sweep_contrast, olo_result):
-        wf_cs = nv.make_constant(sweep_snr.best_duration_ns,
-                                 sweep_snr.best_amplitude)
-        wf_cc = nv.make_constant(sweep_contrast.best_duration_ns,
-                                 sweep_contrast.best_amplitude)
-        olo_init = nv.make_constant(1000.0, olo_result.init_amplitude)
-
-        def scheme(source, init_wf, wf, **kw):
-            base = replace(rabi_base, init_wf=init_wf, readout_wf=wf,
-                           bin_width_ns=wf.duration_ns)
-            return make_cfg(rabi_base, base=base, source=source, **kw)
-
-        return {
-            "olo-snr": scheme("olo-snr", olo_init, olo_result.waveform),
-            "constant-snr": scheme("constant-snr", wf_cs, wf_cs),
-            "constant-contrast": scheme("constant-contrast", wf_cc, wf_cc),
-        }
+        return nv.make_scheme_configs(
+            rabi_base, OMEGA, np.linspace(0.0, 600.0, 61), rabi_base.repetitions,
+            nv.make_constant(1000.0, olo_result.init_amplitude),
+            olo_result.waveform, sweep_snr, sweep_contrast,
+            stochastic=False, seed=0)
 
     def test_contrast_baseline_beats_snr_baseline(self, schemes, params):
         comp = nv.compare_schemes(schemes, params)
