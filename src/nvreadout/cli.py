@@ -142,7 +142,8 @@ def cmd_optimize(args) -> int:
     seq = build_sequence(cfg)
     spec = build_olo_spec(cfg, seq, params, stochastic=args.stochastic,
                           seed=int(cfg["seed"]))
-    baseline = run_sweep(build_sweep_spec(cfg, seq, mode="global"), params)
+    baseline = run_sweep(replace(build_sweep_spec(cfg, seq, mode="global"),
+                                 metric="snr"), params)
     result = run_olo(spec, baseline=baseline)
     write_optimizer_log(result.state, out / "olo_log.jsonl")
     write_waveform_csv(result.waveform, out / "olo_waveform.csv")
@@ -178,7 +179,7 @@ def _rabi_scheme_configs(cfg: dict, args, params) -> dict[str, RabiConfig]:
     return make_scheme_configs(
         seq, rabi_omega(cfg), build_rabi_taus(cfg),
         float(cfg["rabi"]["repetitions"]), olo_init, olo_wf,
-        sweep_snr=run_sweep(sweep_spec, params),
+        sweep_snr=run_sweep(replace(sweep_spec, metric="snr"), params),
         sweep_contrast=run_sweep(replace(sweep_spec, metric="contrast"), params),
         stochastic=bool(args.stochastic), seed=int(cfg["seed"]))
 

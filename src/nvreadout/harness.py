@@ -2,9 +2,11 @@
 
 Two ways of choosing readout laser settings are wired here.  The traversal
 scheme scans constant square pulses over a (amplitude, duration) grid and
-keeps the best.  The online scheme fixes the duration, splits the readout
-pulse into equal pieces, and lets the Hooke-Jeeves search shape the
-per-piece amplitudes against the measured (here: simulated) SNR.
+keeps the best; it computes one amplitude's whole row of durations at once,
+without building a sequence per cell.  The online scheme fixes the
+duration, splits the readout pulse into equal pieces, and lets the
+Hooke-Jeeves search shape the per-piece amplitudes against the measured
+(here: simulated) SNR.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .pumpsim import (
     prepared_states,
     sample_counts,
     simulate_pump,
+    square_pulse_states,
     window_expectation,
 )
 from .waveform import PiecewiseWaveform, make_constant
@@ -58,6 +61,10 @@ class SweepSpec:
                 raise ConfigurationError(f"{name} grid must be strictly increasing")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        if not np.all(np.isfinite(self.durations_ns) & (self.durations_ns > 0)):
+            raise ConfigurationError("sweep durations must be finite and > 0 ns")
+        if not np.all((self.amplitudes >= 0) & (self.amplitudes <= 1)):
+            raise ConfigurationError("sweep amplitudes must lie in [0, 1]")
         if self.mode not in SWEEP_MODES:
             raise ConfigurationError(f"unknown sweep mode {self.mode!r}")
         if self.metric not in SWEEP_METRICS:
@@ -81,24 +88,26 @@ class SweepResult:
     best_value: float
 
 
-def _sequence_at(spec: SweepSpec, amplitude: float, duration_ns: float) -> SequenceConfig:
-    pulse = make_constant(duration_ns, amplitude)
-    if spec.mode == "global":
-        # single-bin readout: the traversal objective only needs window totals
-        return replace(spec.base, init_wf=pulse, readout_wf=pulse,
-                       bin_width_ns=duration_ns, detection_offset_ns=0.0,
-                       detection_width_ns=None)
-    return replace(spec.base, init_wf=pulse)
-
-
 def run_sweep(spec: SweepSpec, params: RateParams) -> SweepResult:
-    """Evaluate the metric on the full grid and project onto the power axis."""
+    """Evaluate the metric on the full grid and project onto the power axis.
+
+    Each amplitude is one row: :func:`square_pulse_states` prepares both
+    branches for every duration at once.  In global mode each pulse reads
+    itself out over its whole length, so its count row gives the window
+    totals; in init-only mode all columns share ``base``'s readout window.
+    """
     metric = snr_metric if spec.metric == "snr" else contrast_metric
-    grid = np.full((spec.amplitudes.size, spec.durations_ns.size), np.nan)
+    base, n = spec.base, spec.durations_ns.size
+    grid = np.full((spec.amplitudes.size, n), np.nan)
     for i, amp in enumerate(spec.amplitudes):
-        for j, dur in enumerate(spec.durations_ns):
-            cfg = _sequence_at(spec, float(amp), float(dur))
-            L0, L1 = pair_window_counts(cfg, params)
+        ready, count_rows = square_pulse_states(base, params, amp, spec.durations_ns)
+        if spec.mode == "global":
+            totals = np.einsum("jk,kbj->bj", count_rows, ready.reshape(-1, 2, n))
+        else:
+            totals = window_expectation(
+                ready, base.readout_wf, params, base.detection_offset_ns,
+                base.effective_detection_width_ns).reshape(2, n)
+        for j, (L0, L1) in enumerate((base.repetitions * totals).T):
             if (L0 + L1) <= 0 or (spec.metric == "contrast" and L0 <= 0):
                 continue
             grid[i, j] = metric(L0, L1)

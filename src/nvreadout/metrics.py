@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import FitError, UndefinedMetricError
 
@@ -57,6 +56,68 @@ def _linear_fit_at(omega: float, ts: np.ndarray, ys: np.ndarray):
     return coef, residual
 
 
+_FINE_STEPS = 16           # grid steps covered by one table of angle sums
+_GRID_BLOCK = 16 * _FINE_STEPS   # frequencies per block of (block, n) arrays
+_ILL_CONDITIONED = 1e-8    # determinant / n² below which lstsq takes over
+
+
+def _grid_residuals(lo: float, step: float, count: int, ts: np.ndarray,
+                    ys: np.ndarray) -> np.ndarray:
+    """Squared least-squares residuals on {1, cos(wt), sin(wt)} at the
+    frequencies ``w = lo + k * step``, k < ``count``.
+
+    The 3x3 normal equations of each frequency are built from ``C @ y``,
+    ``S @ y`` and row sums, with the offset eliminated, so a block of
+    frequencies costs a few array products.  ``C`` and ``S`` come from the
+    angle-sum formulas over a coarse and a fine table, which needs trig on
+    a sixteenth of the block only.  Frequencies where cos and sin barely span
+    two dimensions on the samples (sin vanishes at the Nyquist limit) fall
+    back to :func:`_linear_fit_at`.
+    """
+    n = ts.size
+    yc = ys - ys.mean()
+    fine = np.outer(step * np.arange(_FINE_STEPS), ts)
+    cos_f, sin_f = np.cos(fine), np.sin(fine)
+    out = np.empty(count)
+    for first in range(0, count, _GRID_BLOCK):
+        k = np.arange(first, min(first + _GRID_BLOCK, count))
+        coarse = np.outer(lo + step * k[::_FINE_STEPS], ts)[:, None, :]
+        cos_c, sin_c = np.cos(coarse), np.sin(coarse)
+        C = (cos_c * cos_f - sin_c * sin_f).reshape(-1, n)[:k.size]
+        S = (sin_c * cos_f + cos_c * sin_f).reshape(-1, n)[:k.size]
+        c_sum, s_sum = C.sum(axis=1), S.sum(axis=1)
+        cc = np.einsum("ij,ij->i", C, C) - c_sum**2 / n
+        ss = np.einsum("ij,ij->i", S, S) - s_sum**2 / n
+        cs = np.einsum("ij,ij->i", C, S) - c_sum * s_sum / n
+        cy, sy = C @ yc, S @ yc
+        det = cc * ss - cs**2
+        ok = det > _ILL_CONDITIONED * n**2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            explained = (ss * cy**2 - 2.0 * cs * cy * sy + cc * sy**2) / det
+        res2 = yc @ yc - explained
+        for i in np.flatnonzero(~ok):
+            res2[i] = _linear_fit_at(lo + step * k[i], ts, ys)[1] ** 2
+        out[first:first + k.size] = res2
+    return out
+
+
+def _golden_section(f, a: float, b: float, xatol: float):
+    """Minimum of a unimodal ``f`` on [a, b], to within ``xatol``."""
+    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > xatol:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = f(d)
+    return (c, fc) if fc <= fd else (d, fd)
+
+
 def fit_sinusoid(ts, ys, omega_bounds: tuple[float, float] | None = None,
                  oversample: int = 24) -> SinusoidFit:
     """Fit a single sinusoid by grid search over frequency.
@@ -64,8 +125,8 @@ def fit_sinusoid(ts, ys, omega_bounds: tuple[float, float] | None = None,
     For each trial frequency the remaining parameters are solved linearly on
     the basis {1, cos(wt), sin(wt)}; the frequency grid covers
     ``omega_bounds`` densely (``oversample`` points per 2π/span resolution
-    element) and the best grid point is polished with a bounded scalar
-    minimization of the residual.
+    element) and the best grid point is polished by golden-section search
+    of the residual between its two neighbours.
     """
     ts = np.asarray(ts, dtype=float).ravel()
     ys = np.asarray(ys, dtype=float).ravel()
@@ -90,22 +151,18 @@ def fit_sinusoid(ts, ys, omega_bounds: tuple[float, float] | None = None,
 
     step = 2.0 * np.pi / (span * oversample)
     grid = np.arange(lo, hi + step, step)
-    residuals = np.array([_linear_fit_at(w, ts, ys)[1] for w in grid])
-    i_best = int(np.argmin(residuals))
+    i_best = int(np.argmin(_grid_residuals(lo, step, grid.size, ts, ys)))
 
+    omega = float(grid[i_best])
     w_lo = grid[max(i_best - 1, 0)]
     w_hi = grid[min(i_best + 1, grid.size - 1)]
     if w_hi > w_lo:
-        res = minimize_scalar(
-            lambda w: _linear_fit_at(w, ts, ys)[1],
-            bounds=(w_lo, w_hi), method="bounded",
-            options={"xatol": step * 1e-8},
-        )
-        omega = float(res.x)
-        if res.fun > residuals[i_best]:
-            omega = float(grid[i_best])
-    else:
-        omega = float(grid[i_best])
+        def residual_at(w):
+            return _linear_fit_at(w, ts, ys)[1]
+        w_polished, r_polished = _golden_section(residual_at, w_lo, w_hi,
+                                                 step * 1e-8)
+        if r_polished <= residual_at(omega):
+            omega = float(w_polished)
 
     coef, residual = _linear_fit_at(omega, ts, ys)
     offset, c, s = coef

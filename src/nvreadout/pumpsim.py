@@ -8,8 +8,11 @@ matrix whose extra row accumulates the time integral of the detected
 emission rate (Van Loan 1978).  No quadrature and no per-step error enter
 anywhere.  The model is linear, so a (5, k) array of population columns
 walks at the price of one: every segment is one matrix product.  Both spin
-branches, and every Rabi tau, therefore cost a single walk.  Poisson shot
-noise is applied only on demand, on window totals.
+branches, and every Rabi tau, therefore cost a single walk.  A row of square
+pulses (one amplitude, many durations) costs one propagator per duration
+and a single walk through the wait for all of them
+(:func:`square_pulse_states`).  Poisson shot noise is applied only on
+demand, on window totals.
 """
 
 from __future__ import annotations
@@ -225,6 +228,24 @@ def prepared_states(cfg: SequenceConfig, params: RateParams):
     p = propagate_waveform(thermal_ground_state(), cfg.init_wf, params)
     p = _walk(p, params, [0.0, cfg.wait_ns], [0.0])[0]
     return p, _swap_ground(p)
+
+
+def square_pulse_states(cfg: SequenceConfig, params: RateParams,
+                        amplitude: float, durations_ns):
+    """:func:`prepared_states` for square init pulses of many durations.
+
+    Pulse j has ``amplitude`` and lasts ``durations_ns[j]``; ``cfg``
+    supplies the wait.  Returns the readout-ready populations as (5, 2n)
+    columns, m_s=0 for every duration followed by m_s=±1, and the (n, 5)
+    count rows of the same pulses: ``rows[j] @ p`` is the number of photons
+    per repetition that pulse j detects when it reads out the state ``p``.
+    """
+    beta = params.amp_map.rate(float(amplitude))
+    blocks = np.stack([_segment_propagator(params, beta, float(d))
+                       for d in durations_ns])
+    p = blocks[:, :N_LEVELS] @ thermal_ground_state()
+    p = _walk(p.T, params, [0.0, cfg.wait_ns], [0.0])[0]
+    return check_populations(np.hstack([p, _swap_ground(p)])), blocks[:, N_LEVELS]
 
 
 def simulate_pair(cfg: SequenceConfig, params: RateParams):

@@ -81,6 +81,18 @@ class TestSweep:
         assert code == 2
         assert "amplitudes" in capsys.readouterr().err
 
+    def test_nonpositive_duration_exits_2(self, tmp_path, capsys):
+        code = main(["sweep", "--out", str(tmp_path / "o"),
+                     "--set", "sweep.duration_start_ns=0"])
+        assert code == 2
+        assert "durations" in capsys.readouterr().err
+
+    def test_amplitude_above_one_exits_2(self, tmp_path, capsys):
+        code = main(["sweep", "--out", str(tmp_path / "o"),
+                     "--set", "sweep.amplitude_stop=1.5"])
+        assert code == 2
+        assert "amplitudes" in capsys.readouterr().err
+
 
 class TestOptimize:
     def test_budget_one_single_log_line(self, tmp_path):
@@ -101,6 +113,15 @@ class TestOptimize:
         assert summary["final_snr"] >= summary["baseline_snr"]
         assert (out / "olo_waveform.csv").exists()
         assert (out / "olo_traces.csv").exists()
+
+    def test_baseline_is_snr_whatever_the_sweep_metric(self, tmp_path):
+        def baseline(*overrides):
+            out = tmp_path / f"run{len(overrides)}"
+            assert main(["optimize", "--out", str(out), *FAST_SWEEP,
+                         "--set", "olo.max_queries=5",
+                         "--set", "olo.init_scan_points=3", *overrides]) == 0
+            return json.loads(read(out / "olo_summary.json"))["baseline_snr"]
+        assert baseline("--set", "sweep.metric=contrast") == baseline()
 
     def test_stochastic_seeded_rerun_identical(self, tmp_path):
         out = tmp_path / "run"
@@ -138,6 +159,19 @@ class TestRabi:
         assert set(summary["contrasts"]) == {"olo-snr", "constant-snr",
                                              "constant-contrast"}
         assert set(summary["mean_deviations"]) == set(summary["contrasts"])
+
+    def test_constant_snr_scheme_ignores_the_sweep_metric(
+            self, tmp_path, olo_waveform_file):
+        # on this grid the SNR and the contrast optima are different pulses
+        def contrasts(*overrides):
+            out = tmp_path / f"run{len(overrides)}"
+            assert main([*self.rabi_args(out, olo_waveform_file),
+                         "--set", "sweep.amplitude_points=6",
+                         "--set", "sweep.duration_points=2", *overrides]) == 0
+            return json.loads(read(out / "rabi_summary.json"))["contrasts"]
+        default = contrasts()
+        assert default["constant-snr"] != default["constant-contrast"]
+        assert contrasts("--set", "sweep.metric=contrast") == default
 
     def test_missing_waveform_exits_2_with_hint(self, tmp_path, capsys):
         code = main(["rabi", "--out", str(tmp_path / "o"), *FAST_SWEEP,

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import nvreadout as nv
 from nvreadout.errors import ConfigurationError
+from nvreadout.harness import SWEEP_METRICS, SWEEP_MODES
+from test_pumpsim import reference_walk
 
 
 class TestRunSweep:
@@ -75,6 +77,80 @@ class TestRunSweep:
             nv.SweepSpec(amplitudes=np.array([0.2]),
                          durations_ns=np.array([400.0]), base=base_seq,
                          mode="readout-only")
+
+    def test_grid_values_rejected_as_configuration(self, base_seq):
+        for amplitudes, durations in (([0.2], [0.0]), ([0.2], [-5.0, 400.0]),
+                                      ([0.2], [np.inf]), ([0.5, 1.5], [400.0]),
+                                      ([-0.1, 0.5], [400.0]), ([np.nan], [400.0])):
+            with pytest.raises(ConfigurationError):
+                nv.SweepSpec(amplitudes=np.array(amplitudes),
+                             durations_ns=np.array(durations), base=base_seq)
+
+
+def sweep_cell(spec, amplitude, duration_ns):
+    """One grid cell's sequence, built cell by cell from its square pulse."""
+    pulse = nv.make_constant(duration_ns, amplitude)
+    if spec.mode == "global":
+        return replace(spec.base, init_wf=pulse, readout_wf=pulse,
+                       bin_width_ns=duration_ns, detection_offset_ns=0.0,
+                       detection_width_ns=None)
+    return replace(spec.base, init_wf=pulse)
+
+
+class TestSweepOracle:
+    """The row-batched sweep against per-cell sequences and an independent
+    integrator."""
+
+    AMPLITUDES = np.array([0.0, 0.07, 0.45, 1.0])
+    DURATIONS = np.array([150.0, 400.0, 430.0, 1100.0, 2600.0])
+
+    @pytest.fixture(scope="class")
+    def base(self, base_seq):
+        # a window that global mode must ignore and init-only mode must use
+        return replace(base_seq, detection_offset_ns=92.0,
+                       detection_width_ns=460.0)
+
+    def spec(self, base, mode, metric):
+        return nv.SweepSpec(amplitudes=self.AMPLITUDES,
+                            durations_ns=self.DURATIONS, base=base, mode=mode,
+                            metric=metric)
+
+    @pytest.mark.parametrize("metric", SWEEP_METRICS)
+    @pytest.mark.parametrize("mode", SWEEP_MODES)
+    def test_rows_match_per_cell_sequences(self, params, base, mode, metric):
+        spec = self.spec(base, mode, metric)
+        value = nv.snr if metric == "snr" else nv.contrast
+        want = np.full((spec.amplitudes.size, spec.durations_ns.size), np.nan)
+        for i, amp in enumerate(spec.amplitudes):
+            for j, dur in enumerate(spec.durations_ns):
+                L0, L1 = nv.pair_window_counts(sweep_cell(spec, amp, dur),
+                                               params)
+                if L0 + L1 > 0 and (metric == "snr" or L0 > 0):
+                    want[i, j] = value(L0, L1)
+        grid = nv.run_sweep(spec, params).grid
+        # without light the global row has no photons; init-only still
+        # reads out, but no init pulse leaves no spin contrast
+        assert np.all(np.isnan(grid[0]) if mode == "global" else grid[0] == 0)
+        assert np.array_equal(np.isnan(grid), np.isnan(want))
+        np.testing.assert_allclose(grid, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("mode, i, j", [("global", 1, 1),
+                                            ("global", 3, 4),
+                                            ("init-only", 2, 0)])
+    def test_cells_match_reference_integrator(self, params, base, mode, i, j):
+        spec = self.spec(base, mode, "snr")
+        cfg = sweep_cell(spec, spec.amplitudes[i], spec.durations_ns[j])
+        p = reference_walk(nv.thermal_ground_state(), cfg.init_wf, params,
+                           [cfg.init_wf.duration_ns])[-1, :5]
+        p = reference_walk(p, nv.make_constant(cfg.wait_ns, 0.0), params,
+                           [cfg.wait_ns])[-1, :5]
+        offset = cfg.detection_offset_ns
+        window = [offset, offset + cfg.effective_detection_width_ns]
+        L0, L1 = (cfg.repetitions * np.diff(
+            reference_walk(q, cfg.readout_wf, params, window)[:, 5])[0]
+            for q in (p, p[[1, 0, 2, 3, 4]]))
+        grid = nv.run_sweep(spec, params).grid
+        assert grid[i, j] == pytest.approx(nv.snr(L0, L1), rel=1e-8)
 
 
 class TestSnrObjective:

@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nvreadout as nv
+from nvreadout import metrics
 from nvreadout.errors import FitError, UndefinedMetricError
 
 counts = st.floats(1.0, 1e9)
@@ -108,6 +114,35 @@ class TestFitSinusoid:
             fit = nv.fit_sinusoid(ts, synth(ts, 1.0, 0.2, 0.05, phase))
             assert fit.amplitude >= 0.0
             assert -np.pi <= fit.phase < np.pi
+
+    def test_grid_residuals_match_least_squares(self):
+        # the batched normal equations against one lstsq per frequency, up
+        # to the Nyquist limit where sin vanishes on the samples
+        rng = np.random.default_rng(4)
+        for ts in (np.linspace(0.0, 600.0, 241),
+                   np.sort(rng.uniform(0.0, 500.0, 90))):
+            ys = 0.8 + 0.1 * np.cos(0.04 * ts + 1.0) + rng.normal(0, 0.01, ts.size)
+            lo, count = 2 * np.pi / np.ptp(ts), 600
+            step = (np.pi / 2.5 - lo) / (count - 1)
+            got = metrics._grid_residuals(lo, step, count, ts, ys)
+            want = [metrics._linear_fit_at(lo + step * k, ts, ys)[1] ** 2
+                    for k in range(count)]
+            scale = np.sum((ys - ys.mean()) ** 2)
+            assert np.max(np.abs(got - want)) < 1e-12 * scale
+
+    def test_nyquist_alternation_recovered(self):
+        ts = np.linspace(0.0, 600.0, 241)
+        ys = 0.5 + 0.25 * np.cos(np.pi / 2.5 * ts)
+        fit = nv.fit_sinusoid(ts, ys)
+        assert fit.residual_norm < 1e-12
+        assert np.allclose(fit.predict(ts), ys, rtol=0.0, atol=1e-12)
+
+    def test_import_leaves_scipy_optimize_out(self):
+        code = "import sys, nvreadout; print('scipy.optimize' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(nv.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
 
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(FitError):
