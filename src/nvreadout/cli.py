@@ -126,6 +126,7 @@ def cmd_sweep(args) -> int:
         "best_amplitude": result.best_amplitude,
         "best_duration_ns": result.best_duration_ns,
         "best_value": result.best_value,
+        "best_at_grid_edge": result.best_at_grid_edge,
     })
     _write_manifest(out, "sweep", args, cfg, time.perf_counter() - t0)
     print(f"sweep: best {spec.metric} = {result.best_value:.4g} at "

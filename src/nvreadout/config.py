@@ -2,18 +2,22 @@
 
 Unknown keys are rejected with the offending section named, so typos fail
 fast instead of silently falling back to defaults.  Individual keys can be
-overridden from the command line with ``--set section.key=value``.
+overridden from the command line with ``--set section.key=value``.  The
+``build_*`` functions turn a value that is not a finite number (or not a
+whole one where a count is expected), and any value a model constructor
+rejects, into a :class:`ConfigurationError`.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ParameterError
 from .harness import OloSpec, SweepSpec
 from .optimizer import OptimizerConfig
 from .photophysics import AmplitudeMap, RateParams
@@ -152,64 +156,103 @@ def require_sections(cfg: dict, names: list[str], command: str) -> None:
         )
 
 
+def _number(cfg: dict, name: str, integer: bool = False):
+    """The value of ``name`` ("section.key") as a finite float, as an int if
+    ``integer``, or as a float array if it is a list."""
+    section, key = name.split(".")
+    raw = cfg[section][key]
+    try:
+        value = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigurationError(f"{name} must be a number, got {raw!r}") from None
+    if not np.all(np.isfinite(value)):
+        raise ConfigurationError(f"{name} must be finite, got {raw!r}")
+    if integer:
+        if value.ndim or not float(value).is_integer():
+            raise ConfigurationError(f"{name} must be a whole number, got {raw!r}")
+        return int(value)
+    return float(value) if value.ndim == 0 else value
+
+
+def _model_errors_as_config(build):
+    """Re-raise a model constructor's ParameterError as a ConfigurationError:
+    here a rejected value came from the config."""
+    @functools.wraps(build)
+    def wrapped(*args, **kwargs):
+        try:
+            return build(*args, **kwargs)
+        except ParameterError as exc:
+            raise ConfigurationError(str(exc)) from exc
+    return wrapped
+
+
+@_model_errors_as_config
 def build_rate_params(cfg: dict) -> RateParams:
-    c = cfg["photophysics"]
-    lifetime = float(c["singlet_lifetime_ns"])
+    lifetime = _number(cfg, "photophysics.singlet_lifetime_ns")
     if lifetime <= 0:
         raise ConfigurationError(f"singlet lifetime must be positive, got {lifetime}")
-    branch = float(c["singlet_branching_g0"])
+    branch = _number(cfg, "photophysics.singlet_branching_g0")
     if not (0.5 < branch < 1.0):
         raise ConfigurationError(
             f"singlet_branching_g0 must lie in (0.5, 1), got {branch}")
-    amp_map = AmplitudeMap(beta_max=float(c["beta_max"]), shape=c["map_shape"],
-                           sat_amp=c["sat_amp"])
+    sat_amp = cfg["photophysics"]["sat_amp"]
+    amp_map = AmplitudeMap(
+        beta_max=_number(cfg, "photophysics.beta_max"),
+        shape=cfg["photophysics"]["map_shape"],
+        sat_amp=None if sat_amp is None else _number(cfg, "photophysics.sat_amp"))
     return RateParams(
-        k_rad=float(c["k_rad"]),
-        k_isc0=float(c["k_isc0"]),
-        k_isc1=float(c["k_isc1"]),
+        k_rad=_number(cfg, "photophysics.k_rad"),
+        k_isc0=_number(cfg, "photophysics.k_isc0"),
+        k_isc1=_number(cfg, "photophysics.k_isc1"),
         k_s0=branch / lifetime,
         k_s1=(1.0 - branch) / lifetime,
-        eta=float(c["eta"]),
+        eta=_number(cfg, "photophysics.eta"),
         amp_map=amp_map,
     )
 
 
+@_model_errors_as_config
 def build_sequence(cfg: dict) -> SequenceConfig:
     c = cfg["sequence"]
-    init_wf = make_constant(float(c["init_duration_ns"]), float(c["init_amplitude"]),
-                            int(c["init_pieces"]))
+    init_wf = make_constant(_number(cfg, "sequence.init_duration_ns"),
+                            _number(cfg, "sequence.init_amplitude"),
+                            _number(cfg, "sequence.init_pieces", integer=True))
     if c["readout_amplitudes"] is not None:
-        readout_wf = PiecewiseWaveform(float(c["readout_duration_ns"]),
-                                       np.asarray(c["readout_amplitudes"], float))
+        readout_wf = PiecewiseWaveform(_number(cfg, "sequence.readout_duration_ns"),
+                                       _number(cfg, "sequence.readout_amplitudes"))
     else:
-        readout_wf = make_constant(float(c["readout_duration_ns"]),
-                                   float(c["readout_amplitude"]),
-                                   int(c["readout_pieces"]))
+        readout_wf = make_constant(_number(cfg, "sequence.readout_duration_ns"),
+                                   _number(cfg, "sequence.readout_amplitude"),
+                                   _number(cfg, "sequence.readout_pieces",
+                                           integer=True))
     width = c["detection_width_ns"]
     return SequenceConfig(
         init_wf=init_wf,
-        wait_ns=float(c["wait_ns"]),
+        wait_ns=_number(cfg, "sequence.wait_ns"),
         readout_wf=readout_wf,
-        bin_width_ns=float(c["bin_width_ns"]),
-        repetitions=float(c["repetitions"]),
-        detection_offset_ns=float(c["detection_offset_ns"]),
-        detection_width_ns=None if width is None else float(width),
+        bin_width_ns=_number(cfg, "sequence.bin_width_ns"),
+        repetitions=_number(cfg, "sequence.repetitions"),
+        detection_offset_ns=_number(cfg, "sequence.detection_offset_ns"),
+        detection_width_ns=(None if width is None
+                            else _number(cfg, "sequence.detection_width_ns")),
     )
 
 
 def build_sweep_spec(cfg: dict, base: SequenceConfig,
                      mode: str | None = None) -> SweepSpec:
     c = cfg["sweep"]
-    for pts_key in ("amplitude_points", "duration_points"):
-        if int(c[pts_key]) < 1:
-            raise ConfigurationError(f"sweep {pts_key} must be >= 1")
+    points = {axis: _number(cfg, f"sweep.{axis}_points", integer=True)
+              for axis in ("amplitude", "duration")}
+    for axis, count in points.items():
+        if count < 1:
+            raise ConfigurationError(f"sweep {axis}_points must be >= 1")
     return SweepSpec(
-        amplitudes=np.linspace(float(c["amplitude_start"]),
-                               float(c["amplitude_stop"]),
-                               int(c["amplitude_points"])),
-        durations_ns=np.linspace(float(c["duration_start_ns"]),
-                                 float(c["duration_stop_ns"]),
-                                 int(c["duration_points"])),
+        amplitudes=np.linspace(_number(cfg, "sweep.amplitude_start"),
+                               _number(cfg, "sweep.amplitude_stop"),
+                               points["amplitude"]),
+        durations_ns=np.linspace(_number(cfg, "sweep.duration_start_ns"),
+                                 _number(cfg, "sweep.duration_stop_ns"),
+                                 points["duration"]),
         base=base,
         mode=mode if mode is not None else c["mode"],
         metric=c["metric"],
@@ -230,38 +273,40 @@ def default_sweep_spec(base: SequenceConfig, metric: str = "snr") -> SweepSpec:
                             base, mode="global")
 
 
+@_model_errors_as_config
 def build_olo_spec(cfg: dict, base: SequenceConfig, params: RateParams,
                    stochastic: bool = False, seed: int = 0) -> OloSpec:
-    c = cfg["olo"]
     opt = OptimizerConfig(
-        bounds=AmplitudeBounds(float(c["bound_lo"]), float(c["bound_hi"])),
-        alpha0=float(c["alpha0"]),
-        rho=float(c["rho"]),
-        alpha_min=float(c["alpha_min"]),
-        max_queries=int(c["max_queries"]),
+        bounds=AmplitudeBounds(_number(cfg, "olo.bound_lo"),
+                               _number(cfg, "olo.bound_hi")),
+        alpha0=_number(cfg, "olo.alpha0"),
+        rho=_number(cfg, "olo.rho"),
+        alpha_min=_number(cfg, "olo.alpha_min"),
+        max_queries=_number(cfg, "olo.max_queries", integer=True),
     )
     return OloSpec(
         base=base,
         params=params,
         optimizer=opt,
-        start_duration_ns=float(c["start_duration_ns"]),
-        start_amplitude=float(c["start_amplitude"]),
-        n_init=int(c["n_init"]),
-        n_read=int(c["n_read"]),
-        init_scan_amplitudes=np.linspace(0.02, 1.0, int(c["init_scan_points"])),
+        start_duration_ns=_number(cfg, "olo.start_duration_ns"),
+        start_amplitude=_number(cfg, "olo.start_amplitude"),
+        n_init=_number(cfg, "olo.n_init", integer=True),
+        n_read=_number(cfg, "olo.n_read", integer=True),
+        init_scan_amplitudes=np.linspace(
+            0.02, 1.0, _number(cfg, "olo.init_scan_points", integer=True)),
         stochastic=stochastic,
         sample_seed=seed,
     )
 
 
 def build_rabi_taus(cfg: dict) -> np.ndarray:
-    c = cfg["rabi"]
-    return np.linspace(float(c["tau_start_ns"]), float(c["tau_stop_ns"]),
-                       int(c["tau_points"]))
+    return np.linspace(_number(cfg, "rabi.tau_start_ns"),
+                       _number(cfg, "rabi.tau_stop_ns"),
+                       _number(cfg, "rabi.tau_points", integer=True))
 
 
 def rabi_omega(cfg: dict) -> float:
-    period = float(cfg["rabi"]["rabi_period_ns"])
+    period = _number(cfg, "rabi.rabi_period_ns")
     if period <= 0:
         raise ConfigurationError(f"Rabi period must be positive, got {period}")
     return 2.0 * np.pi / period

@@ -3,10 +3,11 @@
 Two ways of choosing readout laser settings are wired here.  The traversal
 scheme scans constant square pulses over a (amplitude, duration) grid and
 keeps the best; it computes one amplitude's whole row of durations at once,
-without building a sequence per cell.  The online scheme fixes the
-duration, splits the readout pulse into equal pieces, and lets the
-Hooke-Jeeves search shape the per-piece amplitudes against the measured
-(here: simulated) SNR.
+from one eigendecomposition of the rate generator and without building a
+sequence per cell, and scores the row with array operations.  The online
+scheme fixes the duration, splits the readout pulse into equal pieces, and
+lets the Hooke-Jeeves search shape the per-piece amplitudes against the
+measured (here: simulated) SNR.
 """
 
 from __future__ import annotations
@@ -87,6 +88,13 @@ class SweepResult:
     best_duration_ns: float
     best_value: float
 
+    @property
+    def best_at_grid_edge(self) -> dict[str, bool]:
+        """Whether the best cell sits on the first or last point of each axis."""
+        return {name: bool(best in (grid[0], grid[-1])) for name, best, grid in (
+            ("amplitude", self.best_amplitude, self.spec.amplitudes),
+            ("duration", self.best_duration_ns, self.spec.durations_ns))}
+
 
 def run_sweep(spec: SweepSpec, params: RateParams) -> SweepResult:
     """Evaluate the metric on the full grid and project onto the power axis.
@@ -95,6 +103,8 @@ def run_sweep(spec: SweepSpec, params: RateParams) -> SweepResult:
     branches for every duration at once.  In global mode each pulse reads
     itself out over its whole length, so its count row gives the window
     totals; in init-only mode all columns share ``base``'s readout window.
+    The metric scores a whole row at once; cells without photons (for the
+    contrast, without m_s=0 photons) stay NaN.
     """
     metric = snr_metric if spec.metric == "snr" else contrast_metric
     base, n = spec.base, spec.durations_ns.size
@@ -107,10 +117,11 @@ def run_sweep(spec: SweepSpec, params: RateParams) -> SweepResult:
             totals = window_expectation(
                 ready, base.readout_wf, params, base.detection_offset_ns,
                 base.effective_detection_width_ns).reshape(2, n)
-        for j, (L0, L1) in enumerate((base.repetitions * totals).T):
-            if (L0 + L1) <= 0 or (spec.metric == "contrast" and L0 <= 0):
-                continue
-            grid[i, j] = metric(L0, L1)
+        L0, L1 = base.repetitions * totals
+        undefined = L0 + L1 <= 0
+        if spec.metric == "contrast":
+            undefined |= L0 <= 0
+        grid[i, ~undefined] = metric(L0[~undefined], L1[~undefined])
 
     best_per_amp = np.full(spec.amplitudes.size, np.nan)
     best_dur_per_amp = np.full(spec.amplitudes.size, np.nan)

@@ -14,21 +14,22 @@ import numpy as np
 from .errors import FitError, UndefinedMetricError
 
 
-def snr(L0: float, L1: float) -> float:
+def snr(L0, L1):
     """Readout signal-to-noise ratio (L0 - L1) / sqrt(L0 + L1).
 
     L0 and L1 are total detected photons in the detection window, summed
-    over the same number of repetitions for each spin preparation.
+    over the same number of repetitions for each spin preparation.  Scalars
+    or equal-shape arrays; arrays give the scalar values elementwise.
     """
     total = L0 + L1
-    if total <= 0:
+    if np.any(total <= 0):
         raise UndefinedMetricError(f"SNR undefined for L0 + L1 = {total}")
     return (L0 - L1) / np.sqrt(total)
 
 
-def contrast(L0: float, L1: float) -> float:
-    """Relative fluorescence difference (L0 - L1) / L0."""
-    if L0 <= 0:
+def contrast(L0, L1):
+    """Relative fluorescence difference (L0 - L1) / L0, scalar or elementwise."""
+    if np.any(L0 <= 0):
         raise UndefinedMetricError(f"contrast undefined for L0 = {L0}")
     return (L0 - L1) / L0
 

@@ -9,8 +9,9 @@ emission rate (Van Loan 1978).  No quadrature and no per-step error enter
 anywhere.  The model is linear, so a (5, k) array of population columns
 walks at the price of one: every segment is one matrix product.  Both spin
 branches, and every Rabi tau, therefore cost a single walk.  A row of square
-pulses (one amplitude, many durations) costs one propagator per duration
-and a single walk through the wait for all of them
+pulses (one amplitude, many durations) costs one eigendecomposition of the
+5x5 generator, which gives every duration's propagator and count row in
+closed form, and a single walk through the wait for all of them
 (:func:`square_pulse_states`).  Poisson shot noise is applied only on
 demand, on window totals.
 """
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import eig, expm
 
 from .errors import ConfigurationError, ParameterError
 from .photophysics import (
@@ -54,6 +55,51 @@ def _segment_propagator(params: RateParams, beta: float, dt: float) -> np.ndarra
     E = np.ascontiguousarray(expm(A * dt)[:, :N_LEVELS])
     E.setflags(write=False)
     return E
+
+
+# cond(V) (1-norm) above which a generator counts as too close to defective
+# for its eigendecomposition; valid rate sets stay below about 25.
+_EIG_COND_LIMIT = 1e8
+
+
+def _square_pulse_blocks(params: RateParams, beta: float, durations) -> np.ndarray:
+    """:func:`_segment_propagator` blocks of rate ``beta`` for every duration,
+    stacked as (n, 6, 5), from one eigendecomposition ``M = V diag(λ) V⁻¹``.
+
+    Populations are ``V diag(exp(λt)) V⁻¹``; the counts integrate the
+    detection row ``c`` in closed form, ``c V diag(φ) V⁻¹`` with
+    ``φ = expm1(λt)/λ``, which is ``t`` at ``λ = 0`` (once, or twice at
+    β = 0).
+    Only the 5x5 generator is diagonalised: the augmented 6x6 matrix has a
+    double zero eigenvalue and is defective (Moler & Van Loan, SIAM Rev.
+    2003).  A nearly defective generator (see ``_EIG_COND_LIMIT``) takes
+    :func:`_segment_propagator` per duration.
+    """
+    t = np.asarray(durations, dtype=float)
+    # The generalized form M v = λ I v (LAPACK ggev) only permutes M, where
+    # np.linalg.eig (geev) also rescales it first; once β is many orders
+    # below the other rates that rescaling costs accuracy (1e-6 at β = 1e-20).
+    lam, V = eig(build_rate_matrix(params, beta), np.eye(N_LEVELS))
+    if not lam.imag.any():
+        lam = lam.real  # V is then real too: the arithmetic below stays real
+    if np.linalg.cond(V, 1) > _EIG_COND_LIMIT:  # the 1-norm needs no SVD
+        return np.stack([_segment_propagator(params, beta, float(d)) for d in t])
+    # M's columns sum to 0, so one eigenvalue is exactly 0; left at its
+    # rounded value (about 1e-17) it would move population in proportion to t
+    lam[np.argmin(np.abs(lam))] = 0.0
+    V_inv = np.linalg.inv(V)
+    c = np.zeros(N_LEVELS)
+    c[Level.E0] = c[Level.E1] = params.eta * params.k_rad
+    lt = np.multiply.outer(t, lam)
+    # expm1(x)/x is 1 + x/2 to double precision below |x| = 1e-8, and the
+    # division would lose its precision (or overflow) at subnormal x
+    small = np.abs(lt) < 1e-8
+    phi = t[:, None] * np.where(small, 1.0 + lt / 2,
+                                np.expm1(lt) / np.where(small, 1.0, lt))
+    blocks = np.empty((t.size, N_LEVELS + 1, N_LEVELS))
+    blocks[:, :N_LEVELS] = np.einsum("ik,jk,kl->jil", V, np.exp(lt), V_inv).real
+    blocks[:, N_LEVELS] = ((c @ V) * phi @ V_inv).real
+    return blocks
 
 
 def _midpoints(edges: np.ndarray) -> np.ndarray:
@@ -189,10 +235,14 @@ class SequenceConfig:
     def __post_init__(self) -> None:
         if self.wait_ns < 0 or not np.isfinite(self.wait_ns):
             raise ConfigurationError(f"wait must be >= 0 ns, got {self.wait_ns}")
-        if self.repetitions < 1:
-            raise ConfigurationError(f"repetitions must be >= 1, got {self.repetitions}")
+        if not self.repetitions >= 1 or not np.isfinite(self.repetitions):
+            raise ConfigurationError(
+                f"repetitions must be finite and >= 1, got {self.repetitions}")
+        if not self.bin_width_ns > 0 or not np.isfinite(self.bin_width_ns):
+            raise ConfigurationError(
+                f"bin width must be finite and > 0 ns, got {self.bin_width_ns}")
         n_bins_f = self.readout_wf.duration_ns / self.bin_width_ns
-        if self.bin_width_ns <= 0 or abs(n_bins_f - round(n_bins_f)) > _REL_TOL * n_bins_f:
+        if abs(n_bins_f - round(n_bins_f)) > _REL_TOL * n_bins_f:
             raise ConfigurationError(
                 f"bin width {self.bin_width_ns} ns does not divide readout duration "
                 f"{self.readout_wf.duration_ns} ns"
@@ -235,14 +285,15 @@ def square_pulse_states(cfg: SequenceConfig, params: RateParams,
     """:func:`prepared_states` for square init pulses of many durations.
 
     Pulse j has ``amplitude`` and lasts ``durations_ns[j]``; ``cfg``
-    supplies the wait.  Returns the readout-ready populations as (5, 2n)
-    columns, m_s=0 for every duration followed by m_s=±1, and the (n, 5)
-    count rows of the same pulses: ``rows[j] @ p`` is the number of photons
-    per repetition that pulse j detects when it reads out the state ``p``.
+    supplies the wait.  All pulses share one eigendecomposition of the
+    generator at that amplitude (:func:`_square_pulse_blocks`).  Returns the
+    readout-ready populations as (5, 2n) columns, m_s=0 for every duration
+    followed by m_s=±1, and the (n, 5) count rows of the same pulses:
+    ``rows[j] @ p`` is the number of photons per repetition that pulse j
+    detects when it reads out the state ``p``.
     """
     beta = params.amp_map.rate(float(amplitude))
-    blocks = np.stack([_segment_propagator(params, beta, float(d))
-                       for d in durations_ns])
+    blocks = _square_pulse_blocks(params, beta, durations_ns)
     p = blocks[:, :N_LEVELS] @ thermal_ground_state()
     p = _walk(p.T, params, [0.0, cfg.wait_ns], [0.0])[0]
     return check_populations(np.hstack([p, _swap_ground(p)])), blocks[:, N_LEVELS]

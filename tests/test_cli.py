@@ -93,6 +93,43 @@ class TestSweep:
         assert code == 2
         assert "amplitudes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override", [
+        "sequence.bin_width_ns=0",
+        "sequence.repetitions=.nan",
+        "sweep.amplitude_points=.nan",
+        "sweep.amplitude_points=abc",
+        "sweep.duration_points=2.7",
+        "photophysics.k_rad=.nan",
+        "photophysics.beta_max=.inf",
+        "sequence.init_pieces=0",
+        "sequence.init_duration_ns=.nan",
+    ])
+    def test_bad_config_value_exits_2(self, tmp_path, capsys, override):
+        code = main(["sweep", "--out", str(tmp_path / "o"),
+                     "--set", "sweep.amplitude_points=3",
+                     "--set", "sweep.duration_points=3", "--set", override])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("overrides, best, edge", [
+        # the default grid's best pulse sits on its 400 ns duration floor
+        ((), (0.51, 400.0), (False, True)),
+        (("sweep.amplitude_stop=0.1",), (0.1, 400.0), (True, True)),
+        (("sweep.amplitude_stop=0.6", "sweep.duration_start_ns=100",
+          "sweep.duration_stop_ns=700"), (0.31, 400.0), (False, False)),
+    ])
+    def test_summary_flags_an_optimum_on_the_grid_edge(self, tmp_path,
+                                                       overrides, best, edge):
+        out = tmp_path / "run"
+        sets = [arg for o in overrides for arg in ("--set", o)]
+        assert main(["sweep", "--out", str(out),
+                     "--set", "sweep.amplitude_points=3",
+                     "--set", "sweep.duration_points=3", *sets]) == 0
+        summary = json.loads(read(out / "sweep_summary.json"))
+        assert (summary["best_amplitude"], summary["best_duration_ns"]) == best
+        assert summary["best_at_grid_edge"] == dict(zip(("amplitude",
+                                                         "duration"), edge))
+
 
 class TestOptimize:
     def test_budget_one_single_log_line(self, tmp_path):

@@ -46,6 +46,22 @@ class TestSnr:
             nv.snr(0.0, 0.0)
 
 
+class TestArrays:
+    @given(st.lists(st.tuples(counts, counts), min_size=1, max_size=20))
+    @settings(max_examples=50, deadline=None)
+    def test_elementwise_values_equal_the_scalar_ones(self, pairs):
+        L0, L1 = np.array(pairs).T
+        for metric in (nv.snr, nv.contrast):
+            assert np.array_equal(metric(L0, L1),
+                                  [metric(a, b) for a, b in pairs])
+
+    def test_one_undefined_element_raises(self):
+        with pytest.raises(UndefinedMetricError):
+            nv.snr(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+        with pytest.raises(UndefinedMetricError):
+            nv.contrast(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
+
+
 class TestContrast:
     def test_basic(self):
         assert nv.contrast(100.0, 80.0) == pytest.approx(0.2, rel=1e-12)

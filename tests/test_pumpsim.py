@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import nvreadout as nv
-from nvreadout import Level
+from nvreadout import Level, pumpsim
 from nvreadout.errors import ConfigurationError, ParameterError
 
 
@@ -138,6 +140,101 @@ class TestOracle:
         assert np.all(final >= -1e-15)
 
 
+@st.composite
+def rate_rows(draw):
+    """A valid rate set, a pumping rate in [0, beta_max] (0 included) and
+    sorted square-pulse durations."""
+    k_isc0 = draw(st.floats(1e-3, 0.05))
+    lifetime = draw(st.floats(50.0, 1000.0))
+    branch = draw(st.floats(0.5, 1.0, exclude_min=True, exclude_max=True))
+    params = nv.RateParams(
+        k_rad=draw(st.floats(0.01, 0.2)),
+        k_isc0=k_isc0,
+        k_isc1=k_isc0 + draw(st.floats(1e-3, 0.1)),
+        k_s0=branch / lifetime,
+        k_s1=(1.0 - branch) / lifetime,
+        eta=draw(st.floats(1e-3, 1.0)),
+        amp_map=nv.AmplitudeMap(beta_max=draw(st.floats(0.05, 2.0))),
+    )
+    beta = params.amp_map.beta_max * draw(st.just(0.0) | st.floats(0.0, 1.0))
+    durations = sorted(draw(st.lists(st.floats(1.0, 5000.0), min_size=1,
+                                     max_size=6)))
+    return params, beta, np.array(durations)
+
+
+def per_duration_blocks(params, beta, durations):
+    return np.stack([pumpsim._segment_propagator(params, beta, float(d))
+                     for d in durations])
+
+
+class TestSquarePulseBlocks:
+    """One eigendecomposition per row against one expm per duration."""
+
+    @given(rate_rows())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_duration_expm(self, row):
+        params, beta, durations = row
+        blocks = pumpsim._square_pulse_blocks(params, beta, durations)
+        assert blocks.shape == (durations.size, 6, 5)
+        assert np.allclose(blocks, per_duration_blocks(params, beta, durations),
+                           rtol=1e-10, atol=1e-10)
+
+    @given(rate_rows())
+    @settings(max_examples=60, deadline=None)
+    def test_populations_conserved_and_counts_never_decrease(self, row):
+        params, beta, durations = row
+        blocks = pumpsim._square_pulse_blocks(params, beta, durations)
+        populations, counts = blocks[:, :5], blocks[:, 5]
+        assert np.allclose(populations.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+        assert populations.min() >= -1e-12
+        assert counts.min() >= -1e-12
+        assert np.all(np.diff(counts, axis=0) >= -1e-12)
+
+    def test_ill_conditioned_fallback_gives_the_same_blocks(self, params,
+                                                            monkeypatch):
+        durations = np.array([10.0, 400.0, 2600.0])
+        for beta in (0.0, 0.1, 0.5):
+            eig = pumpsim._square_pulse_blocks(params, beta, durations)
+            monkeypatch.setattr(pumpsim, "_EIG_COND_LIMIT", 0.0)
+            fallback = pumpsim._square_pulse_blocks(params, beta, durations)
+            monkeypatch.undo()
+            assert np.array_equal(fallback,
+                                  per_duration_blocks(params, beta, durations))
+            assert np.allclose(eig, fallback, rtol=0.0, atol=1e-12)
+
+    def test_complex_spectrum(self):
+        # a rate set whose generator has a complex pair of eigenvalues
+        params = nv.RateParams(k_rad=0.012, k_isc0=0.047, k_isc1=0.14,
+                               k_s0=0.01, k_s1=0.0063, eta=0.13)
+        beta, durations = 0.0316, np.array([1.0, 400.0, 5000.0])
+        lam = np.linalg.eigvals(nv.build_rate_matrix(params, beta))
+        assert np.abs(lam.imag).max() > 1e-3
+        blocks = pumpsim._square_pulse_blocks(params, beta, durations)
+        assert blocks.dtype == float
+        assert np.allclose(blocks, per_duration_blocks(params, beta, durations),
+                           rtol=1e-10, atol=1e-10)
+
+    @pytest.mark.parametrize("beta", [0.01, 0.5])
+    def test_long_pulses_conserve_population(self, params, beta):
+        # the computed zero eigenvalue is rounding away from 0; unless it is
+        # set to 0 the columns lose population in proportion to t
+        durations = np.array([1e4, 1e5, 1e6])
+        blocks = pumpsim._square_pulse_blocks(params, beta, durations)
+        assert np.allclose(blocks[:, :5].sum(axis=1), 1.0, rtol=0.0,
+                           atol=1e-13)
+        assert np.allclose(blocks, per_duration_blocks(params, beta, durations),
+                           rtol=1e-10, atol=1e-10)
+
+    @pytest.mark.parametrize("beta", [5e-324, 2.2e-311, 1e-300, 1e-100, 1e-20,
+                                      1e-12])
+    def test_rates_far_below_the_others_stay_accurate(self, params, beta):
+        # np.linalg.eig's balancing would spoil these decompositions
+        durations = np.array([1.0, 400.0, 5000.0])
+        assert np.allclose(pumpsim._square_pulse_blocks(params, beta, durations),
+                           per_duration_blocks(params, beta, durations),
+                           rtol=1e-10, atol=1e-10)
+
+
 class TestSimulatePair:
     def test_vanishing_init_makes_traces_coincide(self, params, base_seq):
         cfg = replace(base_seq, init_wf=nv.make_constant(1e-6, 0.2))
@@ -231,6 +328,18 @@ class TestSequenceConfig:
         with pytest.raises(ConfigurationError):
             replace(base_seq, detection_offset_ns=500.0,
                     detection_width_ns=500.0)
+
+    @pytest.mark.parametrize("bin_width_ns", [0.0, -46.0, np.nan, np.inf])
+    def test_bin_width_must_be_positive_and_finite(self, base_seq,
+                                                   bin_width_ns):
+        with pytest.raises(ConfigurationError, match="bin width"):
+            replace(base_seq, bin_width_ns=bin_width_ns)
+
+    @pytest.mark.parametrize("repetitions", [0.5, np.nan, np.inf])
+    def test_repetitions_must_be_finite_and_at_least_one(self, base_seq,
+                                                         repetitions):
+        with pytest.raises(ConfigurationError, match="repetitions"):
+            replace(base_seq, repetitions=repetitions)
 
     def test_default_window_covers_readout(self, base_seq):
         assert base_seq.effective_detection_width_ns == 920.0
