@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .config import (
+    _number,
     build_olo_spec,
     build_rabi_taus,
     build_rate_params,
@@ -34,7 +35,6 @@ from .config import (
 from .errors import ConfigurationError, NVReadoutError
 from .harness import run_olo, run_sweep
 from .io import (
-    atomic_write_text,
     olo_summary_dict,
     read_waveform_csv,
     write_json,
@@ -89,7 +89,10 @@ def _write_manifest(out: Path, command: str, args, cfg: dict,
 def _prepare(args, command: str, sections: list[str]):
     cfg = load_config(args.config, args.set)
     if args.seed is not None:
-        cfg["seed"] = int(args.seed)
+        cfg["seed"] = args.seed
+    cfg["seed"] = _number(cfg, "seed", integer=True)
+    if cfg["seed"] < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {cfg['seed']}")
     if args.out is not None:
         cfg["output_dir"] = args.out
     require_sections(cfg, sections, command)
@@ -142,7 +145,7 @@ def cmd_optimize(args) -> int:
     params = build_rate_params(cfg)
     seq = build_sequence(cfg)
     spec = build_olo_spec(cfg, seq, params, stochastic=args.stochastic,
-                          seed=int(cfg["seed"]))
+                          seed=cfg["seed"])
     baseline = run_sweep(replace(build_sweep_spec(cfg, seq, mode="global"),
                                  metric="snr"), params)
     result = run_olo(spec, baseline=baseline)
@@ -170,19 +173,19 @@ def _rabi_scheme_configs(cfg: dict, args, params) -> dict[str, RabiConfig]:
             f"OLO waveform file {wf_path!r} not found; run the optimize "
             "command first")
     olo_wf = read_waveform_csv(wf_path)
-    init_amp = cfg["rabi"]["olo_init_amplitude"]
-    if init_amp is None:
-        init_amp = cfg["sequence"]["init_amplitude"]
-    olo_init = make_constant(float(cfg["sequence"]["init_duration_ns"]),
-                             float(init_amp))
+    init_amp = ("rabi.olo_init_amplitude"
+                if cfg["rabi"]["olo_init_amplitude"] is not None
+                else "sequence.init_amplitude")
+    olo_init = make_constant(_number(cfg, "sequence.init_duration_ns"),
+                             _number(cfg, init_amp))
 
     sweep_spec = build_sweep_spec(cfg, seq, mode="global")
     return make_scheme_configs(
         seq, rabi_omega(cfg), build_rabi_taus(cfg),
-        float(cfg["rabi"]["repetitions"]), olo_init, olo_wf,
+        _number(cfg, "rabi.repetitions"), olo_init, olo_wf,
         sweep_snr=run_sweep(replace(sweep_spec, metric="snr"), params),
         sweep_contrast=run_sweep(replace(sweep_spec, metric="contrast"), params),
-        stochastic=bool(args.stochastic), seed=int(cfg["seed"]))
+        stochastic=bool(args.stochastic), seed=cfg["seed"])
 
 
 def cmd_rabi(args) -> int:

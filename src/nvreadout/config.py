@@ -157,10 +157,9 @@ def require_sections(cfg: dict, names: list[str], command: str) -> None:
 
 
 def _number(cfg: dict, name: str, integer: bool = False):
-    """The value of ``name`` ("section.key") as a finite float, as an int if
-    ``integer``, or as a float array if it is a list."""
-    section, key = name.split(".")
-    raw = cfg[section][key]
+    """The value of ``name`` ("section.key", or a top-level key) as a finite
+    float, as an int if ``integer``, or as a float array if it is a list."""
+    raw = functools.reduce(dict.__getitem__, name.split("."), cfg)
     try:
         value = np.asarray(raw, dtype=float)
     except (TypeError, ValueError, OverflowError):

@@ -2,12 +2,12 @@
 
 Two ways of choosing readout laser settings are wired here.  The traversal
 scheme scans constant square pulses over a (amplitude, duration) grid and
-keeps the best; it computes one amplitude's whole row of durations at once,
-from one eigendecomposition of the rate generator and without building a
-sequence per cell, and scores the row with array operations.  The online
-scheme fixes the duration, splits the readout pulse into equal pieces, and
-lets the Hooke-Jeeves search shape the per-piece amplitudes against the
-measured (here: simulated) SNR.
+keeps the best; it extends every amplitude's pulse from one duration to the
+next, without building a sequence per cell, and scores each duration's
+column of amplitudes with array operations.  The online scheme fixes the
+duration, splits the readout pulse into equal pieces, and lets the
+Hooke-Jeeves search shape the per-piece amplitudes against the measured
+(here: simulated) SNR.
 """
 
 from __future__ import annotations
@@ -99,20 +99,20 @@ class SweepResult:
 def run_sweep(spec: SweepSpec, params: RateParams) -> SweepResult:
     """Evaluate the metric on the full grid and project onto the power axis.
 
-    Each amplitude is one row: :func:`square_pulse_states` prepares both
-    branches for every duration at once.  In global mode each pulse reads
+    Each duration is one column: :func:`square_pulse_states` prepares both
+    branches for every amplitude at once.  In global mode each pulse reads
     itself out over its whole length, so its count row gives the window
     totals; in init-only mode all columns share ``base``'s readout window.
-    The metric scores a whole row at once; cells without photons (for the
+    The metric scores a whole column at once; cells without photons (for the
     contrast, without m_s=0 photons) stay NaN.
     """
     metric = snr_metric if spec.metric == "snr" else contrast_metric
-    base, n = spec.base, spec.durations_ns.size
-    grid = np.full((spec.amplitudes.size, n), np.nan)
-    for i, amp in enumerate(spec.amplitudes):
-        ready, count_rows = square_pulse_states(base, params, amp, spec.durations_ns)
+    base, n = spec.base, spec.amplitudes.size
+    grid = np.full((n, spec.durations_ns.size), np.nan)
+    columns = square_pulse_states(base, params, spec.amplitudes, spec.durations_ns)
+    for j, (ready, count_rows) in enumerate(columns):
         if spec.mode == "global":
-            totals = np.einsum("jk,kbj->bj", count_rows, ready.reshape(-1, 2, n))
+            totals = np.einsum("ik,kbi->bi", count_rows, ready.reshape(-1, 2, n))
         else:
             totals = window_expectation(
                 ready, base.readout_wf, params, base.detection_offset_ns,
@@ -121,7 +121,7 @@ def run_sweep(spec: SweepSpec, params: RateParams) -> SweepResult:
         undefined = L0 + L1 <= 0
         if spec.metric == "contrast":
             undefined |= L0 <= 0
-        grid[i, ~undefined] = metric(L0[~undefined], L1[~undefined])
+        grid[~undefined, j] = metric(L0[~undefined], L1[~undefined])
 
     best_per_amp = np.full(spec.amplitudes.size, np.nan)
     best_dur_per_amp = np.full(spec.amplitudes.size, np.nan)

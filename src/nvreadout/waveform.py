@@ -68,11 +68,6 @@ class PiecewiseWaveform:
     def piece_width_ns(self) -> float:
         return self.duration_ns / self.n
 
-    def with_amplitudes(self, amplitudes) -> "PiecewiseWaveform":
-        """Same duration and bounds, new amplitude vector."""
-        return PiecewiseWaveform(self.duration_ns, np.asarray(amplitudes, float),
-                                 self.bounds)
-
 
 def make_constant(duration_ns: float, amplitude: float, n: int = 1,
                   bounds: AmplitudeBounds | None = None) -> PiecewiseWaveform:

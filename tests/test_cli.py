@@ -103,6 +103,8 @@ class TestSweep:
         "photophysics.beta_max=.inf",
         "sequence.init_pieces=0",
         "sequence.init_duration_ns=.nan",
+        "seed=abc",
+        "seed=-1",
     ])
     def test_bad_config_value_exits_2(self, tmp_path, capsys, override):
         code = main(["sweep", "--out", str(tmp_path / "o"),
@@ -226,6 +228,18 @@ class TestRabi:
         bad.write_text("a,b\n1,2\n")
         code = main(self.rabi_args(tmp_path / "o", bad))
         assert code == 2
+
+    @pytest.mark.parametrize("override", [
+        "rabi.olo_init_amplitude=abc",
+        "rabi.olo_init_amplitude=.nan",
+        "rabi.repetitions=abc",
+    ])
+    def test_bad_config_value_exits_2(self, tmp_path, capsys,
+                                      olo_waveform_file, override):
+        code = main([*self.rabi_args(tmp_path / "o", olo_waveform_file),
+                     "--set", override])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error:")
 
     def test_stochastic_rerun_identical(self, tmp_path, olo_waveform_file):
         out = tmp_path / "run"

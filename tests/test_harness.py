@@ -3,6 +3,7 @@ import pytest
 from dataclasses import replace
 
 import nvreadout as nv
+from nvreadout import pumpsim
 from nvreadout.errors import ConfigurationError
 from nvreadout.harness import SWEEP_METRICS, SWEEP_MODES
 from test_pumpsim import reference_walk
@@ -86,6 +87,16 @@ class TestRunSweep:
                 nv.SweepSpec(amplitudes=np.array(amplitudes),
                              durations_ns=np.array(durations), base=base_seq)
 
+    def test_propagators_built_are_fixed_by_the_grid(self, params, base_seq):
+        # one propagator per amplitude and distinct duration step (a linspace
+        # has 4 after rounding, the first included), plus the wait
+        spec = nv.SweepSpec(amplitudes=np.linspace(0.02, 1.0, 80),
+                            durations_ns=np.linspace(400.0, 2000.0, 80),
+                            base=base_seq)
+        pumpsim._segment_propagator.cache_clear()
+        nv.run_sweep(spec, params)
+        assert pumpsim._segment_propagator.cache_info().misses == 80 * 4 + 1
+
 
 def sweep_cell(spec, amplitude, duration_ns):
     """One grid cell's sequence, built cell by cell from its square pulse."""
@@ -98,7 +109,7 @@ def sweep_cell(spec, amplitude, duration_ns):
 
 
 class TestSweepOracle:
-    """The row-batched sweep against per-cell sequences and an independent
+    """The chained sweep against per-cell sequences and an independent
     integrator."""
 
     AMPLITUDES = np.array([0.0, 0.07, 0.45, 1.0])
