@@ -1,7 +1,7 @@
 """Rate-equation simulation and online laser-waveform optimization for
 NV-center spin readout."""
 
-from .config import default_sweep_spec
+from .config import build_baseline_spec
 from .errors import (
     ConfigurationError,
     DegenerateModelError,
@@ -33,9 +33,7 @@ from .optimizer import (
     OptimizerConfig,
     OptimizerState,
     QueryRecord,
-    exploratory_move,
     hj_optimize,
-    pattern_move,
 )
 from .photophysics import (
     AmplitudeMap,
@@ -55,9 +53,9 @@ from .pumpsim import (
     prepared_states,
     propagate_waveform,
     sample_counts,
+    sampling_seed,
     simulate_pair,
     simulate_pump,
-    window_counts,
     window_expectation,
 )
 from .rabi import (
@@ -70,6 +68,6 @@ from .rabi import (
     rabi_expectations,
     simulate_rabi,
 )
-from .waveform import AmplitudeBounds, PiecewiseWaveform, make_constant, rates_of
+from .waveform import AmplitudeBounds, PiecewiseWaveform, make_constant
 
 __version__ = "0.1.0"

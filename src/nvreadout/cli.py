@@ -15,7 +15,6 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +22,8 @@ import numpy as np
 from . import __version__
 from .config import (
     _number,
+    build_baseline_spec,
+    build_olo_init_pulse,
     build_olo_spec,
     build_rabi_taus,
     build_rate_params,
@@ -47,7 +48,6 @@ from .io import (
 )
 from .pumpsim import simulate_pair
 from .rabi import RabiConfig, compare_schemes, make_scheme_configs
-from .waveform import make_constant
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -146,8 +146,7 @@ def cmd_optimize(args) -> int:
     seq = build_sequence(cfg)
     spec = build_olo_spec(cfg, seq, params, stochastic=args.stochastic,
                           seed=cfg["seed"])
-    baseline = run_sweep(replace(build_sweep_spec(cfg, seq, mode="global"),
-                                 metric="snr"), params)
+    baseline = run_sweep(build_baseline_spec(cfg, seq, "snr"), params)
     result = run_olo(spec, baseline=baseline)
     write_optimizer_log(result.state, out / "olo_log.jsonl")
     write_waveform_csv(result.waveform, out / "olo_waveform.csv")
@@ -173,18 +172,12 @@ def _rabi_scheme_configs(cfg: dict, args, params) -> dict[str, RabiConfig]:
             f"OLO waveform file {wf_path!r} not found; run the optimize "
             "command first")
     olo_wf = read_waveform_csv(wf_path)
-    init_amp = ("rabi.olo_init_amplitude"
-                if cfg["rabi"]["olo_init_amplitude"] is not None
-                else "sequence.init_amplitude")
-    olo_init = make_constant(_number(cfg, "sequence.init_duration_ns"),
-                             _number(cfg, init_amp))
-
-    sweep_spec = build_sweep_spec(cfg, seq, mode="global")
     return make_scheme_configs(
         seq, rabi_omega(cfg), build_rabi_taus(cfg),
-        _number(cfg, "rabi.repetitions"), olo_init, olo_wf,
-        sweep_snr=run_sweep(replace(sweep_spec, metric="snr"), params),
-        sweep_contrast=run_sweep(replace(sweep_spec, metric="contrast"), params),
+        _number(cfg, "rabi.repetitions"), build_olo_init_pulse(cfg), olo_wf,
+        sweep_snr=run_sweep(build_baseline_spec(cfg, seq, "snr"), params),
+        sweep_contrast=run_sweep(build_baseline_spec(cfg, seq, "contrast"),
+                                 params),
         stochastic=bool(args.stochastic), seed=cfg["seed"])
 
 

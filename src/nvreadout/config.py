@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import functools
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +64,6 @@ DEFAULT_CONFIG: dict = {
     "olo": {
         "start_duration_ns": 920.0,
         "start_amplitude": 0.02,
-        "n_init": 1,
         "n_read": 20,
         "alpha0": 0.1,
         "rho": 0.5,
@@ -258,18 +258,18 @@ def build_sweep_spec(cfg: dict, base: SequenceConfig,
     )
 
 
-def default_sweep_spec(base: SequenceConfig, metric: str = "snr") -> SweepSpec:
-    """The stock traversal grid of ``DEFAULT_CONFIG``, the constant-scheme
-    baseline.
+def build_baseline_spec(cfg: dict, base: SequenceConfig,
+                        metric: str) -> SweepSpec:
+    """The constant-scheme baseline: the configured grid in global mode,
+    scored by ``metric`` whatever ``sweep.mode`` and ``sweep.metric`` say.
 
-    The duration axis starts at 400 ns: windows shorter than that are not
-    practical settings for the constant scheme here, and the floor is what
-    exposes the readout-noise penalty of strong pumping (at high power the
-    spin polarizes well before the window closes, so the remaining
-    illumination only adds shot noise).
+    The default duration axis starts at 400 ns: windows shorter than that
+    are not practical settings for the constant scheme here, and the floor
+    is what exposes the readout-noise penalty of strong pumping (at high
+    power the spin polarizes well before the window closes, so the
+    remaining illumination only adds shot noise).
     """
-    return build_sweep_spec({"sweep": {**DEFAULT_CONFIG["sweep"], "metric": metric}},
-                            base, mode="global")
+    return replace(build_sweep_spec(cfg, base, mode="global"), metric=metric)
 
 
 @_model_errors_as_config
@@ -289,13 +289,24 @@ def build_olo_spec(cfg: dict, base: SequenceConfig, params: RateParams,
         optimizer=opt,
         start_duration_ns=_number(cfg, "olo.start_duration_ns"),
         start_amplitude=_number(cfg, "olo.start_amplitude"),
-        n_init=_number(cfg, "olo.n_init", integer=True),
         n_read=_number(cfg, "olo.n_read", integer=True),
         init_scan_amplitudes=np.linspace(
             0.02, 1.0, _number(cfg, "olo.init_scan_points", integer=True)),
         stochastic=stochastic,
         sample_seed=seed,
     )
+
+
+@_model_errors_as_config
+def build_olo_init_pulse(cfg: dict) -> PiecewiseWaveform:
+    """The OLO scheme's square init pulse for the Rabi comparison: the
+    sequence's init duration at ``rabi.olo_init_amplitude`` (from the
+    optimize summary), or at ``sequence.init_amplitude`` if that is unset."""
+    amplitude = ("rabi.olo_init_amplitude"
+                 if cfg["rabi"]["olo_init_amplitude"] is not None
+                 else "sequence.init_amplitude")
+    return make_constant(_number(cfg, "sequence.init_duration_ns"),
+                         _number(cfg, amplitude))
 
 
 def build_rabi_taus(cfg: dict) -> np.ndarray:

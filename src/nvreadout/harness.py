@@ -12,21 +12,23 @@ Hooke-Jeeves search shape the per-piece amplitudes against the measured
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .metrics import contrast as contrast_metric
 from .metrics import snr as snr_metric
-from .optimizer import DETERMINISTIC, OptimizerConfig, OptimizerState, hj_optimize
+from .optimizer import OptimizerConfig, OptimizerState, hj_optimize
 from .photophysics import RateParams
 from .pumpsim import (
+    OLO_STREAM,
     PumpTrace,
     SequenceConfig,
-    pair_window_counts,
+    pair_window_counts,  # noqa: F401  (unused; perfbench/tracer.py patches it here)
     prepared_states,
     sample_counts,
+    sampling_seed,
     simulate_pump,
     square_pulse_states,
     window_expectation,
@@ -150,31 +152,39 @@ def run_sweep(spec: SweepSpec, params: RateParams) -> SweepResult:
 class OloSpec:
     """Online readout-waveform optimization run.
 
-    The initialization pulse keeps ``n_init`` pieces (one: plain square
-    pulse) and is tuned by a 1-D amplitude scan at the duration of
-    ``base.init_wf``; the readout pulse has ``n_read`` pieces over
-    ``start_duration_ns`` and every piece starts at ``start_amplitude``.
+    The initialization pulse is a square pulse at the duration of
+    ``base.init_wf``, whose amplitude a scan over ``init_scan_amplitudes``
+    picks.  The readout pulse starts as ``start_readout``: ``n_read`` pieces
+    over ``start_duration_ns``, every piece at ``start_amplitude``, inside
+    the optimizer's bounds.  It is built and checked once, here, and every
+    query, the scan and the result take its duration, piece count and
+    bounds from it.  A run takes its values from the ``olo`` section of
+    ``config.DEFAULT_CONFIG`` (see ``config.build_olo_spec``); a stochastic
+    run samples with ``sample_seed``.
     """
 
     base: SequenceConfig
     params: RateParams
     optimizer: OptimizerConfig
     init_scan_amplitudes: np.ndarray
-    start_duration_ns: float = 920.0
-    start_amplitude: float = 0.02
-    n_init: int = 1
-    n_read: int = 20
+    start_duration_ns: float
+    start_amplitude: float
+    n_read: int
     stochastic: bool = False
     sample_seed: int = 0
+    start_readout: PiecewiseWaveform = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.n_init < 1 or self.n_read < 1:
-            raise ConfigurationError("piece counts must be >= 1")
+        if self.n_read < 1:
+            raise ConfigurationError(f"n_read must be >= 1, got {self.n_read}")
         scan = np.asarray(self.init_scan_amplitudes, dtype=float).ravel()
         if scan.size == 0:
             raise ConfigurationError("init scan grid must be non-empty")
         scan.setflags(write=False)
         object.__setattr__(self, "init_scan_amplitudes", scan)
+        object.__setattr__(self, "start_readout", PiecewiseWaveform(
+            self.start_duration_ns, np.full(self.n_read, self.start_amplitude),
+            self.optimizer.bounds))
 
 
 @dataclass(frozen=True)
@@ -197,63 +207,52 @@ def make_snr_objective(spec: OloSpec, init_wf: PiecewiseWaveform):
 
     The initialization and wait stages are fixed, so the two branch states
     are computed once; each query walks the readout pulse once for both.
-    The detection window is the base sequence's, applied to the readout
-    pulse of ``spec.start_duration_ns``.  In stochastic mode the window
-    totals are Poisson-sampled per branch from a seed supplied by the
-    optimizer, mimicking single experimental queries.
+    The detection window is the base sequence's, applied to
+    ``spec.start_readout``.  In stochastic mode, mimicking single
+    experimental queries, the objective owns one generator, keyed
+    ``(OLO_STREAM, 0)`` of ``spec.sample_seed``, and draws both window
+    totals from it in one Poisson call per query.
     """
-    cfg = replace(spec.base, init_wf=init_wf,
-                  readout_wf=make_constant(spec.start_duration_ns,
-                                           spec.start_amplitude, spec.n_read),
-                  bin_width_ns=spec.start_duration_ns)
+    start = spec.start_readout
+    cfg = replace(spec.base, init_wf=init_wf, readout_wf=start,
+                  bin_width_ns=start.duration_ns)
     branches = np.column_stack(prepared_states(cfg, spec.params))
     offset, width = cfg.detection_offset_ns, cfg.effective_detection_width_ns
-    bounds = spec.optimizer.bounds
 
     def expected_counts(u):
-        wf = PiecewiseWaveform(spec.start_duration_ns, u, bounds)
-        L0, L1 = cfg.repetitions * window_expectation(branches, wf, spec.params,
-                                                      offset, width)
+        L0, L1 = cfg.repetitions * window_expectation(
+            branches, replace(start, amplitudes=u), spec.params, offset, width)
         return float(L0), float(L1)
 
     if not spec.stochastic:
         def objective(u):
-            L0, L1 = expected_counts(u)
-            return snr_metric(L0, L1)
+            return snr_metric(*expected_counts(u))
         return objective, expected_counts
 
-    def objective(u, seed):
-        L0, L1 = expected_counts(u)
-        return snr_metric(float(sample_counts(L0, 2 * seed)),
-                          float(sample_counts(L1, 2 * seed + 1)))
+    rng = np.random.default_rng(sampling_seed(spec.sample_seed, OLO_STREAM))
+
+    def objective(u):
+        L0, L1 = sample_counts(expected_counts(u), rng)
+        return snr_metric(float(L0), float(L1))
     return objective, expected_counts
 
 
 def _scan_init_amplitude(spec: OloSpec) -> float:
-    """1-D amplitude scan of the square initialization pulse.
+    """Amplitude scan of the square initialization pulse: one init-only sweep
+    column at the duration of ``base.init_wf``.
 
     Scores each candidate with the deterministic SNR of the starting
-    readout waveform; amplitude modulation buys nothing for initialization,
-    which only needs to polarize the spin.
+    readout waveform over its whole window; amplitude modulation buys
+    nothing for initialization, which only needs to polarize the spin.
     """
-    start_readout = make_constant(spec.start_duration_ns, spec.start_amplitude,
-                                  spec.n_read)
-    best_amp, best_val = None, -np.inf
-    for amp in spec.init_scan_amplitudes:
-        init_wf = make_constant(spec.base.init_wf.duration_ns, float(amp),
-                                spec.n_init)
-        cfg = replace(spec.base, init_wf=init_wf, readout_wf=start_readout,
-                      bin_width_ns=spec.start_duration_ns,
+    start = spec.start_readout
+    readout = replace(spec.base, readout_wf=start,
+                      bin_width_ns=start.duration_ns,
                       detection_offset_ns=0.0, detection_width_ns=None)
-        L0, L1 = pair_window_counts(cfg, spec.params)
-        if L0 + L1 <= 0:
-            continue
-        val = snr_metric(L0, L1)
-        if val > best_val:
-            best_amp, best_val = float(amp), val
-    if best_amp is None:
-        raise ConfigurationError("init scan produced no photons at any amplitude")
-    return best_amp
+    scan = SweepSpec(amplitudes=spec.init_scan_amplitudes,
+                     durations_ns=np.array([spec.base.init_wf.duration_ns]),
+                     base=readout, mode="init-only", metric="snr")
+    return run_sweep(scan, spec.params).best_amplitude
 
 
 def run_olo(spec: OloSpec, baseline: SweepResult | float) -> OloResult:
@@ -268,22 +267,15 @@ def run_olo(spec: OloSpec, baseline: SweepResult | float) -> OloResult:
     baseline_snr = baseline.best_value if isinstance(baseline, SweepResult) else float(baseline)
 
     init_amp = _scan_init_amplitude(spec)
-    init_wf = make_constant(spec.base.init_wf.duration_ns, init_amp, spec.n_init)
+    init_wf = make_constant(spec.base.init_wf.duration_ns, init_amp)
 
-    opt_cfg = spec.optimizer
-    if spec.stochastic and opt_cfg.seed_policy == DETERMINISTIC:
-        opt_cfg = replace(opt_cfg, seed_policy="fresh-seed-per-query",
-                          base_seed=spec.sample_seed)
-    objective, expected_counts = make_snr_objective(replace(spec, optimizer=opt_cfg),
-                                                    init_wf)
-    u0 = np.full(spec.n_read, spec.start_amplitude)
-    state = hj_optimize(objective, u0, opt_cfg)
+    objective, expected_counts = make_snr_objective(spec, init_wf)
+    u0 = spec.start_readout.amplitudes
+    state = hj_optimize(objective, u0, spec.optimizer)
 
-    waveform = PiecewiseWaveform(spec.start_duration_ns, state.best, opt_cfg.bounds)
-    L0_start, L1_start = expected_counts(u0)
-    start_snr = snr_metric(L0_start, L1_start)
-    L0, L1 = expected_counts(state.best)
-    final_snr = snr_metric(L0, L1)
+    waveform = replace(spec.start_readout, amplitudes=state.best)
+    start_snr = snr_metric(*expected_counts(u0))
+    final_snr = snr_metric(*expected_counts(state.best))
 
     trace_bin = waveform.piece_width_ns
     cfg_final = replace(spec.base, init_wf=init_wf, readout_wf=waveform,

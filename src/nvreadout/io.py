@@ -20,7 +20,7 @@ from .harness import OloResult, SweepResult
 from .optimizer import OptimizerState
 from .pumpsim import PumpTrace
 from .rabi import RabiCurve
-from .waveform import AmplitudeBounds, PiecewiseWaveform
+from .waveform import PiecewiseWaveform
 
 
 def _fmt(x) -> str:
@@ -59,8 +59,7 @@ def write_waveform_csv(wf: PiecewiseWaveform, path: str | Path) -> None:
     _write_rows(path, ["piece_index", "start_ns", "width_ns", "amplitude"], rows)
 
 
-def read_waveform_csv(path: str | Path,
-                      bounds: AmplitudeBounds | None = None) -> PiecewiseWaveform:
+def read_waveform_csv(path: str | Path) -> PiecewiseWaveform:
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or "amplitude" not in reader.fieldnames:
@@ -74,8 +73,7 @@ def read_waveform_csv(path: str | Path,
     if max(widths) - min(widths) > 1e-9 * max(widths):
         raise ConfigurationError(f"{path}: piece widths are not all equal")
     duration = widths[0] * len(amps)
-    return PiecewiseWaveform(duration, np.array(amps),
-                             bounds if bounds is not None else AmplitudeBounds())
+    return PiecewiseWaveform(duration, np.array(amps))
 
 
 def write_pair_trace_csv(trace0: PumpTrace, trace1: PumpTrace,

@@ -60,6 +60,7 @@ def _linear_fit_at(omega: float, ts: np.ndarray, ys: np.ndarray):
 _FINE_STEPS = 16           # grid steps covered by one table of angle sums
 _GRID_BLOCK = 16 * _FINE_STEPS   # frequencies per block of (block, n) arrays
 _ILL_CONDITIONED = 1e-8    # determinant / n² below which lstsq takes over
+_OVERSAMPLE = 24           # frequency grid points per 2π/span
 
 
 def _grid_residuals(lo: float, step: float, count: int, ts: np.ndarray,
@@ -119,15 +120,15 @@ def _golden_section(f, a: float, b: float, xatol: float):
     return (c, fc) if fc <= fd else (d, fd)
 
 
-def fit_sinusoid(ts, ys, omega_bounds: tuple[float, float] | None = None,
-                 oversample: int = 24) -> SinusoidFit:
+def fit_sinusoid(ts, ys) -> SinusoidFit:
     """Fit a single sinusoid by grid search over frequency.
 
     For each trial frequency the remaining parameters are solved linearly on
-    the basis {1, cos(wt), sin(wt)}; the frequency grid covers
-    ``omega_bounds`` densely (``oversample`` points per 2π/span resolution
-    element) and the best grid point is polished by golden-section search
-    of the residual between its two neighbours.
+    the basis {1, cos(wt), sin(wt)}; the frequency grid runs from one period
+    per span to the Nyquist limit of the closest samples, with
+    ``_OVERSAMPLE`` points per 2π/span resolution element, and the best grid
+    point is polished by golden-section search of the residual between its
+    two neighbours.
     """
     ts = np.asarray(ts, dtype=float).ravel()
     ys = np.asarray(ys, dtype=float).ravel()
@@ -141,16 +142,13 @@ def fit_sinusoid(ts, ys, omega_bounds: tuple[float, float] | None = None,
     if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(ys))):
         raise FitError("non-finite samples")
 
-    if omega_bounds is None:
-        dt_min = float(np.min(np.diff(np.sort(ts))))
-        if dt_min <= 0:
-            dt_min = span / (ts.size - 1)
-        omega_bounds = (2.0 * np.pi / span, np.pi / dt_min)
-    lo, hi = omega_bounds
-    if not (0 < lo < hi):
-        raise FitError(f"invalid frequency bounds {omega_bounds}")
+    dt_min = float(np.min(np.diff(np.sort(ts))))
+    if dt_min <= 0:
+        dt_min = span / (ts.size - 1)
+    # at least 8 samples make the span at least 7 * dt_min, so lo < hi
+    lo, hi = 2.0 * np.pi / span, np.pi / dt_min
 
-    step = 2.0 * np.pi / (span * oversample)
+    step = 2.0 * np.pi / (span * _OVERSAMPLE)
     grid = np.arange(lo, hi + step, step)
     i_best = int(np.argmin(_grid_residuals(lo, step, grid.size, ts, ys)))
 

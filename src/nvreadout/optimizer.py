@@ -10,6 +10,10 @@ or the query budget runs out.
 Every trial point is clipped into the bounds *before* it is queried, and a
 clipped trial that coincides with the incumbent still costs a query: in the
 online setting every parameter change is an experiment.
+
+The objective is any callable f(u) -> float.  A stochastic objective keeps
+its own generator and draws from it once per query, so with a fixed seed
+the whole trajectory replays exactly (see ``harness.make_snr_objective``).
 """
 
 from __future__ import annotations
@@ -21,29 +25,21 @@ import numpy as np
 from .errors import ObjectiveError, ParameterError
 from .waveform import AmplitudeBounds
 
-DETERMINISTIC = "deterministic-objective"
-SEED_PER_CYCLE = "fixed-seed-per-cycle"
-SEED_PER_QUERY = "fresh-seed-per-query"
-_SEED_POLICIES = (DETERMINISTIC, SEED_PER_CYCLE, SEED_PER_QUERY)
-
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Search hyperparameters.
 
-    ``seed_policy`` controls how stochastic objectives are seeded: a
-    deterministic objective is called as f(u); the seeded policies call
-    f(u, seed) with a seed derived from ``base_seed`` and either the cycle
-    or the query counter, so the whole trajectory replays exactly.
+    A run takes them from the ``olo`` section of ``config.DEFAULT_CONFIG``
+    (see ``config.build_olo_spec``).  ``bounds`` defaults to the whole
+    amplitude domain [0, 1].
     """
 
+    alpha0: float
+    rho: float
+    alpha_min: float
+    max_queries: int
     bounds: AmplitudeBounds = field(default_factory=AmplitudeBounds)
-    alpha0: float = 0.1
-    rho: float = 0.5
-    alpha_min: float = 1e-3
-    max_queries: int = 5000
-    seed_policy: str = DETERMINISTIC
-    base_seed: int = 0
 
     def __post_init__(self) -> None:
         if not (0 < self.alpha_min < self.alpha0):
@@ -54,8 +50,6 @@ class OptimizerConfig:
             raise ParameterError(f"rho must lie in (0, 1), got {self.rho}")
         if self.max_queries < 1:
             raise ParameterError(f"max_queries must be >= 1, got {self.max_queries}")
-        if self.seed_policy not in _SEED_POLICIES:
-            raise ParameterError(f"unknown seed policy {self.seed_policy!r}")
 
 
 @dataclass
@@ -97,27 +91,10 @@ class OptimizerState:
     history: list[QueryRecord] = field(default_factory=list)
 
 
-def _derive_seed(base_seed: int, index: int) -> int:
-    # disjoint per-index streams; documented so logs can be replayed
-    return (int(base_seed) << 32) + int(index)
-
-
-def _evaluate(state: OptimizerState, objective, u: np.ndarray) -> float:
-    policy = state.config.seed_policy
-    if policy == DETERMINISTIC:
-        value = objective(u)
-    elif policy == SEED_PER_CYCLE:
-        value = objective(u, _derive_seed(state.config.base_seed, state.cycle))
-    else:
-        value = objective(u, _derive_seed(state.config.base_seed, state.queries))
-    value = float(value)
+def _query(state: OptimizerState, objective, u: np.ndarray) -> tuple[float, QueryRecord]:
+    value = float(objective(u))
     if not np.isfinite(value):
         raise ObjectiveError(f"objective returned {value} at u = {u.tolist()}")
-    return value
-
-
-def _query(state: OptimizerState, objective, u: np.ndarray) -> tuple[float, QueryRecord]:
-    value = _evaluate(state, objective, u)
     record = QueryRecord(
         query_index=state.queries, cycle=state.cycle, u=u.copy(),
         value=value, alpha=state.alpha, accepted=False,

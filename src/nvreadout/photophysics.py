@@ -17,7 +17,7 @@ All rates are in 1/ns and all times in ns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -38,10 +38,6 @@ class Level(IntEnum):
     S = 4   # metastable singlet shelf
 
 
-#: Singlet shelf lifetime 1/(k_s0 + k_s1) used by the default parameters.
-DEFAULT_SINGLET_LIFETIME_NS = 250.0
-
-
 @dataclass(frozen=True)
 class AmplitudeMap:
     """Map from normalized drive amplitude u ∈ [0, 1] to pumping rate (1/ns).
@@ -52,7 +48,7 @@ class AmplitudeMap:
     models a drive chain that compresses at high amplitude.
     """
 
-    beta_max: float = 0.5
+    beta_max: float
     shape: str = "linear"
     sat_amp: float | None = None
 
@@ -87,9 +83,11 @@ class AmplitudeMap:
 class RateParams:
     """Transition rates, collection efficiency, and the drive-to-rate map.
 
-    Defaults reproduce the usual room-temperature ordering of the NV⁻
-    kinetics: m_s=±1 crosses into the singlet much faster than m_s=0, and
-    the singlet returns preferentially to m_s=0 with a 250 ns lifetime.
+    The values of a run come from the ``photophysics`` section of
+    ``config.DEFAULT_CONFIG`` (see ``config.build_rate_params``), which
+    holds the usual room-temperature ordering of the NV⁻ kinetics: m_s=±1
+    crosses into the singlet much faster than m_s=0, and the singlet
+    returns preferentially to m_s=0.
 
     Attributes
     ----------
@@ -105,13 +103,13 @@ class RateParams:
         Conversion from waveform amplitude to pumping rate.
     """
 
-    k_rad: float = 0.065
-    k_isc0: float = 0.011
-    k_isc1: float = 0.050
-    k_s0: float = 0.8 / DEFAULT_SINGLET_LIFETIME_NS
-    k_s1: float = 0.2 / DEFAULT_SINGLET_LIFETIME_NS
-    eta: float = 0.0025
-    amp_map: AmplitudeMap = field(default_factory=AmplitudeMap)
+    k_rad: float
+    k_isc0: float
+    k_isc1: float
+    k_s0: float
+    k_s1: float
+    eta: float
+    amp_map: AmplitudeMap
 
     def __post_init__(self) -> None:
         rates = (self.k_rad, self.k_isc0, self.k_isc1, self.k_s0, self.k_s1)

@@ -13,7 +13,7 @@ branches, and every Rabi tau, therefore cost a single walk.  A grid of
 square pulses is walked once along its sorted durations, each pulse being
 the previous one extended by one segment, for all amplitudes at a time
 (:func:`square_pulse_states`).  Poisson shot noise is applied only on
-demand, on window totals.
+demand, on window totals, with generators keyed by :func:`sampling_seed`.
 """
 
 from __future__ import annotations
@@ -205,7 +205,7 @@ class SequenceConfig:
     wait_ns: float
     readout_wf: PiecewiseWaveform
     bin_width_ns: float
-    repetitions: float = 1e8
+    repetitions: float
     detection_offset_ns: float = 0.0
     detection_width_ns: float | None = None
 
@@ -285,26 +285,6 @@ def simulate_pair(cfg: SequenceConfig, params: RateParams):
     return trace0, trace1
 
 
-def window_counts(trace: PumpTrace, offset_ns: float, width_ns: float,
-                  repetitions: float) -> float:
-    """Total expected photons over ``repetitions`` inside a bin-aligned window."""
-    if repetitions < 1:
-        raise ConfigurationError(f"repetitions must be >= 1, got {repetitions}")
-    if width_ns == 0:
-        return 0.0
-    bw = trace.bin_width_ns
-    i0_f, i1_f = offset_ns / bw, (offset_ns + width_ns) / bw
-    i0, i1 = int(round(i0_f)), int(round(i1_f))
-    if abs(i0_f - i0) > 1e-6 or abs(i1_f - i1) > 1e-6:
-        raise ConfigurationError(
-            f"window [{offset_ns}, {offset_ns + width_ns}] ns is not aligned to "
-            f"{bw} ns bins"
-        )
-    if i0 < 0 or i1 > trace.expected_counts_per_rep.size or i0 > i1:
-        raise ConfigurationError("window outside the trace span")
-    return float(repetitions * trace.expected_counts_per_rep[i0:i1].sum())
-
-
 def pair_window_counts(cfg: SequenceConfig, params: RateParams):
     """Expected (L0, L1) window totals for the two spin preparations."""
     branches = np.column_stack(prepared_states(cfg, params))
@@ -314,12 +294,34 @@ def pair_window_counts(cfg: SequenceConfig, params: RateParams):
     return float(L0), float(L1)
 
 
-def sample_counts(expected: float, seed: int) -> int:
-    """One Poisson draw of a window total.
+#: Streams of :func:`sampling_seed`: the OLO objective draws from key
+#: ``(OLO_STREAM, 0)``, and Rabi scheme k of ``rabi.SCHEMES`` from
+#: ``(RABI_STREAM, k)``.
+OLO_STREAM, RABI_STREAM = 0, 1
 
-    Uses ``numpy.random.default_rng(seed)`` (PCG64), so a given seed
-    reproduces the same draw bit-exactly.
+
+def sampling_seed(seed: int, stream: int, index: int = 0) -> np.random.SeedSequence:
+    """The one seed rule: stream ``(stream, index)`` of a run seeded with
+    ``seed``, keyed as in NEP 19.
+
+    Every stochastic run makes one generator from its key and draws from it
+    in a fixed order, so distinct keys of one seed give independent draws
+    and a rerun with the same seed replays them exactly.
     """
-    if not np.isfinite(expected) or expected < 0:
+    return np.random.SeedSequence(seed, spawn_key=(stream, index))
+
+
+def sample_counts(expected, seed):
+    """Poisson draws of window totals, one per element of ``expected``, all
+    in one call.
+
+    ``seed`` is anything ``numpy.random.default_rng`` takes: an int, a key
+    from :func:`sampling_seed`, or a generator that a run keeps drawing
+    from.  A scalar mean gives an int, an array of means an int array; a
+    given int or key reproduces the same draws bit-exactly.
+    """
+    expected = np.asarray(expected, dtype=float)
+    if not np.all(np.isfinite(expected) & (expected >= 0)):
         raise ParameterError(f"expected counts must be finite and >= 0, got {expected}")
-    return int(np.random.default_rng(seed).poisson(expected))
+    draws = np.random.default_rng(seed).poisson(expected)
+    return int(draws) if expected.ndim == 0 else draws

@@ -30,10 +30,12 @@ from .metrics import (
 )
 from .photophysics import Level, RateParams
 from .pumpsim import (
+    RABI_STREAM,
     SequenceConfig,
     prepared_states,
     propagate_waveform,  # noqa: F401  (unused; perfbench/tracer.py patches it here)
     sample_counts,
+    sampling_seed,
     window_expectation,
 )
 from .waveform import PiecewiseWaveform, make_constant
@@ -43,13 +45,18 @@ SCHEMES = ("olo-snr", "constant-snr", "constant-contrast")
 
 @dataclass(frozen=True)
 class RabiConfig:
-    """One Rabi sweep using the readout/init pulses carried by ``base``."""
+    """One Rabi sweep using the readout/init pulses carried by ``base``.
+
+    A stochastic sweep draws its counts from ``sample_seed``: an int, or the
+    :func:`pumpsim.sampling_seed` key that :func:`make_scheme_configs` gives
+    each scheme.
+    """
 
     omega_rad_per_ns: float
     taus_ns: np.ndarray
     base: SequenceConfig
     stochastic: bool = False
-    sample_seed: int = 0
+    sample_seed: int | np.random.SeedSequence = 0
 
     def __post_init__(self) -> None:
         taus = np.asarray(self.taus_ns, dtype=float).ravel()
@@ -116,12 +123,8 @@ def realize_curve(cfg: RabiConfig, expected: np.ndarray) -> RabiCurve:
     under Poisson sampling at ``base.repetitions``, which assumes the
     expected totals lie on an exact sinusoid, as the linear model makes them.
     """
-    counts = expected.astype(float).copy()
-    if cfg.stochastic:
-        counts = np.array([
-            float(sample_counts(mu, (cfg.sample_seed << 32) + k))
-            for k, mu in enumerate(expected)
-        ])
+    counts = (sample_counts(expected, cfg.sample_seed) if cfg.stochastic
+              else expected).astype(float)
     ref = counts.max()
     if ref <= 0:
         raise ConfigurationError("no photons detected at any tau")
@@ -159,8 +162,9 @@ def make_scheme_configs(base: SequenceConfig, omega_rad_per_ns: float,
     The OLO scheme uses the optimized init and readout waveforms; each
     constant scheme uses the best square pulse of its sweep (``sweep_snr``
     and ``sweep_contrast`` are sweep results) for both init and readout.
-    Every scheme detects over its whole readout pulse, and scheme k of
-    :data:`SCHEMES` samples with seed ``3 * seed + k``.
+    Every scheme detects over its whole readout pulse.  A stochastic scheme
+    k of :data:`SCHEMES` draws all its taus in one call from the generator
+    keyed ``(RABI_STREAM, k)`` of ``seed`` (``pumpsim.sampling_seed``).
     """
     wf_cs = make_constant(sweep_snr.best_duration_ns, sweep_snr.best_amplitude)
     wf_cc = make_constant(sweep_contrast.best_duration_ns,
@@ -172,9 +176,10 @@ def make_scheme_configs(base: SequenceConfig, omega_rad_per_ns: float,
                               bin_width_ns=readout_wf.duration_ns,
                               detection_offset_ns=0.0, detection_width_ns=None,
                               repetitions=repetitions)
-        cfgs[name] = RabiConfig(omega_rad_per_ns=omega_rad_per_ns,
-                                taus_ns=taus_ns, base=scheme_base,
-                                stochastic=stochastic, sample_seed=3 * seed + k)
+        cfgs[name] = RabiConfig(
+            omega_rad_per_ns=omega_rad_per_ns, taus_ns=taus_ns,
+            base=scheme_base, stochastic=stochastic,
+            sample_seed=sampling_seed(seed, RABI_STREAM, k))
     return cfgs
 
 

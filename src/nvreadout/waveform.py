@@ -13,21 +13,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .photophysics import AmplitudeMap
 
 
 @dataclass(frozen=True)
 class AmplitudeBounds:
-    """Inclusive box limits shared by every piece amplitude."""
+    """Inclusive box limits shared by every piece amplitude.
+
+    The limits lie inside [0, 1], the domain of the amplitude map; the
+    default is that whole domain.
+    """
 
     lo: float = 0.0
     hi: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
-            raise ParameterError("bounds must be finite")
-        if not self.lo < self.hi:
-            raise ParameterError(f"need lo < hi, got [{self.lo}, {self.hi}]")
+        if not 0.0 <= self.lo < self.hi <= 1.0:
+            raise ParameterError(
+                f"need 0 <= lo < hi <= 1, got [{self.lo}, {self.hi}]")
 
     def clip(self, u):
         return np.clip(u, self.lo, self.hi)
@@ -69,17 +71,9 @@ class PiecewiseWaveform:
         return self.duration_ns / self.n
 
 
-def make_constant(duration_ns: float, amplitude: float, n: int = 1,
-                  bounds: AmplitudeBounds | None = None) -> PiecewiseWaveform:
+def make_constant(duration_ns: float, amplitude: float,
+                  n: int = 1) -> PiecewiseWaveform:
     """Constant-amplitude waveform; with n=1 this is the plain square pulse."""
     if int(n) != n or n < 1:
         raise ParameterError(f"piece count must be a positive integer, got {n}")
-    bounds = bounds if bounds is not None else AmplitudeBounds()
-    return PiecewiseWaveform(duration_ns, np.full(int(n), float(amplitude)), bounds)
-
-
-def rates_of(wf: PiecewiseWaveform, amp_map: AmplitudeMap) -> list[tuple[float, float]]:
-    """Per-piece ``(width_ns, pumping_rate)`` segments for a waveform."""
-    width = wf.piece_width_ns
-    betas = amp_map.rate(wf.amplitudes)
-    return [(width, float(b)) for b in betas]
+    return PiecewiseWaveform(duration_ns, np.full(int(n), float(amplitude)))

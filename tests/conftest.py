@@ -1,49 +1,45 @@
-import numpy as np
 import pytest
 
 import nvreadout as nv
+from nvreadout.config import (
+    build_olo_spec,
+    build_rate_params,
+    build_sequence,
+    load_config,
+)
 
 
 @pytest.fixture(scope="session")
-def params():
-    return nv.RateParams()
+def cfg():
+    """The default run configuration, as every CLI command loads it."""
+    return load_config()
 
 
 @pytest.fixture(scope="session")
-def base_seq():
-    return nv.SequenceConfig(
-        init_wf=nv.make_constant(1000.0, 0.2),
-        wait_ns=2000.0,
-        readout_wf=nv.make_constant(920.0, 0.2, 20),
-        bin_width_ns=46.0,
-        repetitions=1e8,
-    )
+def params(cfg):
+    return build_rate_params(cfg)
 
 
 @pytest.fixture(scope="session")
-def sweep_snr(params, base_seq):
+def base_seq(cfg):
+    return build_sequence(cfg)
+
+
+@pytest.fixture(scope="session")
+def sweep_snr(cfg, params, base_seq):
     """Default 20x20 traversal grid, SNR metric (the constant-scheme baseline)."""
-    return nv.run_sweep(nv.default_sweep_spec(base_seq, metric="snr"), params)
+    return nv.run_sweep(nv.build_baseline_spec(cfg, base_seq, "snr"), params)
 
 
 @pytest.fixture(scope="session")
-def sweep_contrast(params, base_seq):
-    return nv.run_sweep(nv.default_sweep_spec(base_seq, metric="contrast"), params)
+def sweep_contrast(cfg, params, base_seq):
+    return nv.run_sweep(nv.build_baseline_spec(cfg, base_seq, "contrast"),
+                        params)
 
 
 @pytest.fixture(scope="session")
-def olo_spec(params, base_seq):
-    return nv.OloSpec(
-        base=base_seq,
-        params=params,
-        optimizer=nv.OptimizerConfig(alpha0=0.1, rho=0.5, alpha_min=1e-3,
-                                     max_queries=5000),
-        start_duration_ns=920.0,
-        start_amplitude=0.02,
-        n_init=1,
-        n_read=20,
-        init_scan_amplitudes=np.linspace(0.02, 1.0, 25),
-    )
+def olo_spec(cfg, params, base_seq):
+    return build_olo_spec(cfg, base_seq, params)
 
 
 @pytest.fixture(scope="session")

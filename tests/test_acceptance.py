@@ -20,6 +20,7 @@ import pytest
 
 import nvreadout as nv
 from nvreadout.cli import main
+from nvreadout.config import build_olo_spec
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -27,22 +28,13 @@ def report(num: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num}: {detail}"
 
 
-def default_olo_spec(params, base_seq):
-    return nv.OloSpec(
-        base=base_seq, params=params,
-        optimizer=nv.OptimizerConfig(alpha0=0.1, rho=0.5, alpha_min=1e-3,
-                                     max_queries=5000),
-        start_duration_ns=920.0, start_amplitude=0.02, n_read=20,
-        init_scan_amplitudes=np.linspace(0.02, 1.0, 25),
-    )
-
-
-def scheme_inputs(params, base_seq):
+def scheme_inputs(cfg, params, base_seq):
     """Sweep optima and OLO run behind the Fig.-4-style comparison."""
-    sweep_snr = nv.run_sweep(nv.default_sweep_spec(base_seq, "snr"), params)
-    sweep_con = nv.run_sweep(nv.default_sweep_spec(base_seq, "contrast"),
+    sweep_snr = nv.run_sweep(nv.build_baseline_spec(cfg, base_seq, "snr"),
                              params)
-    olo = nv.run_olo(default_olo_spec(params, base_seq), baseline=sweep_snr)
+    sweep_con = nv.run_sweep(nv.build_baseline_spec(cfg, base_seq, "contrast"),
+                             params)
+    olo = nv.run_olo(build_olo_spec(cfg, base_seq, params), baseline=sweep_snr)
     return sweep_snr, sweep_con, olo
 
 
@@ -68,9 +60,9 @@ def test_criterion_01_singlet_lifetime(params):
                   f"{elapsed:.2f}s")
 
 
-def test_criterion_02_projection_interior_maximum(params, base_seq):
+def test_criterion_02_projection_interior_maximum(cfg, params, base_seq):
     t0 = time.perf_counter()
-    result = nv.run_sweep(nv.default_sweep_spec(base_seq, "snr"), params)
+    result = nv.run_sweep(nv.build_baseline_spec(cfg, base_seq, "snr"), params)
     proj = result.best_per_amplitude
     i = int(np.nanargmax(proj))
     elapsed = time.perf_counter() - t0
@@ -99,10 +91,11 @@ def test_criterion_03_trace_difference_decay(params, base_seq):
                   f"{diff[-1] / diff[0]:.2e} (< 0.05), {elapsed:.2f}s")
 
 
-def test_criterion_04_olo_improvement(params, base_seq):
+def test_criterion_04_olo_improvement(cfg, params, base_seq):
     t0 = time.perf_counter()
-    baseline = nv.run_sweep(nv.default_sweep_spec(base_seq, "snr"), params)
-    res = nv.run_olo(default_olo_spec(params, base_seq), baseline=baseline)
+    baseline = nv.run_sweep(nv.build_baseline_spec(cfg, base_seq, "snr"),
+                            params)
+    res = nv.run_olo(build_olo_spec(cfg, base_seq, params), baseline=baseline)
     elapsed = time.perf_counter() - t0
     ok = (res.improvement_ratio >= 0.15 and res.state.queries <= 5000
           and elapsed < 300.0)
@@ -148,9 +141,9 @@ def test_criterion_06_snr_sqrt_n_scaling(params, base_seq):
                   f"error {worst:.1e} (< 1e-9), {elapsed:.2f}s")
 
 
-def test_criterion_07_order_of_magnitude_anchor(params, base_seq):
+def test_criterion_07_order_of_magnitude_anchor(cfg, params, base_seq):
     t0 = time.perf_counter()
-    sweep = nv.run_sweep(nv.default_sweep_spec(base_seq, "snr"), params)
+    sweep = nv.run_sweep(nv.build_baseline_spec(cfg, base_seq, "snr"), params)
     wf = nv.make_constant(sweep.best_duration_ns, sweep.best_amplitude)
     cfg = replace(base_seq, init_wf=wf, readout_wf=wf,
                   bin_width_ns=wf.duration_ns)
@@ -165,9 +158,9 @@ def test_criterion_07_order_of_magnitude_anchor(params, base_seq):
                   f"(~0.02 target), {elapsed:.2f}s")
 
 
-def test_criterion_08_rabi_orderings_deterministic(params, base_seq):
+def test_criterion_08_rabi_orderings_deterministic(cfg, params, base_seq):
     t0 = time.perf_counter()
-    cfgs = rabi_scheme_configs(scheme_inputs(params, base_seq), base_seq,
+    cfgs = rabi_scheme_configs(scheme_inputs(cfg, params, base_seq), base_seq,
                                repetitions=1e8, stochastic=False, seed=0)
     comp = nv.compare_schemes(cfgs, params)
     elapsed = time.perf_counter() - t0
@@ -185,9 +178,9 @@ def test_criterion_08_rabi_orderings_deterministic(params, base_seq):
     report(8, contrast_ok and meandev_ok and elapsed < 300.0, detail)
 
 
-def test_criterion_08_rabi_orderings_stochastic(params, base_seq):
+def test_criterion_08_rabi_orderings_stochastic(cfg, params, base_seq):
     t0 = time.perf_counter()
-    inputs = scheme_inputs(params, base_seq)
+    inputs = scheme_inputs(cfg, params, base_seq)
     hold = 0
     for seed in range(20):
         cfgs = rabi_scheme_configs(inputs, base_seq, repetitions=1e6,

@@ -162,6 +162,20 @@ class TestOptimize:
             return json.loads(read(out / "olo_summary.json"))["baseline_snr"]
         assert baseline("--set", "sweep.metric=contrast") == baseline()
 
+    @pytest.mark.parametrize("override", [
+        "olo.start_amplitude=1.2",
+        "olo.start_duration_ns=-5",
+        "olo.bound_hi=1.5",
+        "olo.bound_lo=0.5",
+        "olo.n_init=1",
+    ])
+    def test_bad_config_value_exits_2(self, tmp_path, capsys, override):
+        code = main(["optimize", "--out", str(tmp_path / "o"), *FAST_SWEEP,
+                     "--set", "olo.max_queries=5",
+                     "--set", "olo.init_scan_points=3", "--set", override])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
     def test_stochastic_seeded_rerun_identical(self, tmp_path):
         out = tmp_path / "run"
         argv = ["optimize", "--out", str(out), "--stochastic", "--seed", "7",
@@ -232,6 +246,7 @@ class TestRabi:
     @pytest.mark.parametrize("override", [
         "rabi.olo_init_amplitude=abc",
         "rabi.olo_init_amplitude=.nan",
+        "rabi.olo_init_amplitude=2.0",
         "rabi.repetitions=abc",
     ])
     def test_bad_config_value_exits_2(self, tmp_path, capsys,

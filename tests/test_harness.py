@@ -165,15 +165,13 @@ class TestSweepOracle:
 
 
 class TestSnrObjective:
-    def test_open_width_reads_from_the_offset_to_the_end(self, params,
+    def test_open_width_reads_from_the_offset_to_the_end(self, olo_spec,
                                                          base_seq):
         # width None means "from the offset to the end of the readout", as
         # in SequenceConfig and pair_window_counts
         def objective(start_duration_ns=920.0, **window):
-            spec = nv.OloSpec(base=replace(base_seq, **window), params=params,
-                              optimizer=nv.OptimizerConfig(),
-                              init_scan_amplitudes=np.array([0.2]),
-                              start_duration_ns=start_duration_ns)
+            spec = replace(olo_spec, base=replace(base_seq, **window),
+                           start_duration_ns=start_duration_ns)
             return nv.make_snr_objective(spec, nv.make_constant(1000.0, 0.2))[0]
 
         u = np.full(20, 0.3)

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 import nvreadout as nv
 from nvreadout.errors import ObjectiveError, ParameterError
-from nvreadout.optimizer import SEED_PER_CYCLE, SEED_PER_QUERY
 
 
 def quadratic(center):
@@ -182,38 +181,3 @@ class TestHjOptimize:
                                cfg(alpha0=0.3, alpha_min=1e-2))
         for rec in state.history:
             assert np.all(rec.u >= 0.0) and np.all(rec.u <= 1.0)
-
-
-class TestSeedPolicies:
-    @staticmethod
-    def noisy(u, seed):
-        rng = np.random.default_rng(seed)
-        return -float(np.sum((u - 0.5) ** 2)) + rng.normal(0.0, 1e-3)
-
-    def test_fresh_seed_per_query_replays(self):
-        c = cfg(seed_policy=SEED_PER_QUERY, base_seed=11, alpha_min=1e-2)
-        s1 = nv.hj_optimize(self.noisy, np.array([0.2, 0.8]), c)
-        s2 = nv.hj_optimize(self.noisy, np.array([0.2, 0.8]), c)
-        assert [r.value for r in s1.history] == [r.value for r in s2.history]
-
-    def test_fixed_seed_per_cycle_shares_seed_within_cycle(self):
-        seen = []
-
-        def spy(u, seed):
-            seen.append(seed)
-            return float(np.sum(u))
-
-        c = cfg(seed_policy=SEED_PER_CYCLE, base_seed=3, alpha_min=1e-1,
-                max_queries=8)
-        state = nv.hj_optimize(spy, np.array([0.4, 0.4]), c)
-        by_cycle = {}
-        for rec, seed in zip(state.history, seen):
-            by_cycle.setdefault(rec.cycle, set()).add(seed)
-        assert all(len(s) == 1 for s in by_cycle.values())
-        assert len(by_cycle) >= 2
-        cycle_seeds = [next(iter(by_cycle[c])) for c in sorted(by_cycle)]
-        assert len(set(cycle_seeds)) == len(cycle_seeds)
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ParameterError):
-            cfg(seed_policy="per-thread")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ def rate_params_strategy():
         k_s0=st.floats(0.0025, 0.006),
         k_s1=st.floats(0.0004, 0.002),
         eta=st.floats(0.001, 0.05),
+        amp_map=st.just(nv.AmplitudeMap(beta_max=0.5)),
     )
 
 
@@ -39,9 +42,9 @@ class TestRateParams:
         dict(k_isc0=0.08, k_isc1=0.01),
         dict(k_s0=0.001, k_s1=0.002),
     ])
-    def test_invalid_params_rejected(self, bad):
+    def test_invalid_params_rejected(self, params, bad):
         with pytest.raises(ParameterError):
-            nv.RateParams(**bad)
+            replace(params, **bad)
 
 
 class TestAmplitudeMap:
@@ -68,9 +71,9 @@ class TestAmplitudeMap:
         with pytest.raises(ParameterError):
             nv.AmplitudeMap(beta_max=0.0)
         with pytest.raises(ParameterError):
-            nv.AmplitudeMap(shape="saturating", sat_amp=0.6)
+            nv.AmplitudeMap(beta_max=0.5, shape="saturating", sat_amp=0.6)
         with pytest.raises(ParameterError):
-            nv.AmplitudeMap(shape="gaussian")
+            nv.AmplitudeMap(beta_max=0.5, shape="gaussian")
 
 
 class TestRateMatrix:
@@ -192,8 +195,8 @@ class TestEmissionRate:
     def test_pure_ground_dark(self, params):
         assert nv.emission_rate(nv.thermal_ground_state(), params) == 0.0
 
-    def test_direct_product(self):
-        p = nv.RateParams(k_rad=0.065, eta=0.01)
+    def test_direct_product(self, params):
+        p = replace(params, k_rad=0.065, eta=0.01)
         pops = np.array([0.9, 0.0, 0.1, 0.0, 0.0])
         assert nv.emission_rate(pops, p) == pytest.approx(6.5e-5, rel=1e-12)
 

@@ -202,10 +202,10 @@ class TestSquarePulseBlocks:
         assert counts.min() >= -1e-12
         assert np.all(np.diff(counts, axis=0) >= -1e-12)
 
-    def test_complex_spectrum(self):
+    def test_complex_spectrum(self, params):
         # a rate set whose generator has a complex pair of eigenvalues
-        params = nv.RateParams(k_rad=0.012, k_isc0=0.047, k_isc1=0.14,
-                               k_s0=0.01, k_s1=0.0063, eta=0.13)
+        params = replace(params, k_rad=0.012, k_isc0=0.047, k_isc1=0.14,
+                         k_s0=0.01, k_s1=0.0063, eta=0.13)
         beta, durations = 0.0316, np.array([1.0, 400.0, 5000.0])
         lam = np.linalg.eigvals(nv.build_rate_matrix(params, beta))
         assert np.abs(lam.imag).max() > 1e-3
@@ -264,40 +264,6 @@ class TestSimulatePair:
         assert p1[Level.G1] == p0[Level.G0]
 
 
-class TestWindowCounts:
-    @staticmethod
-    def synthetic_trace():
-        return nv.PumpTrace(
-            bin_starts_ns=np.arange(10) * 10.0,
-            bin_width_ns=10.0,
-            expected_counts_per_rep=np.full(10, 2.0e-3),
-            final_populations=nv.thermal_ground_state(),
-        )
-
-    def test_zero_width(self):
-        assert nv.window_counts(self.synthetic_trace(), 0.0, 0.0, 1e8) == 0.0
-
-    def test_full_window_sums_everything(self):
-        tr = self.synthetic_trace()
-        assert nv.window_counts(tr, 0.0, 100.0, 1.0) == pytest.approx(0.02)
-
-    def test_scaling_in_repetitions(self):
-        tr = self.synthetic_trace()
-        assert nv.window_counts(tr, 0.0, 100.0, 1e8) == pytest.approx(2.0e6)
-        l1 = nv.window_counts(tr, 20.0, 50.0, 1.0)
-        assert nv.window_counts(tr, 20.0, 50.0, 3e7) == pytest.approx(3e7 * l1)
-
-    def test_misaligned_window_rejected(self):
-        with pytest.raises(ConfigurationError):
-            nv.window_counts(self.synthetic_trace(), 5.0, 20.0, 1.0)
-        with pytest.raises(ConfigurationError):
-            nv.window_counts(self.synthetic_trace(), 0.0, 13.0, 1.0)
-
-    def test_out_of_range_window_rejected(self):
-        with pytest.raises(ConfigurationError):
-            nv.window_counts(self.synthetic_trace(), 50.0, 60.0, 1.0)
-
-
 class TestSampleCounts:
     def test_zero_mean_always_zero(self):
         assert all(nv.sample_counts(0.0, seed) == 0 for seed in range(20))
@@ -316,6 +282,38 @@ class TestSampleCounts:
             nv.sample_counts(-1.0, 0)
         with pytest.raises(ParameterError):
             nv.sample_counts(np.inf, 0)
+
+    @pytest.mark.parametrize("bad", [-1.0, -1e-300, np.inf, -np.inf, np.nan])
+    def test_any_invalid_element_rejected(self, bad):
+        expected = np.array([[1e3, 2e3], [3e3, 4e3]])
+        expected[1, 0] = bad
+        with pytest.raises(ParameterError):
+            nv.sample_counts(expected, 0)
+
+    def test_array_is_one_generator_call(self):
+        expected = np.array([0.0, 3.5, 1e6, 2.5e7])
+        rng = np.random.default_rng(nv.sampling_seed(7, 1, 2))
+        want = rng.poisson(expected)
+        got = nv.sample_counts(expected, nv.sampling_seed(7, 1, 2))
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        # a generator passed in keeps drawing where the last call stopped
+        rng = np.random.default_rng(nv.sampling_seed(7, 0))
+        draws = [nv.sample_counts(expected[1:3], rng) for _ in range(3)]
+        want = np.random.default_rng(nv.sampling_seed(7, 0)).poisson(
+            np.tile(expected[1:3], (3, 1)))
+        assert np.array_equal(np.stack(draws), want)
+
+    def test_streams_of_one_seed_draw_differently(self):
+        expected = np.full(50, 1e6)
+        keys = [(0, 0), (1, 0), (1, 1), (1, 2)]
+        draws = [nv.sample_counts(expected, nv.sampling_seed(3, *key))
+                 for key in keys]
+        for i in range(len(keys)):
+            for j in range(i):
+                assert not np.array_equal(draws[i], draws[j]), (keys[i],
+                                                                keys[j])
+        assert np.array_equal(draws[1], nv.sample_counts(
+            expected, nv.sampling_seed(3, 1, 0)))
 
 
 class TestSequenceConfig:

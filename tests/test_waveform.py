@@ -43,28 +43,6 @@ class TestPiecewiseWaveform:
             wf.amplitudes[0] = 0.9
 
 
-class TestRatesOf:
-    def test_linear_map(self):
-        wf = nv.make_constant(100.0, 0.5, 2)
-        segs = nv.rates_of(wf, nv.AmplitudeMap(beta_max=0.5))
-        assert segs == [(50.0, 0.25), (50.0, 0.25)]
-
-    def test_zero_amplitude_maps_to_zero(self):
-        wf = nv.make_constant(100.0, 0.0, 3)
-        for shape, sat in (("linear", None), ("saturating", 0.25)):
-            segs = nv.rates_of(wf, nv.AmplitudeMap(0.5, shape, sat))
-            assert all(beta == 0.0 for _, beta in segs)
-
-    @given(amplitude_vectors)
-    @settings(max_examples=50, deadline=None)
-    def test_order_preserved(self, amps):
-        wf = nv.PiecewiseWaveform(100.0, amps)
-        segs = nv.rates_of(wf, nv.AmplitudeMap(0.5, "saturating", 0.2))
-        betas = [b for _, b in segs]
-        order = np.argsort(amps, kind="stable")
-        assert np.all(np.diff(np.asarray(betas)[order]) >= -1e-15)
-
-
 class TestCsvRoundTrip:
     @given(amps=amplitude_vectors, duration=st.floats(1.0, 5000.0))
     @settings(max_examples=40, deadline=None)
