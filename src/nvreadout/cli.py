@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
 import time
 from pathlib import Path
@@ -31,7 +30,6 @@ from .config import (
     build_sweep_spec,
     load_config,
     rabi_omega,
-    require_sections,
 )
 from .errors import ConfigurationError, NVReadoutError
 from .harness import run_olo, run_sweep
@@ -86,7 +84,7 @@ def _write_manifest(out: Path, command: str, args, cfg: dict,
     write_json(out / "manifest.json", payload)
 
 
-def _prepare(args, command: str, sections: list[str]):
+def _prepare(args):
     cfg = load_config(args.config, args.set)
     if args.seed is not None:
         cfg["seed"] = args.seed
@@ -95,7 +93,6 @@ def _prepare(args, command: str, sections: list[str]):
         raise ConfigurationError(f"seed must be >= 0, got {cfg['seed']}")
     if args.out is not None:
         cfg["output_dir"] = args.out
-    require_sections(cfg, sections, command)
     out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     return cfg, out
@@ -103,7 +100,7 @@ def _prepare(args, command: str, sections: list[str]):
 
 def cmd_trace(args) -> int:
     t0 = time.perf_counter()
-    cfg, out = _prepare(args, "trace", ["photophysics", "sequence"])
+    cfg, out = _prepare(args)
     params = build_rate_params(cfg)
     seq = build_sequence(cfg)
     trace0, trace1 = simulate_pair(seq, params)
@@ -116,7 +113,7 @@ def cmd_trace(args) -> int:
 
 def cmd_sweep(args) -> int:
     t0 = time.perf_counter()
-    cfg, out = _prepare(args, "sweep", ["photophysics", "sequence", "sweep"])
+    cfg, out = _prepare(args)
     params = build_rate_params(cfg)
     seq = build_sequence(cfg)
     spec = build_sweep_spec(cfg, seq, mode=args.mode)
@@ -140,8 +137,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_optimize(args) -> int:
     t0 = time.perf_counter()
-    cfg, out = _prepare(args, "optimize",
-                        ["photophysics", "sequence", "olo", "sweep"])
+    cfg, out = _prepare(args)
     params = build_rate_params(cfg)
     seq = build_sequence(cfg)
     spec = build_olo_spec(cfg, seq, params, stochastic=args.stochastic,
@@ -183,8 +179,7 @@ def _rabi_scheme_configs(cfg: dict, args, params) -> dict[str, RabiConfig]:
 
 def cmd_rabi(args) -> int:
     t0 = time.perf_counter()
-    cfg, out = _prepare(args, "rabi",
-                        ["photophysics", "sequence", "sweep", "rabi"])
+    cfg, out = _prepare(args)
     params = build_rate_params(cfg)
     cfgs = _rabi_scheme_configs(cfg, args, params)
     comparison = compare_schemes(cfgs, params)

@@ -40,12 +40,9 @@ DEFAULT_CONFIG: dict = {
     "sequence": {
         "init_duration_ns": 1000.0,
         "init_amplitude": 0.2,
-        "init_pieces": 1,
         "wait_ns": 2000.0,
         "readout_duration_ns": 920.0,
-        "readout_amplitude": 0.2,
-        "readout_amplitudes": None,     # overrides readout_amplitude if set
-        "readout_pieces": 20,
+        "readout_amplitude": 0.2,       # or a list, one amplitude per piece
         "bin_width_ns": 46.0,
         "repetitions": 1e8,
         "detection_offset_ns": 0.0,
@@ -148,14 +145,6 @@ def _apply_override(cfg: dict, item: str) -> None:
     cfg[section][key] = value
 
 
-def require_sections(cfg: dict, names: list[str], command: str) -> None:
-    missing = [n for n in names if not cfg.get(n)]
-    if missing:
-        raise ConfigurationError(
-            f"command '{command}' needs config section(s): {', '.join(missing)}"
-        )
-
-
 def _number(cfg: dict, name: str, integer: bool = False):
     """The value of ``name`` ("section.key", or a top-level key) as a finite
     float, as an int if ``integer``, or as a float array if it is a list."""
@@ -212,19 +201,11 @@ def build_rate_params(cfg: dict) -> RateParams:
 
 @_model_errors_as_config
 def build_sequence(cfg: dict) -> SequenceConfig:
-    c = cfg["sequence"]
     init_wf = make_constant(_number(cfg, "sequence.init_duration_ns"),
-                            _number(cfg, "sequence.init_amplitude"),
-                            _number(cfg, "sequence.init_pieces", integer=True))
-    if c["readout_amplitudes"] is not None:
-        readout_wf = PiecewiseWaveform(_number(cfg, "sequence.readout_duration_ns"),
-                                       _number(cfg, "sequence.readout_amplitudes"))
-    else:
-        readout_wf = make_constant(_number(cfg, "sequence.readout_duration_ns"),
-                                   _number(cfg, "sequence.readout_amplitude"),
-                                   _number(cfg, "sequence.readout_pieces",
-                                           integer=True))
-    width = c["detection_width_ns"]
+                            _number(cfg, "sequence.init_amplitude"))
+    readout_wf = PiecewiseWaveform(_number(cfg, "sequence.readout_duration_ns"),
+                                   _number(cfg, "sequence.readout_amplitude"))
+    width = cfg["sequence"]["detection_width_ns"]
     return SequenceConfig(
         init_wf=init_wf,
         wait_ns=_number(cfg, "sequence.wait_ns"),

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ParameterError
 from .harness import OloResult, SweepResult
 from .optimizer import OptimizerState
 from .pumpsim import PumpTrace
@@ -60,20 +60,31 @@ def write_waveform_csv(wf: PiecewiseWaveform, path: str | Path) -> None:
 
 
 def read_waveform_csv(path: str | Path) -> PiecewiseWaveform:
+    """The waveform in a CSV as :func:`write_waveform_csv` writes it.  The
+    path comes from the config, so any malformed file (a missing column or
+    cell, a value that is not a number, widths that are not finite, positive
+    and equal, amplitudes the waveform rejects) raises ConfigurationError."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "amplitude" not in reader.fieldnames:
+        if not {"width_ns", "amplitude"} <= set(reader.fieldnames or ()):
             raise ConfigurationError(f"{path}: not a waveform CSV")
-        widths, amps = [], []
-        for row in reader:
-            widths.append(float(row["width_ns"]))
-            amps.append(float(row["amplitude"]))
-    if not amps:
+        try:
+            pieces = [(float(row["width_ns"]), float(row["amplitude"]))
+                      for row in reader]
+        except (TypeError, ValueError):
+            raise ConfigurationError(f"{path}, line {reader.line_num}: width_ns"
+                                     " and amplitude must be numbers") from None
+    if not pieces:
         raise ConfigurationError(f"{path}: empty waveform CSV")
-    if max(widths) - min(widths) > 1e-9 * max(widths):
+    widths, amps = np.array(pieces).T
+    if not np.all(np.isfinite(widths) & (widths > 0)):
+        raise ConfigurationError(f"{path}: piece widths must be finite and > 0")
+    if widths.max() - widths.min() > 1e-9 * widths.max():
         raise ConfigurationError(f"{path}: piece widths are not all equal")
-    duration = widths[0] * len(amps)
-    return PiecewiseWaveform(duration, np.array(amps))
+    try:
+        return PiecewiseWaveform(float(widths[0]) * amps.size, amps)
+    except ParameterError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
 
 
 def write_pair_trace_csv(trace0: PumpTrace, trace1: PumpTrace,

@@ -1,8 +1,8 @@
 """Scalar figures of merit for spin readout.
 
 ``snr`` and ``contrast`` operate on window photon totals of the two spin
-preparations; the sinusoid fitting utilities quantify how cleanly Rabi data
-sit on the expected oscillation.
+preparations; the sinusoid fit, a coarse-to-fine scan over frequency,
+quantifies how cleanly Rabi data sit on the expected oscillation.
 """
 
 from __future__ import annotations
@@ -57,36 +57,30 @@ def _linear_fit_at(omega: float, ts: np.ndarray, ys: np.ndarray):
     return coef, residual
 
 
-_FINE_STEPS = 16           # grid steps covered by one table of angle sums
-_GRID_BLOCK = 16 * _FINE_STEPS   # frequencies per block of (block, n) arrays
+_GRID_BLOCK = 256          # frequencies per block of (block, n) arrays
 _ILL_CONDITIONED = 1e-8    # determinant / n² below which lstsq takes over
 _OVERSAMPLE = 24           # frequency grid points per 2π/span
+_COARSE = 6                # grid points per step of the coarse scan
 
 
-def _grid_residuals(lo: float, step: float, count: int, ts: np.ndarray,
-                    ys: np.ndarray) -> np.ndarray:
-    """Squared least-squares residuals on {1, cos(wt), sin(wt)} at the
-    frequencies ``w = lo + k * step``, k < ``count``.
+def _grid_residuals(ws: np.ndarray, ts: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Squared least-squares residuals on {1, cos(wt), sin(wt)} at each
+    frequency ``w`` in ``ws``.
 
     The 3x3 normal equations of each frequency are built from ``C @ y``,
     ``S @ y`` and row sums, with the offset eliminated, so a block of
-    frequencies costs a few array products.  ``C`` and ``S`` come from the
-    angle-sum formulas over a coarse and a fine table, which needs trig on
-    a sixteenth of the block only.  Frequencies where cos and sin barely span
-    two dimensions on the samples (sin vanishes at the Nyquist limit) fall
-    back to :func:`_linear_fit_at`.
+    ``_GRID_BLOCK`` frequencies costs one (block, n) cos and sin table and a
+    few array products.  Frequencies where cos and sin barely span two
+    dimensions on the samples (sin vanishes at the Nyquist limit) fall back
+    to :func:`_linear_fit_at`.
     """
     n = ts.size
     yc = ys - ys.mean()
-    fine = np.outer(step * np.arange(_FINE_STEPS), ts)
-    cos_f, sin_f = np.cos(fine), np.sin(fine)
-    out = np.empty(count)
-    for first in range(0, count, _GRID_BLOCK):
-        k = np.arange(first, min(first + _GRID_BLOCK, count))
-        coarse = np.outer(lo + step * k[::_FINE_STEPS], ts)[:, None, :]
-        cos_c, sin_c = np.cos(coarse), np.sin(coarse)
-        C = (cos_c * cos_f - sin_c * sin_f).reshape(-1, n)[:k.size]
-        S = (sin_c * cos_f + cos_c * sin_f).reshape(-1, n)[:k.size]
+    out = np.empty(ws.size)
+    for first in range(0, ws.size, _GRID_BLOCK):
+        w = ws[first:first + _GRID_BLOCK]
+        angles = np.outer(w, ts)
+        C, S = np.cos(angles), np.sin(angles)
         c_sum, s_sum = C.sum(axis=1), S.sum(axis=1)
         cc = np.einsum("ij,ij->i", C, C) - c_sum**2 / n
         ss = np.einsum("ij,ij->i", S, S) - s_sum**2 / n
@@ -98,8 +92,8 @@ def _grid_residuals(lo: float, step: float, count: int, ts: np.ndarray,
             explained = (ss * cy**2 - 2.0 * cs * cy * sy + cc * sy**2) / det
         res2 = yc @ yc - explained
         for i in np.flatnonzero(~ok):
-            res2[i] = _linear_fit_at(lo + step * k[i], ts, ys)[1] ** 2
-        out[first:first + k.size] = res2
+            res2[i] = _linear_fit_at(w[i], ts, ys)[1] ** 2
+        out[first:first + w.size] = res2
     return out
 
 
@@ -121,14 +115,14 @@ def _golden_section(f, a: float, b: float, xatol: float):
 
 
 def fit_sinusoid(ts, ys) -> SinusoidFit:
-    """Fit a single sinusoid by grid search over frequency.
+    """Fit a single sinusoid by a coarse-to-fine search over frequency.
 
     For each trial frequency the remaining parameters are solved linearly on
-    the basis {1, cos(wt), sin(wt)}; the frequency grid runs from one period
-    per span to the Nyquist limit of the closest samples, with
-    ``_OVERSAMPLE`` points per 2π/span resolution element, and the best grid
-    point is polished by golden-section search of the residual between its
-    two neighbours.
+    the basis {1, cos(wt), sin(wt)}.  The grid runs from one period per span
+    to the Nyquist limit of the closest samples at ``_OVERSAMPLE`` points per
+    2π/span; every ``_COARSE``-th point is scanned, then the points within
+    one coarse step of the best, and golden-section search of the residual
+    polishes the best grid point between its two neighbours.
     """
     ts = np.asarray(ts, dtype=float).ravel()
     ys = np.asarray(ys, dtype=float).ravel()
@@ -150,7 +144,9 @@ def fit_sinusoid(ts, ys) -> SinusoidFit:
 
     step = 2.0 * np.pi / (span * _OVERSAMPLE)
     grid = np.arange(lo, hi + step, step)
-    i_best = int(np.argmin(_grid_residuals(lo, step, grid.size, ts, ys)))
+    j = _COARSE * int(np.argmin(_grid_residuals(grid[::_COARSE], ts, ys)))
+    near = slice(max(j - _COARSE, 0), j + _COARSE + 1)
+    i_best = near.start + int(np.argmin(_grid_residuals(grid[near], ts, ys)))
 
     omega = float(grid[i_best])
     w_lo = grid[max(i_best - 1, 0)]

@@ -76,11 +76,12 @@ class QueryRecord:
 
 @dataclass
 class OptimizerState:
-    """Mutable state of one search run, including the full query history."""
+    """Mutable state of one search run, including the full query history.
+
+    ``best`` is the incumbent: a trial replaces it only on strict
+    improvement, so it is also the best point queried so far."""
 
     config: OptimizerConfig
-    current: np.ndarray
-    current_value: float
     best: np.ndarray
     best_value: float
     alpha: float
@@ -101,9 +102,6 @@ def _query(state: OptimizerState, objective, u: np.ndarray) -> tuple[float, Quer
     )
     state.queries += 1
     state.history.append(record)
-    if value > state.best_value:
-        state.best_value = value
-        state.best = u.copy()
     return value, record
 
 
@@ -123,17 +121,17 @@ def exploratory_move(state: OptimizerState, objective) -> OptimizerState:
     ``budget_exhausted`` set if the budget runs out mid-phase.
     """
     bounds = state.config.bounds
-    for i in range(state.current.size):
+    for i in range(state.best.size):
         for sign in (+1.0, -1.0):
             if not _budget_left(state):
                 return state
-            trial = state.current.copy()
-            trial[i] = bounds.clip(state.current[i] + sign * state.alpha)
+            trial = state.best.copy()
+            trial[i] = bounds.clip(state.best[i] + sign * state.alpha)
             value, record = _query(state, objective, trial)
-            if value > state.current_value:
+            if value > state.best_value:
                 record.accepted = True
-                state.current = trial
-                state.current_value = value
+                state.best = trial
+                state.best_value = value
                 break
     return state
 
@@ -141,18 +139,18 @@ def exploratory_move(state: OptimizerState, objective) -> OptimizerState:
 def pattern_move(state: OptimizerState, base: np.ndarray, objective) -> OptimizerState:
     """Extrapolate once from the cycle's starting point through the incumbent.
 
-    The trial is current + (current - base), clipped into the bounds, and is
+    The trial is best + (best - base), clipped into the bounds, and is
     accepted only on strict improvement.  Always costs one query, even when
     the exploratory phase made no progress so the trial equals the incumbent.
     """
     if not _budget_left(state):
         return state
-    trial = state.config.bounds.clip(state.current + (state.current - base))
+    trial = state.config.bounds.clip(state.best + (state.best - base))
     value, record = _query(state, objective, trial)
-    if value > state.current_value:
+    if value > state.best_value:
         record.accepted = True
-        state.current = trial
-        state.current_value = value
+        state.best = trial
+        state.best_value = value
     return state
 
 
@@ -173,19 +171,15 @@ def hj_optimize(objective, u0, cfg: OptimizerConfig) -> OptimizerState:
         raise ParameterError(
             f"starting point outside bounds [{cfg.bounds.lo}, {cfg.bounds.hi}]: {u0}"
         )
-    state = OptimizerState(
-        config=cfg, current=u0.copy(), current_value=-np.inf,
-        best=u0.copy(), best_value=-np.inf, alpha=cfg.alpha0,
-    )
+    state = OptimizerState(config=cfg, best=u0.copy(), best_value=-np.inf,
+                           alpha=cfg.alpha0)
     value, record = _query(state, objective, u0)
     record.accepted = True
-    state.current_value = value
     state.best_value = value
-    state.best = u0.copy()
 
     while state.alpha >= cfg.alpha_min and _budget_left(state):
         state.cycle += 1
-        base = state.current.copy()
+        base = state.best.copy()
         value_before = state.best_value
         exploratory_move(state, objective)
         if state.budget_exhausted:

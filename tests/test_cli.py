@@ -102,6 +102,8 @@ class TestSweep:
         "photophysics.k_rad=.nan",
         "photophysics.beta_max=.inf",
         "sequence.init_pieces=0",
+        "sequence.readout_amplitude=[]",
+        "sequence.readout_amplitude=[0.1,1.5]",
         "sequence.init_duration_ns=.nan",
         "seed=abc",
         "seed=-1",
@@ -242,6 +244,23 @@ class TestRabi:
         bad.write_text("a,b\n1,2\n")
         code = main(self.rabi_args(tmp_path / "o", bad))
         assert code == 2
+
+    @pytest.mark.parametrize("rows, reason", [
+        ("width_ns,amplitude\n46.0,abc\n", "must be numbers"),
+        ("start_ns,amplitude\n0.0,0.5\n", "not a waveform CSV"),
+        ("width_ns,amplitude\n46.0,0.5\n46.0\n", "must be numbers"),
+        ("width_ns,amplitude\n46.0,1.5\n", "amplitudes outside"),
+        ("width_ns,amplitude\n46.0,nan\n", "amplitudes must be finite"),
+        ("width_ns,amplitude\nnan,0.5\n", "finite and > 0"),
+        ("width_ns,amplitude\n-46.0,0.5\n", "finite and > 0"),
+    ], ids=["amplitude-abc", "no-width-column", "missing-amplitude",
+            "amplitude-1.5", "amplitude-nan", "width-nan", "width-negative"])
+    def test_malformed_waveform_exits_2(self, tmp_path, capsys, rows, reason):
+        bad = tmp_path / "wf.csv"
+        bad.write_text(rows)
+        assert main(self.rabi_args(tmp_path / "o", bad)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {bad}") and reason in err
 
     @pytest.mark.parametrize("override", [
         "rabi.olo_init_amplitude=abc",

@@ -140,11 +140,31 @@ class TestFitSinusoid:
             ys = 0.8 + 0.1 * np.cos(0.04 * ts + 1.0) + rng.normal(0, 0.01, ts.size)
             lo, count = 2 * np.pi / np.ptp(ts), 600
             step = (np.pi / 2.5 - lo) / (count - 1)
-            got = metrics._grid_residuals(lo, step, count, ts, ys)
+            got = metrics._grid_residuals(lo + step * np.arange(count),
+                                          ts, ys)
             want = [metrics._linear_fit_at(lo + step * k, ts, ys)[1] ** 2
                     for k in range(count)]
             scale = np.sum((ys - ys.mean()) ** 2)
             assert np.max(np.abs(got - want)) < 1e-12 * scale
+
+    @pytest.mark.parametrize("points", [31, 61, 241])
+    @pytest.mark.parametrize("scale", [1e4, 1e6, 1e8])
+    def test_coarse_scan_finds_the_full_grid_minimum(self, monkeypatch,
+                                                     points, scale):
+        # a 200 ns period sits on a coarse grid point (lo + 48 steps on a
+        # 600 ns span); the other periods put the best grid point between
+        # coarse points, where only the fine stage can reach it
+        ts = np.linspace(0.0, 600.0, points)
+        rng = np.random.default_rng(points)
+        for period in (173.0, 190.0, 200.0, 211.0, 87.0):
+            for _ in range(8):
+                expected = synth(ts, 0.85, 0.12, 2 * np.pi / period,
+                                 rng.uniform(-np.pi, np.pi)) * scale
+                ys = rng.poisson(expected) / scale
+                omega = nv.fit_sinusoid(ts, ys).omega
+                with monkeypatch.context() as every_point:
+                    every_point.setattr(metrics, "_COARSE", 1)
+                    assert omega == nv.fit_sinusoid(ts, ys).omega
 
     def test_nyquist_alternation_recovered(self):
         ts = np.linspace(0.0, 600.0, 241)

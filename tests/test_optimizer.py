@@ -33,7 +33,7 @@ class TestExploratoryMove:
         state = nv.hj_optimize(quadratic(0.6 * np.ones(5)),
                                0.2 * np.ones(5),
                                cfg(max_queries=6))  # initial + one phase
-        assert np.allclose(state.current, 0.4 * np.ones(5))
+        assert np.allclose(state.best, 0.4 * np.ones(5))
         assert state.queries == 6
 
     def test_clipped_trial_still_costs_a_query(self):
@@ -44,7 +44,7 @@ class TestExploratoryMove:
         # query 0: start; query 1: +alpha clipped to 1.0 (no move);
         # query 2: -alpha (worse, no move)
         assert state.queries == 3
-        assert state.current[0] == 1.0
+        assert state.best[0] == 1.0
         assert not state.history[1].accepted
         assert state.history[1].u[0] == 1.0
 
@@ -52,7 +52,7 @@ class TestExploratoryMove:
         n = 4
         state = nv.hj_optimize(lambda u: 1.0, np.full(n, 0.5),
                                cfg(max_queries=1 + 2 * n))
-        assert np.all(state.current == 0.5)
+        assert np.all(state.best == 0.5)
         # every coordinate tried both directions
         assert state.queries == 1 + 2 * n
 
@@ -73,7 +73,7 @@ class TestPatternMove:
         state = nv.hj_optimize(increasing, np.array([0.1, 0.1]),
                                cfg(alpha0=0.2, max_queries=4))
         # exploratory moved to (0.3, 0.3); pattern doubles to (0.5, 0.5)
-        assert np.allclose(state.current, [0.5, 0.5])
+        assert np.allclose(state.best, [0.5, 0.5])
         assert state.history[-1].accepted
 
     def test_out_of_bounds_trial_is_clipped(self):
@@ -82,7 +82,7 @@ class TestPatternMove:
                                cfg(alpha0=0.2, max_queries=3))
         # exploratory: 0.9; pattern 1.1 -> clipped to 1.0
         assert state.history[-1].u[0] == 1.0
-        assert state.current[0] == 1.0
+        assert state.best[0] == 1.0
 
 
 class TestHjOptimize:
