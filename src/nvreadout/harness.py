@@ -29,7 +29,8 @@ from .pumpsim import (
     prepared_states,
     sample_counts,
     sampling_seed,
-    simulate_pump,
+    simulate_pair,
+    simulate_pump,  # noqa: F401  (unused; perfbench/tracer.py patches it here)
     square_pulse_states,
     window_expectation,
 )
@@ -102,24 +103,22 @@ def run_sweep(spec: SweepSpec, params: RateParams) -> SweepResult:
     """Evaluate the metric on the full grid and project onto the power axis.
 
     Each duration is one column: :func:`square_pulse_states` prepares both
-    branches for every amplitude at once.  In global mode each pulse reads
-    itself out over its whole length, so its count row gives the window
-    totals; in init-only mode all columns share ``base``'s readout window.
-    The metric scores a whole column at once; cells without photons (for the
+    branches for every amplitude at once, and a cell's window totals are a
+    readout row applied to them: in global mode the pulse's own count row,
+    in init-only mode the row of ``base``'s readout window, built once.  The
+    metric scores a whole column at once; cells without photons (for the
     contrast, without m_s=0 photons) stay NaN.
     """
     metric = snr_metric if spec.metric == "snr" else contrast_metric
     base, n = spec.base, spec.amplitudes.size
     grid = np.full((n, spec.durations_ns.size), np.nan)
+    shared = (None if spec.mode == "global"
+              else np.tile(window_expectation(base, params), (n, 1)))
     columns = square_pulse_states(base, params, spec.amplitudes, spec.durations_ns)
     for j, (ready, count_rows) in enumerate(columns):
-        if spec.mode == "global":
-            totals = np.einsum("ik,kbi->bi", count_rows, ready.reshape(-1, 2, n))
-        else:
-            totals = window_expectation(
-                ready, base.readout_wf, params, base.detection_offset_ns,
-                base.effective_detection_width_ns).reshape(2, n)
-        L0, L1 = base.repetitions * totals
+        rows = count_rows if shared is None else shared
+        L0, L1 = base.repetitions * np.einsum("ik,kbi->bi", rows,
+                                              ready.reshape(-1, 2, n))
         undefined = L0 + L1 <= 0
         if spec.metric == "contrast":
             undefined |= L0 <= 0
@@ -206,8 +205,8 @@ def make_snr_objective(spec: OloSpec, init_wf: PiecewiseWaveform):
     """SNR of the readout window as a function of the piece amplitudes.
 
     The initialization and wait stages are fixed, so the two branch states
-    are computed once; each query walks the readout pulse once for both.
-    The detection window is the base sequence's, applied to
+    are computed once; each query applies its trial pulse's readout row to
+    both.  The detection window is the base sequence's, applied to
     ``spec.start_readout``.  In stochastic mode, mimicking single
     experimental queries, the objective owns one generator, keyed
     ``(OLO_STREAM, 0)`` of ``spec.sample_seed``, and draws both window
@@ -217,11 +216,11 @@ def make_snr_objective(spec: OloSpec, init_wf: PiecewiseWaveform):
     cfg = replace(spec.base, init_wf=init_wf, readout_wf=start,
                   bin_width_ns=start.duration_ns)
     branches = np.column_stack(prepared_states(cfg, spec.params))
-    offset, width = cfg.detection_offset_ns, cfg.effective_detection_width_ns
 
     def expected_counts(u):
-        L0, L1 = cfg.repetitions * window_expectation(
-            branches, replace(start, amplitudes=u), spec.params, offset, width)
+        trial = replace(cfg, readout_wf=replace(start, amplitudes=u))
+        L0, L1 = cfg.repetitions * (window_expectation(trial, spec.params)
+                                    @ branches)
         return float(L0), float(L1)
 
     if not spec.stochastic:
@@ -277,12 +276,9 @@ def run_olo(spec: OloSpec, baseline: SweepResult | float) -> OloResult:
     start_snr = snr_metric(*expected_counts(u0))
     final_snr = snr_metric(*expected_counts(state.best))
 
-    trace_bin = waveform.piece_width_ns
-    cfg_final = replace(spec.base, init_wf=init_wf, readout_wf=waveform,
-                        bin_width_ns=trace_bin)
-    p0, p1 = prepared_states(cfg_final, spec.params)
-    trace0 = simulate_pump(p0, waveform, spec.params, trace_bin)
-    trace1 = simulate_pump(p1, waveform, spec.params, trace_bin)
+    trace0, trace1 = simulate_pair(
+        replace(spec.base, init_wf=init_wf, readout_wf=waveform,
+                bin_width_ns=waveform.piece_width_ns), spec.params)
 
     return OloResult(
         state=state,

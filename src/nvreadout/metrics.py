@@ -144,6 +144,8 @@ def fit_sinusoid(ts, ys) -> SinusoidFit:
 
     step = 2.0 * np.pi / (span * _OVERSAMPLE)
     grid = np.arange(lo, hi + step, step)
+    # cut the arange's overshoot; the Nyquist point can sit ulps above hi
+    grid = grid[grid <= hi + 0.5 * step]
     j = _COARSE * int(np.argmin(_grid_residuals(grid[::_COARSE], ts, ys)))
     near = slice(max(j - _COARSE, 0), j + _COARSE + 1)
     i_best = near.start + int(np.argmin(_grid_residuals(grid[near], ts, ys)))

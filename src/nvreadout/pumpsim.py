@@ -7,13 +7,14 @@ waveform, propagates each constant segment with the matrix exponential of a
 6x6 block matrix whose extra row accumulates the time integral of the
 detected emission rate (Van Loan 1978).  :func:`_segment_propagator` is the
 one place that exponential is built.  No quadrature and no per-step error
-enter anywhere.  The model is linear, so a (5, k) array of population columns
-walks at the price of one: every segment is one matrix product.  Both spin
-branches, and every Rabi tau, therefore cost a single walk.  A grid of
-square pulses is walked once along its sorted durations, each pulse being
-the previous one extended by one segment, for all amplitudes at a time
-(:func:`square_pulse_states`).  Poisson shot noise is applied only on
-demand, on window totals, with generators keyed by :func:`sampling_seed`.
+enter anywhere.  The model is linear, so a readout is a row ``r``: the
+photons detected in its window are ``r @ p`` for the populations ``p``
+before readout (:func:`window_expectation`), and every window total is that
+row applied to populations.  A grid of square pulses is walked once along
+its sorted durations, each pulse being the previous one extended by one
+segment, for all amplitudes at a time (:func:`square_pulse_states`).
+Poisson shot noise is applied only on demand, on window totals, with
+generators keyed by :func:`sampling_seed`.
 """
 
 from __future__ import annotations
@@ -166,32 +167,6 @@ def simulate_pump(p0: np.ndarray, wf: PiecewiseWaveform, params: RateParams,
     )
 
 
-def window_expectation(p0: np.ndarray, wf: PiecewiseWaveform, params: RateParams,
-                       offset_ns: float = 0.0, width_ns: float | None = None):
-    """Expected detected photons per repetition inside a detection window.
-
-    Integrates exactly over the window without building per-bin output.
-    Given one population vector it returns a float; given (5, k) columns it
-    returns the k window totals from a single walk.
-    """
-    if width_ns is None:
-        width_ns = wf.duration_ns - offset_ns
-    if offset_ns < -_REL_TOL or width_ns < 0:
-        raise ConfigurationError("detection window must have offset >= 0, width >= 0")
-    end = offset_ns + width_ns
-    if end > wf.duration_ns * (1 + _REL_TOL):
-        raise ConfigurationError(
-            f"detection window [{offset_ns}, {end}] ns exceeds waveform duration "
-            f"{wf.duration_ns} ns"
-        )
-    edges, betas = _split(wf, params, [offset_ns, min(end, wf.duration_ns)])
-    counts = _walk(p0, params, edges, betas)[1]
-    mids = _midpoints(edges)
-    inside = (mids >= offset_ns - _REL_TOL) & (mids <= end + _REL_TOL)
-    total = counts[inside].sum(axis=0)
-    return float(total) if total.ndim == 0 else total
-
-
 @dataclass(frozen=True)
 class SequenceConfig:
     """One initialization→wait→(MW)→readout sequence.
@@ -237,6 +212,23 @@ class SequenceConfig:
         if self.detection_width_ns is None:
             return self.readout_wf.duration_ns - self.detection_offset_ns
         return self.detection_width_ns
+
+
+def window_expectation(cfg: SequenceConfig, params: RateParams) -> np.ndarray:
+    """The readout functional of ``cfg``: the (5,) row ``r`` such that
+    ``r @ p`` is the expected detected photons per repetition in the
+    detection window when the readout pulse starts from populations ``p``.
+
+    One walk of the identity columns gives every entry exactly; the window
+    is the one ``SequenceConfig`` has validated.
+    """
+    wf, offset = cfg.readout_wf, cfg.detection_offset_ns
+    end = offset + cfg.effective_detection_width_ns
+    edges, betas = _split(wf, params, [offset, min(end, wf.duration_ns)])
+    counts = _walk(np.eye(N_LEVELS), params, edges, betas)[1]
+    mids = _midpoints(edges)
+    inside = (mids >= offset - _REL_TOL) & (mids <= end + _REL_TOL)
+    return counts[inside].sum(axis=0)
 
 
 def _swap_ground(p: np.ndarray) -> np.ndarray:
@@ -288,9 +280,7 @@ def simulate_pair(cfg: SequenceConfig, params: RateParams):
 def pair_window_counts(cfg: SequenceConfig, params: RateParams):
     """Expected (L0, L1) window totals for the two spin preparations."""
     branches = np.column_stack(prepared_states(cfg, params))
-    L0, L1 = cfg.repetitions * window_expectation(
-        branches, cfg.readout_wf, params, cfg.detection_offset_ns,
-        cfg.effective_detection_width_ns)
+    L0, L1 = cfg.repetitions * (window_expectation(cfg, params) @ branches)
     return float(L0), float(L1)
 
 

@@ -2,17 +2,20 @@
 
 A resonant microwave drive of duration tau rotates population between the
 two ground sublevels before readout; sweeping tau traces out a sinusoid in
-the detected counts.  The drive is modeled at the population level
-(cos²/sin² transfer), which is all that optical readout of the populations
-can see.  Contrast is evaluated on the fitted extrema and the mean absolute
-deviation of the normalized signal from the fit quantifies readout quality.
+the detected counts.  The drive is modeled at the population level, which
+is all that optical readout of the populations can see: a pulse of angle
+θ = Ω·tau maps p to cos²(θ/2)·p + sin²(θ/2)·swap(p).  The readout is a row
+applied to p, so the expected total is L0·cos²(θ/2) + L1·sin²(θ/2) from the
+two branch totals, and a noiseless curve is exactly sinusoidal by
+construction.  Contrast is evaluated on the fitted extrema and the mean
+absolute deviation of the normalized signal from the fit quantifies
+readout quality.
 
 With shot noise (``stochastic=True``) the counts are Poisson draws and the
 mean deviation is measured on them.  Without it the counts are their
 expectations, and like them the mean deviation is the expected value of the
 sampled statistic (``metrics.expected_mean_deviation``), not the statistic
-of the expected counts: the model is linear, so a noiseless curve is an
-exact sinusoid and its own residual is rounding residue.
+of the expected counts, whose own residual is rounding residue.
 """
 
 from __future__ import annotations
@@ -28,15 +31,15 @@ from .metrics import (
     fit_sinusoid,
     mean_deviation,
 )
-from .photophysics import Level, RateParams
+from .photophysics import RateParams
 from .pumpsim import (
     RABI_STREAM,
     SequenceConfig,
-    prepared_states,
+    pair_window_counts,
     propagate_waveform,  # noqa: F401  (unused; perfbench/tracer.py patches it here)
     sample_counts,
     sampling_seed,
-    window_expectation,
+    window_expectation,  # noqa: F401  (unused; perfbench/tracer.py patches it here)
 )
 from .waveform import PiecewiseWaveform, make_constant
 
@@ -87,32 +90,16 @@ class RabiCurve:
     fit_message: str | None = None
 
 
-def _rotate_ground(p: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Population transfer of resonant MW pulses of rotation angles Ω·tau.
-
-    Returns one rotated copy of ``p`` per angle, as the columns of a
-    (5, n_angles) array.
-    """
-    q = np.repeat(p[:, None], angles.size, axis=1)
-    c2 = np.cos(0.5 * angles) ** 2
-    s2 = 1.0 - c2
-    q[Level.G0] = p[Level.G0] * c2 + p[Level.G1] * s2
-    q[Level.G1] = p[Level.G0] * s2 + p[Level.G1] * c2
-    return q
-
-
 def rabi_expectations(cfg: RabiConfig, params: RateParams) -> np.ndarray:
     """Expected window totals L(tau) over all repetitions, no sampling.
 
-    The init+wait state comes from :func:`prepared_states`; the rotated
-    states of every tau then go through the readout as columns of one walk.
+    The pulse mixes the two branch states with weights cos² and sin² of
+    half its angle, so the totals mix the branch totals of
+    :func:`pumpsim.pair_window_counts` with the same weights.
     """
-    base = cfg.base
-    p_ready, _ = prepared_states(base, params)
-    columns = _rotate_ground(p_ready, cfg.omega_rad_per_ns * cfg.taus_ns)
-    return base.repetitions * window_expectation(
-        columns, base.readout_wf, params, base.detection_offset_ns,
-        base.effective_detection_width_ns)
+    L0, L1 = pair_window_counts(cfg.base, params)
+    c2 = np.cos(0.5 * cfg.omega_rad_per_ns * cfg.taus_ns) ** 2
+    return L0 * c2 + L1 * (1.0 - c2)
 
 
 def realize_curve(cfg: RabiConfig, expected: np.ndarray) -> RabiCurve:

@@ -71,9 +71,6 @@ class PiecewiseWaveform:
         return self.duration_ns / self.n
 
 
-def make_constant(duration_ns: float, amplitude: float,
-                  n: int = 1) -> PiecewiseWaveform:
-    """Constant-amplitude waveform; with n=1 this is the plain square pulse."""
-    if int(n) != n or n < 1:
-        raise ParameterError(f"piece count must be a positive integer, got {n}")
-    return PiecewiseWaveform(duration_ns, np.full(int(n), float(amplitude)))
+def make_constant(duration_ns: float, amplitude: float) -> PiecewiseWaveform:
+    """Square pulse: one piece at ``amplitude``."""
+    return PiecewiseWaveform(duration_ns, np.array([float(amplitude)]))

@@ -173,6 +173,21 @@ class TestFitSinusoid:
         assert fit.residual_norm < 1e-12
         assert np.allclose(fit.predict(ts), ys, rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("span", [600.0, 920.0])
+    def test_frequency_never_above_nyquist(self, span):
+        # an alternating curve puts the best frequency at the Nyquist end of
+        # the grid; no grid point may lie beyond it
+        above = {}
+        for points in range(9, 61):
+            ts = np.linspace(0.0, span, points)
+            limit = np.pi / np.min(np.diff(ts))
+            ys = (1.0 + 0.5 * np.cos(limit * ts)
+                  + 0.01 * np.sin(2 * np.pi * ts / span))
+            ratio = nv.fit_sinusoid(ts, ys).omega / limit
+            if ratio > 1 + 1e-12:
+                above[points] = ratio
+        assert above == {}
+
     def test_import_leaves_scipy_optimize_out(self):
         code = "import sys, nvreadout; print('scipy.optimize' in sys.modules)"
         env = {**os.environ, "PYTHONPATH": str(Path(nv.__file__).parents[1])}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from dataclasses import replace
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
@@ -12,7 +12,7 @@ from nvreadout.errors import ConfigurationError, ParameterError
 
 class TestSimulatePump:
     def test_dark_waveform_all_bins_zero(self, params):
-        wf = nv.make_constant(400.0, 0.0, 20)
+        wf = nv.PiecewiseWaveform(400.0, np.zeros(20))
         tr = nv.simulate_pump(nv.thermal_ground_state(), wf, params, 20.0)
         assert np.all(tr.expected_counts_per_rep == 0.0)
 
@@ -43,9 +43,10 @@ class TestSimulatePump:
     def test_waveform_refinement_is_identity(self, params):
         # subdividing a constant pulse changes nothing
         t1 = nv.simulate_pump(nv.thermal_ground_state(),
-                              nv.make_constant(920.0, 0.3, 1), params, 46.0)
+                              nv.make_constant(920.0, 0.3), params, 46.0)
         t20 = nv.simulate_pump(nv.thermal_ground_state(),
-                               nv.make_constant(920.0, 0.3, 20), params, 46.0)
+                               nv.PiecewiseWaveform(920.0, np.full(20, 0.3)),
+                               params, 46.0)
         assert np.allclose(t1.expected_counts_per_rep,
                            t20.expected_counts_per_rep, rtol=1e-9, atol=1e-18)
         assert np.allclose(t1.final_populations, t20.final_populations,
@@ -62,13 +63,15 @@ class TestSimulatePump:
         with pytest.raises(ConfigurationError):
             nv.simulate_pump(nv.thermal_ground_state(), wf, params, 33.0)
 
-    def test_window_expectation_matches_binned_sum(self, params):
+    def test_window_expectation_matches_binned_sum(self, params, base_seq):
         wf = nv.PiecewiseWaveform(600.0, np.array([0.9, 0.2, 0.05]))
         tr = nv.simulate_pump(nv.thermal_ground_state(), wf, params, 50.0)
-        full = nv.window_expectation(nv.thermal_ground_state(), wf, params)
+        cfg = replace(base_seq, readout_wf=wf, bin_width_ns=50.0)
+        full = nv.window_expectation(cfg, params) @ nv.thermal_ground_state()
         assert full == pytest.approx(tr.expected_counts_per_rep.sum(), rel=1e-12)
-        sub = nv.window_expectation(nv.thermal_ground_state(), wf, params,
-                                    offset_ns=100.0, width_ns=200.0)
+        sub_cfg = replace(cfg, detection_offset_ns=100.0,
+                          detection_width_ns=200.0)
+        sub = nv.window_expectation(sub_cfg, params) @ nv.thermal_ground_state()
         assert sub == pytest.approx(tr.expected_counts_per_rep[2:6].sum(),
                                     rel=1e-12)
 
@@ -105,26 +108,30 @@ class TestOracle:
     """The segment walker against an independent integrator."""
 
     @pytest.fixture(scope="class", params=[3, 5, 7])
-    def case(self, request, params):
+    def case(self, request, params, base_seq):
         rng = np.random.default_rng(request.param)
         wf = nv.PiecewiseWaveform(N_BINS * rng.uniform(40.0, 120.0),
                                   rng.uniform(0.0, 1.0, request.param))
         p0 = rng.dirichlet(np.ones(5))
         offset, width = 0.37 * wf.duration_ns, 0.41 * wf.duration_ns
+        cfg = replace(base_seq, readout_wf=wf, bin_width_ns=wf.duration_ns,
+                      detection_offset_ns=offset, detection_width_ns=width)
         bin_edges = np.linspace(0.0, wf.duration_ns, N_BINS + 1)
         times = np.union1d(bin_edges, [offset, offset + width])
         ref = reference_walk(p0, wf, params, times)
-        return wf, p0, offset, width, times, ref
+        return cfg, p0, times, ref
 
     def test_window_total(self, params, case):
-        wf, p0, offset, width, times, ref = case
+        cfg, p0, times, ref = case
+        offset = cfg.detection_offset_ns
         N = dict(zip(times, ref[:, 5]))
-        want = N[offset + width] - N[offset]
-        got = nv.window_expectation(p0, wf, params, offset, width)
+        want = N[offset + cfg.detection_width_ns] - N[offset]
+        got = nv.window_expectation(cfg, params) @ p0
         assert got == pytest.approx(want, rel=1e-8)
 
     def test_binned_trace_and_final_state(self, params, case):
-        wf, p0, _, _, times, ref = case
+        cfg, p0, times, ref = case
+        wf = cfg.readout_wf
         trace = nv.simulate_pump(p0, wf, params, wf.duration_ns / N_BINS)
         at_edges = ref[np.isin(times, np.linspace(0.0, wf.duration_ns,
                                                   N_BINS + 1))]
@@ -133,14 +140,18 @@ class TestOracle:
         assert np.allclose(trace.final_populations, ref[-1, :5],
                            rtol=0.0, atol=1e-10)
 
-    def test_batch_equals_columns_and_conserves_population(self, params, case):
-        wf, p0, offset, width, _, _ = case
+    def test_row_matches_pure_states_and_conserves_population(self, params,
+                                                              case):
+        # entry k of the readout row is the window total of the pure state k
+        cfg, p0, _, _ = case
+        wf, offset = cfg.readout_wf, cfg.detection_offset_ns
+        window = [offset, offset + cfg.detection_width_ns]
+        row = nv.window_expectation(cfg, params)
+        for level in Level:
+            ref = reference_walk(nv.pure_state(level), wf, params, window)
+            assert row[level] == pytest.approx(ref[1, 5] - ref[0, 5], rel=1e-8)
         columns = np.column_stack([p0, nv.pure_state(Level.G1),
                                    nv.thermal_ground_state()])
-        batch = nv.window_expectation(columns, wf, params, offset, width)
-        single = [nv.window_expectation(c, wf, params, offset, width)
-                  for c in columns.T]
-        assert np.allclose(batch, single, rtol=1e-14, atol=0.0)
         final = nv.propagate_waveform(columns, wf, params)
         assert np.allclose(final.sum(axis=0), 1.0, rtol=0.0, atol=1e-12)
         assert np.all(final >= -1e-15)
@@ -232,6 +243,48 @@ class TestSquarePulseBlocks:
         assert np.allclose(chained_blocks(params, beta, durations),
                            per_duration_blocks(params, beta, durations),
                            rtol=1e-10, atol=1e-10)
+
+
+def readout_cfg(base_seq, params, beta, duration_ns, **window):
+    """``base_seq`` read out by a three-piece pulse at rates beta, beta/2,
+    beta over ``duration_ns``, in one bin."""
+    amp = min(beta / params.amp_map.beta_max, 1.0)
+    wf = nv.PiecewiseWaveform(duration_ns, np.array([amp, 0.5 * amp, amp]))
+    return replace(base_seq, readout_wf=wf, bin_width_ns=duration_ns,
+                   **window)
+
+
+class TestReadoutRow:
+    """Properties of the readout functional over random rate sets."""
+
+    @given(rate_rows(), st.floats(0.0, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_nonnegative_and_never_decreases_as_the_window_widens(
+            self, base_seq, row, offset_share):
+        params, beta, durations = row
+        offset = offset_share * durations[0]
+        rows = np.array([nv.window_expectation(
+            readout_cfg(base_seq, params, beta, durations[-1],
+                        detection_offset_ns=offset,
+                        detection_width_ns=end - offset), params)
+            for end in durations])
+        assert rows.min() >= -1e-12
+        assert np.all(np.diff(rows, axis=0) >= -1e-12)
+
+    @given(rate_rows())
+    @settings(max_examples=30, deadline=None)
+    def test_snr_scales_as_sqrt_repetitions(self, base_seq, row):
+        params, beta, durations = row
+        cfg = readout_cfg(base_seq, params, beta, durations[-1])
+        L0, L1 = nv.pair_window_counts(replace(cfg, repetitions=1.0), params)
+        assume(L0 + L1 > 0)
+        for N in (1e4, 1e6, 1e8):
+            got = nv.snr(*nv.pair_window_counts(replace(cfg, repetitions=N),
+                                                params))
+            # L0 - L1 cancels when the branches read alike, so the rounding
+            # error scales with sqrt(N (L0 + L1)), the largest |SNR| possible
+            assert got == pytest.approx(np.sqrt(N) * nv.snr(L0, L1), rel=1e-12,
+                                        abs=1e-12 * np.sqrt(N * (L0 + L1)))
 
 
 class TestSimulatePair:

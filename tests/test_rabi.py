@@ -3,7 +3,9 @@ import pytest
 from dataclasses import replace
 
 import nvreadout as nv
+from nvreadout import Level
 from nvreadout.errors import ConfigurationError
+from test_pumpsim import reference_walk
 
 OMEGA = 2 * np.pi / 200.0
 
@@ -35,6 +37,28 @@ class TestRabiExpectations:
         L = nv.rabi_expectations(cfg, params)
         _, L1 = nv.pair_window_counts(rabi_base, params)
         assert L[1] == pytest.approx(L1, rel=1e-12)
+
+    def test_matches_reference_walk_of_rotated_states(self, params,
+                                                      rabi_base):
+        # taus off the pi grid, so every state mixes both branches; the
+        # oracle rotates the prepared state and integrates the readout
+        taus = np.array([13.0, 77.0, 141.0, 263.0])
+        L = nv.rabi_expectations(make_cfg(rabi_base, taus=taus), params)
+        init, wait = rabi_base.init_wf, rabi_base.wait_ns
+        p = reference_walk(nv.thermal_ground_state(), init, params,
+                           [init.duration_ns])[-1, :5]
+        p = reference_walk(p, nv.make_constant(wait, 0.0), params,
+                           [wait])[-1, :5]
+        offset = rabi_base.detection_offset_ns
+        window = [offset, offset + rabi_base.effective_detection_width_ns]
+        for tau, got in zip(taus, L):
+            c2 = np.cos(0.5 * OMEGA * tau) ** 2
+            q = p.copy()
+            q[Level.G0] = c2 * p[Level.G0] + (1.0 - c2) * p[Level.G1]
+            q[Level.G1] = (1.0 - c2) * p[Level.G0] + c2 * p[Level.G1]
+            counts = reference_walk(q, rabi_base.readout_wf, params, window)
+            want = rabi_base.repetitions * (counts[1, 5] - counts[0, 5])
+            assert got == pytest.approx(want, rel=1e-8)
 
     def test_periodicity(self, params, rabi_base):
         period = 2 * np.pi / OMEGA

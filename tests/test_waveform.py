@@ -14,13 +14,13 @@ amplitude_vectors = st.lists(
 
 class TestPiecewiseWaveform:
     def test_constant_single_piece(self):
-        wf = nv.make_constant(300.0, 0.2, 1)
+        wf = nv.make_constant(300.0, 0.2)
         assert wf.n == 1
         assert wf.piece_width_ns == 300.0
         assert wf.amplitudes[0] == 0.2
 
     def test_piece_widths_sum_to_duration(self):
-        wf = nv.make_constant(920.0, 0.5, 20)
+        wf = nv.PiecewiseWaveform(920.0, np.full(20, 0.5))
         assert wf.piece_width_ns * wf.n == pytest.approx(920.0, rel=1e-15)
 
     def test_out_of_bounds_amplitude_rejected(self):
@@ -34,11 +34,9 @@ class TestPiecewiseWaveform:
             nv.PiecewiseWaveform(0.0, np.array([0.5]))
         with pytest.raises(ParameterError):
             nv.PiecewiseWaveform(100.0, np.array([]))
-        with pytest.raises(ParameterError):
-            nv.make_constant(100.0, 0.5, 0)
 
     def test_amplitudes_immutable(self):
-        wf = nv.make_constant(100.0, 0.5, 4)
+        wf = nv.PiecewiseWaveform(100.0, np.full(4, 0.5))
         with pytest.raises(ValueError):
             wf.amplitudes[0] = 0.9
 
