@@ -16,17 +16,20 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ParameterError
 from .metrics import contrast as contrast_metric
 from .metrics import snr as snr_metric
 from .optimizer import OptimizerConfig, OptimizerState, hj_optimize
-from .photophysics import RateParams
+from .photophysics import N_LEVELS, RateParams
 from .pumpsim import (
     OLO_STREAM,
     PumpTrace,
     SequenceConfig,
     pair_window_counts,  # noqa: F401  (unused; perfbench/tracer.py patches it here)
+    piece_block,
     prepared_states,
+    readout_pieces,
+    readout_rows,
     sample_counts,
     sampling_seed,
     simulate_pair,
@@ -201,38 +204,116 @@ class OloResult:
     trace1: PumpTrace
 
 
+@dataclass(frozen=True)
+class _Anchor:
+    """The readout chain of one queried point ``u``: its window totals as
+    the objective returned them, its value, and per piece i the branch
+    populations ``before[i]`` at its start (5, 2), the photons
+    ``detected[i]`` before it (2,) and the readout row ``rows[i + 1]`` of
+    the pieces after it."""
+
+    u: np.ndarray
+    totals: tuple[float, float]
+    value: float
+    before: list
+    detected: list
+    rows: np.ndarray
+
+
 def make_snr_objective(spec: OloSpec, init_wf: PiecewiseWaveform):
     """SNR of the readout window as a function of the piece amplitudes.
 
     The initialization and wait stages are fixed, so the two branch states
-    are computed once; each query applies its trial pulse's readout row to
-    both.  The detection window is the base sequence's, applied to
-    ``spec.start_readout``.  In stochastic mode, mimicking single
-    experimental queries, the objective owns one generator, keyed
-    ``(OLO_STREAM, 0)`` of ``spec.sample_seed``, and draws both window
-    totals from it in one Poisson call per query.
+    are computed once.  The readout is a chain of piece blocks
+    (``pumpsim.piece_block``), memoised per piece and amplitude; the
+    detection window is the base sequence's, applied to
+    ``spec.start_readout``.
+
+    The objective keeps the chain at one anchor, the point of highest value
+    it has returned so far, which under the strict-improvement rule of
+    ``hj_optimize`` is the incumbent.  A query at the anchor returns the
+    totals the anchor got when it was queried, so ties are bit-exact.  A
+    query that changes one piece i costs one block product,
+    ``pre_i + (c'_i + r_{i+1} E'_i[:5]) P_i`` with the anchor's photons
+    ``pre_i`` and populations ``P_i`` before piece i and its row
+    ``r_{i+1}`` after it.  One that changes several pieces folds
+    (``pumpsim.readout_rows``) from the last changed piece back to the
+    first, which for a pattern move is the full fold.  A change the window
+    cannot see, such as a piece after its end, leaves that row bit-identical
+    to the anchor's and returns the anchor's totals, so it ties exactly as
+    well.  A strict improvement re-anchors in O(n).  Every trial must be a
+    finite amplitude vector inside the bounds.
+
+    In stochastic mode, mimicking single experimental queries, the
+    objective owns one generator, keyed ``(OLO_STREAM, 0)`` of
+    ``spec.sample_seed``, and draws both window totals from it in one
+    Poisson call per query.
     """
-    start = spec.start_readout
+    start, params = spec.start_readout, spec.params
     cfg = replace(spec.base, init_wf=init_wf, readout_wf=start,
                   bin_width_ns=start.duration_ns)
-    branches = np.column_stack(prepared_states(cfg, spec.params))
+    branches = np.column_stack(prepared_states(cfg, params))
+    pieces = readout_pieces(cfg)
+    memo = {}
+
+    def block(i, a):
+        key = (pieces[i], a)
+        if key not in memo:
+            memo[key] = piece_block(params, params.amp_map.rate(a), pieces[i])
+        return memo[key]
+
+    def totals(per_rep):
+        L0, L1 = cfg.repetitions * per_rep
+        return float(L0), float(L1)
+
+    def anchored(u, value, counts=None):
+        blocks = [block(i, a) for i, a in enumerate(u.tolist())]
+        before, detected = [branches], [np.zeros(2)]
+        for E in blocks[:-1]:
+            detected.append(detected[-1] + E[N_LEVELS] @ before[-1])
+            before.append(E[:N_LEVELS] @ before[-1])
+        rows = readout_rows(blocks)
+        if counts is None:
+            counts = totals(rows[0] @ branches)
+        return _Anchor(u.copy(), counts, value, before, detected, rows)
+
+    anchor = anchored(start.amplitudes, -np.inf)
 
     def expected_counts(u):
-        trial = replace(cfg, readout_wf=replace(start, amplitudes=u))
-        L0, L1 = cfg.repetitions * (window_expectation(trial, spec.params)
-                                    @ branches)
-        return float(L0), float(L1)
+        u = np.asarray(u, dtype=float)
+        if u.shape != anchor.u.shape or not start.bounds.contains(u):
+            raise ParameterError(f"trial amplitudes must be {start.n} values "
+                                 f"in [{start.bounds.lo}, {start.bounds.hi}],"
+                                 f" got {u}")
+        changed = np.flatnonzero(u != anchor.u)
+        if changed.size == 0:
+            return anchor.totals
+        lo, hi = changed[0], changed[-1] + 1
+        row = readout_rows([block(i, a) for i, a in
+                            enumerate(u[lo:hi].tolist(), lo)],
+                           anchor.rows[hi])[0]
+        if np.array_equal(row, anchor.rows[lo]):
+            return anchor.totals
+        return totals(anchor.detected[lo] + row @ anchor.before[lo])
+
+    def answer(u, value, counts):
+        nonlocal anchor
+        if value > anchor.value:
+            anchor = anchored(np.asarray(u, dtype=float), value, counts)
+        return value
 
     if not spec.stochastic:
         def objective(u):
-            return snr_metric(*expected_counts(u))
+            counts = expected_counts(u)
+            return answer(u, snr_metric(*counts), counts)
         return objective, expected_counts
 
     rng = np.random.default_rng(sampling_seed(spec.sample_seed, OLO_STREAM))
 
     def objective(u):
-        L0, L1 = sample_counts(expected_counts(u), rng)
-        return snr_metric(float(L0), float(L1))
+        counts = expected_counts(u)
+        L0, L1 = sample_counts(counts, rng)
+        return answer(u, snr_metric(float(L0), float(L1)), counts)
     return objective, expected_counts
 
 

@@ -23,8 +23,10 @@ from .rabi import RabiCurve
 from .waveform import PiecewiseWaveform
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
+def _texts(values) -> list[str]:
+    """``repr`` of every value of a 1-D array, as a float: one conversion
+    of the whole array, then plain Python floats."""
+    return [repr(x) for x in np.asarray(values, dtype=float).tolist()]
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -51,10 +53,11 @@ def write_json(path: str | Path, payload: dict) -> None:
 
 
 def write_waveform_csv(wf: PiecewiseWaveform, path: str | Path) -> None:
-    width = wf.piece_width_ns
+    width = repr(float(wf.piece_width_ns))
+    starts = _texts(np.arange(wf.n) * wf.piece_width_ns)
     rows = (
-        [str(i), _fmt(i * width), _fmt(width), _fmt(a)]
-        for i, a in enumerate(wf.amplitudes)
+        [str(i), start, width, a]
+        for i, (start, a) in enumerate(zip(starts, _texts(wf.amplitudes)))
     )
     _write_rows(path, ["piece_index", "start_ns", "width_ns", "amplitude"], rows)
 
@@ -89,31 +92,26 @@ def read_waveform_csv(path: str | Path) -> PiecewiseWaveform:
 
 def write_pair_trace_csv(trace0: PumpTrace, trace1: PumpTrace,
                          path: str | Path) -> None:
-    rows = (
-        [_fmt(t), _fmt(c0), _fmt(c1), _fmt(c0 - c1)]
-        for t, c0, c1 in zip(trace0.bin_starts_ns,
-                             trace0.expected_counts_per_rep,
-                             trace1.expected_counts_per_rep)
-    )
+    c0, c1 = trace0.expected_counts_per_rep, trace1.expected_counts_per_rep
+    rows = zip(_texts(trace0.bin_starts_ns), _texts(c0), _texts(c1),
+               _texts(c0 - c1))
     _write_rows(path, ["bin_start_ns", "expected_counts_per_rep_branch0",
                        "expected_counts_per_rep_branch1", "diff"], rows)
 
 
 def write_sweep_grid_csv(result: SweepResult, path: str | Path) -> None:
-    def rows():
-        for i, amp in enumerate(result.spec.amplitudes):
-            for j, dur in enumerate(result.spec.durations_ns):
-                yield [_fmt(amp), _fmt(dur), _fmt(result.grid[i, j])]
-    _write_rows(path, ["power", "duration_ns", result.spec.metric], rows())
+    durations = _texts(result.spec.durations_ns)
+    rows = ((amp, dur, value)
+            for amp, values in zip(_texts(result.spec.amplitudes), result.grid)
+            for dur, value in zip(durations, _texts(values)))
+    _write_rows(path, ["power", "duration_ns", result.spec.metric], rows)
 
 
 def write_sweep_projection_csv(result: SweepResult, path: str | Path) -> None:
     metric = result.spec.metric
-    rows = (
-        [_fmt(a), _fmt(v), _fmt(d)]
-        for a, v, d in zip(result.spec.amplitudes, result.best_per_amplitude,
-                           result.best_duration_per_amplitude)
-    )
+    rows = zip(_texts(result.spec.amplitudes),
+               _texts(result.best_per_amplitude),
+               _texts(result.best_duration_per_amplitude))
     _write_rows(path, ["power", f"best_{metric}", "best_duration_ns"], rows)
 
 
@@ -126,10 +124,8 @@ def write_optimizer_log(state: OptimizerState, path: str | Path) -> None:
 def write_rabi_curve_csv(curve: RabiCurve, path: str | Path) -> None:
     fit_y = curve.fit.predict(curve.taus_ns) if curve.fit is not None \
         else np.full_like(curve.signals, np.nan)
-    rows = (
-        [_fmt(t), _fmt(y), _fmt(f), _fmt(abs(y - f))]
-        for t, y, f in zip(curve.taus_ns, curve.signals, fit_y)
-    )
+    rows = zip(_texts(curve.taus_ns), _texts(curve.signals), _texts(fit_y),
+               _texts(np.abs(curve.signals - fit_y)))
     _write_rows(path, ["tau_ns", "y", "fit_y", "deviation"], rows)
 
 

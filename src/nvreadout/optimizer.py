@@ -11,9 +11,13 @@ Every trial point is clipped into the bounds *before* it is queried, and a
 clipped trial that coincides with the incumbent still costs a query: in the
 online setting every parameter change is an experiment.
 
-The objective is any callable f(u) -> float.  A stochastic objective keeps
-its own generator and draws from it once per query, so with a fixed seed
-the whole trajectory replays exactly (see ``harness.make_snr_objective``).
+The objective is any callable f(u) -> float, and may keep state between
+queries.  Most trials differ from the incumbent in one coordinate, so the
+SNR objective keeps its readout chain at the best point it has returned,
+the incumbent, and answers such a trial with one block product.  A
+stochastic objective keeps its own generator and draws from it once per
+query, so with a fixed seed the whole trajectory replays exactly (see
+``harness.make_snr_objective``).
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ class QueryRecord:
         return {
             "query_index": self.query_index,
             "cycle": self.cycle,
-            "u": [float(x) for x in self.u],
+            "u": np.asarray(self.u, dtype=float).tolist(),
             "value": float(self.value),
             "alpha": float(self.alpha),
             "accepted": bool(self.accepted),

@@ -2,19 +2,26 @@
 
 Expected photon counts are computed exactly for the piecewise-constant
 drive.  :func:`_split` cuts a waveform's pieces at the times a caller
-needs (bin edges, window ends), and :func:`_walk`, the one walk over a
-waveform, propagates each constant segment with the matrix exponential of a
-6x6 block matrix whose extra row accumulates the time integral of the
-detected emission rate (Van Loan 1978).  :func:`_segment_propagator` is the
-one place that exponential is built.  No quadrature and no per-step error
-enter anywhere.  The model is linear, so a readout is a row ``r``: the
-photons detected in its window are ``r @ p`` for the populations ``p``
-before readout (:func:`window_expectation`), and every window total is that
-row applied to populations.  A grid of square pulses is walked once along
-its sorted durations, each pulse being the previous one extended by one
-segment, for all amplitudes at a time (:func:`square_pulse_states`).
-Poisson shot noise is applied only on demand, on window totals, with
-generators keyed by :func:`sampling_seed`.
+needs (bin edges, window ends), and every constant segment is propagated
+with the matrix exponential of a 6x6 block matrix whose extra row
+accumulates the time integral of the detected emission rate (Van Loan
+1978).  :func:`_segment_propagator` is the one place that exponential is
+built.  No quadrature and no per-step error enter anywhere.
+
+:func:`_walk` carries populations forward through segments (init pulse,
+wait, binned traces).  A readout is a chain of piece blocks instead: each
+piece of the readout pulse has one (6, 5) block, its population map plus
+the photons it detects inside the detection window, with the window's cuts
+folded into the piece they fall in (:func:`readout_pieces`,
+:func:`piece_block`).  The model is linear, so the photons detected in the
+window are ``r @ p`` for the populations ``p`` before readout, and the row
+``r`` is the backward fold ``r_i = c_i + r_{i+1} E_i[:5]`` over the blocks
+(:func:`readout_rows`, :func:`window_expectation`).  A change to one piece
+changes one block, which is what the OLO objective exploits.  A grid of
+square pulses is walked once along its sorted durations, each pulse being
+the previous one extended by one segment, for all amplitudes at a time
+(:func:`square_pulse_states`).  Poisson shot noise is applied only on
+demand, on window totals, with generators keyed by :func:`sampling_seed`.
 """
 
 from __future__ import annotations
@@ -67,14 +74,18 @@ def _square_pulse_blocks(params: RateParams, betas, durations):
 
     ``durations`` must be sorted and >= 0.  A pulse of duration ``d[j]`` is the pulse
     of ``d[j - 1]`` followed by one segment of ``d[j] - d[j - 1]``, so the
-    whole grid costs one memoised propagator per rate and distinct step.
+    whole grid costs one memoised propagator per rate and distinct step,
+    stacked once per call.
     """
+    betas = [float(b) for b in betas]
     blocks = np.zeros((len(betas), N_LEVELS + 1, N_LEVELS))
     blocks[:, :N_LEVELS] = np.eye(N_LEVELS)
-    for dt in np.diff(durations, prepend=0.0):
-        step = np.stack([_segment_propagator(params, float(b), float(dt))
-                         for b in betas])
-        q = step @ blocks[:, :N_LEVELS]
+    steps = {}
+    for dt in np.diff(durations, prepend=0.0).tolist():
+        if dt not in steps:
+            steps[dt] = np.stack([_segment_propagator(params, b, dt)
+                                  for b in betas])
+        q = steps[dt] @ blocks[:, :N_LEVELS]
         q[:, N_LEVELS] += blocks[:, N_LEVELS]
         blocks = q
         yield blocks
@@ -84,16 +95,15 @@ def _midpoints(edges: np.ndarray) -> np.ndarray:
     return 0.5 * (edges[:-1] + edges[1:])
 
 
-def _split(wf: PiecewiseWaveform, params: RateParams, cuts):
-    """Edges of ``wf``'s pieces split at the ``cuts`` times, and the pumping
-    rate of every split segment."""
+def _split(wf: PiecewiseWaveform, cuts):
+    """Edges of ``wf``'s pieces split at the ``cuts`` times, and the piece
+    every split segment lies in."""
     width = wf.piece_width_ns
     edges = np.sort(np.concatenate([np.arange(wf.n) * width, [wf.duration_ns],
                                     np.asarray(cuts, dtype=float)]))
     keep = np.diff(edges) > _REL_TOL * max(wf.duration_ns, 1.0)
     edges = edges[np.concatenate([[True], keep])]
-    pieces = np.minimum((_midpoints(edges) / width).astype(int), wf.n - 1)
-    return edges, params.amp_map.rate(wf.amplitudes)[pieces]
+    return edges, np.minimum((_midpoints(edges) / width).astype(int), wf.n - 1)
 
 
 def _walk(p0: np.ndarray, params: RateParams, edges, betas):
@@ -116,7 +126,9 @@ def _walk(p0: np.ndarray, params: RateParams, edges, betas):
 def propagate_waveform(p0: np.ndarray, wf: PiecewiseWaveform,
                        params: RateParams) -> np.ndarray:
     """Populations at the end of a waveform, ignoring photon counting."""
-    return _walk(p0, params, *_split(wf, params, []))[0]
+    edges, pieces = _split(wf, [])
+    betas = params.amp_map.rate(wf.amplitudes)[pieces]
+    return _walk(p0, params, edges, betas)[0]
 
 
 @dataclass(frozen=True)
@@ -154,7 +166,8 @@ def simulate_pump(p0: np.ndarray, wf: PiecewiseWaveform, params: RateParams,
         raise ConfigurationError(
             f"bin width {bin_width_ns} ns does not divide duration {wf.duration_ns} ns"
         )
-    edges, betas = _split(wf, params, np.arange(1, n_bins) * bin_width_ns)
+    edges, pieces = _split(wf, np.arange(1, n_bins) * bin_width_ns)
+    betas = params.amp_map.rate(wf.amplitudes)[pieces]
     p, counts = _walk(p0, params, edges, betas)
     bins = np.minimum((_midpoints(edges) / bin_width_ns).astype(int), n_bins - 1)
     binned = np.zeros(n_bins)
@@ -214,21 +227,68 @@ class SequenceConfig:
         return self.detection_width_ns
 
 
+def readout_pieces(cfg: SequenceConfig) -> list[tuple]:
+    """The pieces of ``cfg``'s readout pulse, cut where its detection window
+    starts and ends: for each piece, its constant-rate segments as
+    ``(duration_ns, in_window)`` pairs.
+
+    The window is the one ``SequenceConfig`` has validated.  Pieces with
+    the same segments read out alike at the same amplitude.
+    """
+    wf, offset = cfg.readout_wf, cfg.detection_offset_ns
+    end = offset + cfg.effective_detection_width_ns
+    edges, pieces = _split(wf, [offset, min(end, wf.duration_ns)])
+    mids = _midpoints(edges)
+    inside = (mids >= offset - _REL_TOL) & (mids <= end + _REL_TOL)
+    segments = [[] for _ in range(wf.n)]
+    for i, dt, hit in zip(pieces.tolist(), np.diff(edges).tolist(),
+                          inside.tolist()):
+        segments[i].append((dt, hit))
+    return [tuple(s) for s in segments]
+
+
+def piece_block(params: RateParams, beta: float, segments) -> np.ndarray:
+    """The (6, 5) block of one readout piece at pumping rate ``beta``.
+
+    Rows 0-4 map the populations at the start of the piece to those at its
+    end; row 5 gives the photons detected in the piece's ``in_window``
+    segments (see :func:`readout_pieces`).
+    """
+    E = np.eye(N_LEVELS + 1, N_LEVELS)
+    for dt, inside in segments:
+        q = _segment_propagator(params, beta, dt) @ E[:N_LEVELS]
+        q[N_LEVELS] = (E[N_LEVELS] + q[N_LEVELS]) if inside else E[N_LEVELS]
+        E = q
+    return E
+
+
+def readout_rows(blocks, tail=0.0) -> np.ndarray:
+    """The backward fold over a readout's piece blocks ``E_i``.
+
+    Returns the (n + 1, 5) rows ``r_i = c_i + r_{i+1} @ E_i[:5]`` with
+    ``c_i = E_i[5]`` and ``r_n = tail``: ``r_i @ p`` is the number of
+    photons the pieces from i on detect when piece i starts from
+    populations ``p``.  ``tail`` is the row of whatever follows the blocks;
+    nothing does by default.
+    """
+    rows = np.empty((len(blocks) + 1, N_LEVELS))
+    rows[-1] = tail
+    for i in range(len(blocks) - 1, -1, -1):
+        rows[i] = blocks[i][N_LEVELS] + rows[i + 1] @ blocks[i][:N_LEVELS]
+    return rows
+
+
 def window_expectation(cfg: SequenceConfig, params: RateParams) -> np.ndarray:
     """The readout functional of ``cfg``: the (5,) row ``r`` such that
     ``r @ p`` is the expected detected photons per repetition in the
     detection window when the readout pulse starts from populations ``p``.
 
-    One walk of the identity columns gives every entry exactly; the window
-    is the one ``SequenceConfig`` has validated.
+    The row is the fold of the readout's piece blocks, so every entry is
+    exact.
     """
-    wf, offset = cfg.readout_wf, cfg.detection_offset_ns
-    end = offset + cfg.effective_detection_width_ns
-    edges, betas = _split(wf, params, [offset, min(end, wf.duration_ns)])
-    counts = _walk(np.eye(N_LEVELS), params, edges, betas)[1]
-    mids = _midpoints(edges)
-    inside = (mids >= offset - _REL_TOL) & (mids <= end + _REL_TOL)
-    return counts[inside].sum(axis=0)
+    betas = params.amp_map.rate(cfg.readout_wf.amplitudes).tolist()
+    return readout_rows([piece_block(params, beta, segments) for beta, segments
+                         in zip(betas, readout_pieces(cfg))])[0]
 
 
 def _swap_ground(p: np.ndarray) -> np.ndarray:

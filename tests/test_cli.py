@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -154,6 +155,20 @@ class TestOptimize:
         assert summary["final_snr"] >= summary["baseline_snr"]
         assert (out / "olo_waveform.csv").exists()
         assert (out / "olo_traces.csv").exists()
+
+    def test_headline_run_is_pinned(self, tmp_path):
+        # the regression anchor: the default run's trajectory, gain and
+        # waveform bytes
+        out = tmp_path / "run"
+        assert main(["optimize", "--out", str(out)]) == 0
+        summary = json.loads(read(out / "olo_summary.json"))
+        assert (summary["queries"], summary["cycles"]) == (469, 12)
+        assert summary["improvement_ratio"] == pytest.approx(
+            0.3071408312030437, rel=1e-9)
+        assert hashlib.sha256((out / "olo_waveform.csv").read_bytes()
+                              ).hexdigest() == ("7a1fbe223f75a03682f2a044211d25"
+                                                "ca2b0c1d167143c37113e6cda5b655"
+                                                "18cc")
 
     def test_baseline_is_snr_whatever_the_sweep_metric(self, tmp_path):
         def baseline(*overrides):

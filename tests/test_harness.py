@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nvreadout as nv
 from nvreadout import pumpsim
-from nvreadout.errors import ConfigurationError
+from nvreadout.errors import ConfigurationError, ParameterError
 from nvreadout.harness import SWEEP_METRICS, SWEEP_MODES
-from test_pumpsim import reference_walk
+from test_pumpsim import rate_rows, reference_walk
 
 
 class TestRunSweep:
@@ -182,6 +184,156 @@ class TestSnrObjective:
         with pytest.raises(ConfigurationError):
             objective(start_duration_ns=600.0, detection_offset_ns=460.0,
                       detection_width_ns=460.0)
+
+
+def walked_row(cfg, params):
+    """The readout row of ``cfg`` from one forward walk of the identity
+    through the window's segments, summing the in-window photons: the
+    readout before it became a fold over piece blocks."""
+    wf, offset = cfg.readout_wf, cfg.detection_offset_ns
+    end = offset + cfg.effective_detection_width_ns
+    edges, pieces = pumpsim._split(wf, [offset, min(end, wf.duration_ns)])
+    betas = params.amp_map.rate(wf.amplitudes)[pieces]
+    counts = pumpsim._walk(np.eye(5), params, edges, betas)[1]
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    inside = (mids >= offset - 1e-9) & (mids <= end + 1e-9)
+    return counts[inside].sum(axis=0)
+
+
+def objective_case(base_seq, params, n, duration_ns, offset_ns, width_ns,
+                   start_amplitude=0.3):
+    """An OLO objective over ``n`` pieces of ``duration_ns`` read out in the
+    window at ``offset_ns`` of width ``width_ns``, and the readout-ready
+    branches and sequence a reference needs."""
+    base = replace(base_seq, readout_wf=nv.make_constant(duration_ns, 0.5),
+                   bin_width_ns=duration_ns, detection_offset_ns=offset_ns,
+                   detection_width_ns=width_ns)
+    spec = nv.OloSpec(
+        base=base, params=params,
+        optimizer=nv.OptimizerConfig(alpha0=0.1, rho=0.5, alpha_min=1e-3,
+                                     max_queries=100),
+        init_scan_amplitudes=np.array([0.2]), start_duration_ns=duration_ns,
+        start_amplitude=start_amplitude, n_read=n)
+    init_wf = nv.make_constant(1000.0, 0.2)
+    objective, expected_counts = nv.make_snr_objective(spec, init_wf)
+    cfg = replace(base, init_wf=init_wf)
+    branches = np.column_stack(nv.prepared_states(cfg, params))
+    return objective, expected_counts, cfg, branches
+
+
+@st.composite
+def readout_edits(draw):
+    """A rate set, a readout of 1 to 24 pieces whose detection window may
+    cut pieces anywhere, and a run of one-piece and multi-piece edits."""
+    params = draw(rate_rows())[0]
+    n = draw(st.integers(1, 24))
+    duration = draw(st.floats(50.0, 3000.0))
+    offset = duration * draw(st.just(0.0) | st.floats(0.0, 1.0))
+    width = draw(st.none() | st.floats(0.0, 1.0).map(
+        lambda share: share * (duration - offset)))
+    amplitude = st.just(0.0) | st.floats(0.0, 1.0)
+    edits = draw(st.lists(st.lists(st.tuples(st.integers(0, n - 1), amplitude),
+                                   min_size=1, max_size=4),
+                          min_size=1, max_size=8))
+    return params, n, duration, offset, width, edits
+
+
+class TestIncrementalObjective:
+    """The objective's anchored chain against a full walk of each trial."""
+
+    @given(readout_edits())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_full_walk_and_ties_bit_exactly(self, base_seq, case):
+        params, n, duration, offset, width, edits = case
+        objective, expected_counts, cfg, branches = objective_case(
+            base_seq, params, n, duration, offset, width)
+        best = np.full(n, 0.3)
+        for edit in edits:
+            trial = best.copy()
+            for i, a in edit:
+                trial[i] = a
+            got = expected_counts(trial)
+            trial_cfg = replace(cfg, readout_wf=replace(cfg.readout_wf,
+                                                        amplitudes=trial))
+            want = cfg.repetitions * (walked_row(trial_cfg, params) @ branches)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+            if sum(got) > 0 and objective(trial) > objective(best):
+                # the trial is now the anchor and answers with its old bits
+                assert expected_counts(trial) == got
+                best = trial
+
+    @pytest.mark.parametrize("seed", [2, 11, 23])
+    def test_matches_reference_integrator(self, base_seq, params, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 9))
+        duration = rng.uniform(300.0, 1500.0)
+        offset = rng.uniform(0.1, 0.4) * duration
+        width = rng.uniform(0.2, 0.5) * duration
+        objective, expected_counts, cfg, branches = objective_case(
+            base_seq, params, n, duration, offset, width)
+        anchor = rng.uniform(0.0, 1.0, n)
+        objective(anchor)
+        trial = anchor.copy()
+        trial[int(rng.integers(n))] = rng.uniform(0.0, 1.0)
+        wf = replace(cfg.readout_wf, amplitudes=trial)
+        want = [cfg.repetitions * np.diff(reference_walk(
+            p, wf, params, [offset, offset + width])[:, 5])[0]
+            for p in branches.T]
+        np.testing.assert_allclose(expected_counts(trial), want, rtol=1e-8)
+
+    def test_same_point_returns_the_same_bits_across_reanchoring(self,
+                                                                 base_seq,
+                                                                 params):
+        # six 100 ns pieces read out from 130 to 380 ns: pieces 4 and 5
+        # come after the window
+        objective, expected_counts, _, _ = objective_case(
+            base_seq, params, 6, 600.0, 130.0, 250.0)
+        u0 = np.full(6, 0.3)
+        first = objective(u0)
+        better = u0.copy()
+        better[2] = 0.5
+        before = expected_counts(better)
+        assert objective(better) > first       # re-anchors at ``better``
+        assert expected_counts(better) == before
+        worse = better.copy()
+        worse[[0, 3]] = 1.0, 0.0
+        assert objective(worse) < objective(better)
+        assert expected_counts(better) == before
+        # edits the window cannot see tie with the anchor exactly
+        for unseen in ([5], [4, 5]):
+            trial = better.copy()
+            trial[unseen] = 0.9
+            assert expected_counts(trial) == before
+
+    def test_search_takes_the_path_of_full_walks(self, base_seq, params):
+        # the window ends in piece 13 of 20: edits after it must tie exactly,
+        # or Hooke-Jeeves accepts a rounding difference as an improvement
+        objective, _, cfg, branches = objective_case(
+            base_seq, params, 20, 920.0, 230.0, 400.0, start_amplitude=0.02)
+
+        def walked(u):
+            trial = replace(cfg, readout_wf=replace(cfg.readout_wf,
+                                                    amplitudes=u))
+            return nv.snr(*(cfg.repetitions
+                            * (walked_row(trial, params) @ branches)))
+
+        opt = nv.OptimizerConfig(alpha0=0.1, rho=0.5, alpha_min=1e-3,
+                                 max_queries=5000)
+        fast = nv.hj_optimize(objective, np.full(20, 0.02), opt)
+        slow = nv.hj_optimize(walked, np.full(20, 0.02), opt)
+        assert ([r.accepted for r in fast.history]
+                == [r.accepted for r in slow.history])
+        assert np.array_equal(fast.best, slow.best)
+
+    @pytest.mark.parametrize("bad", [[0.3] * 5, [0.3] * 7, [0.3] * 5 + [1.2],
+                                     [0.3] * 5 + [np.nan],
+                                     [0.3] * 5 + [-np.inf]])
+    def test_trials_outside_the_bounds_are_rejected(self, base_seq, params,
+                                                    bad):
+        objective, _, _, _ = objective_case(base_seq, params, 6, 600.0, 0.0,
+                                            None)
+        with pytest.raises(ParameterError):
+            objective(np.array(bad))
 
 
 class TestRunOlo:
