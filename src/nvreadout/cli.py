@@ -68,22 +68,6 @@ def _json_safe(obj):
     return obj
 
 
-def _write_manifest(out: Path, command: str, args, cfg: dict,
-                    wall_time_s: float) -> None:
-    payload = {
-        "command": command,
-        "config_path": args.config,
-        "config_sha256": _config_digest(args.config),
-        "overrides": list(args.set or []),
-        "seed": cfg["seed"],
-        "stochastic": bool(getattr(args, "stochastic", False)),
-        "version": __version__,
-        "resolved_config": _json_safe(cfg),
-        "wall_time_s": wall_time_s,
-    }
-    write_json(out / "manifest.json", payload)
-
-
 def _prepare(args):
     cfg = load_config(args.config, args.set)
     if args.seed is not None:
@@ -98,25 +82,15 @@ def _prepare(args):
     return cfg, out
 
 
-def cmd_trace(args) -> int:
-    t0 = time.perf_counter()
-    cfg, out = _prepare(args)
-    params = build_rate_params(cfg)
-    seq = build_sequence(cfg)
-    trace0, trace1 = simulate_pair(seq, params)
+def cmd_trace(args, cfg: dict, out: Path, params) -> str:
+    trace0, trace1 = simulate_pair(build_sequence(cfg), params)
     write_pair_trace_csv(trace0, trace1, out / "trace.csv")
-    _write_manifest(out, "trace", args, cfg, time.perf_counter() - t0)
-    print(f"trace: wrote {out / 'trace.csv'} "
-          f"({trace0.expected_counts_per_rep.size} bins)")
-    return EXIT_OK
+    return (f"trace: wrote {out / 'trace.csv'} "
+            f"({trace0.expected_counts_per_rep.size} bins)")
 
 
-def cmd_sweep(args) -> int:
-    t0 = time.perf_counter()
-    cfg, out = _prepare(args)
-    params = build_rate_params(cfg)
-    seq = build_sequence(cfg)
-    spec = build_sweep_spec(cfg, seq, mode=args.mode)
+def cmd_sweep(args, cfg: dict, out: Path, params) -> str:
+    spec = build_sweep_spec(cfg, build_sequence(cfg), mode=args.mode)
     result = run_sweep(spec, params)
     write_sweep_grid_csv(result, out / "sweep_grid.csv")
     write_sweep_projection_csv(result, out / "sweep_projection.csv")
@@ -128,17 +102,12 @@ def cmd_sweep(args) -> int:
         "best_value": result.best_value,
         "best_at_grid_edge": result.best_at_grid_edge,
     })
-    _write_manifest(out, "sweep", args, cfg, time.perf_counter() - t0)
-    print(f"sweep: best {spec.metric} = {result.best_value:.4g} at "
-          f"(amplitude {result.best_amplitude:.4g}, "
-          f"{result.best_duration_ns:.4g} ns)")
-    return EXIT_OK
+    return (f"sweep: best {spec.metric} = {result.best_value:.4g} at "
+            f"(amplitude {result.best_amplitude:.4g}, "
+            f"{result.best_duration_ns:.4g} ns)")
 
 
-def cmd_optimize(args) -> int:
-    t0 = time.perf_counter()
-    cfg, out = _prepare(args)
-    params = build_rate_params(cfg)
+def cmd_optimize(args, cfg: dict, out: Path, params) -> str:
     seq = build_sequence(cfg)
     spec = build_olo_spec(cfg, seq, params, stochastic=args.stochastic,
                           seed=cfg["seed"])
@@ -148,12 +117,10 @@ def cmd_optimize(args) -> int:
     write_waveform_csv(result.waveform, out / "olo_waveform.csv")
     write_pair_trace_csv(result.trace0, result.trace1, out / "olo_traces.csv")
     write_json(out / "olo_summary.json", olo_summary_dict(result))
-    _write_manifest(out, "optimize", args, cfg, time.perf_counter() - t0)
-    print(f"optimize: SNR {result.start_snr:.4g} -> {result.final_snr:.4g} "
-          f"(baseline {result.baseline_snr:.4g}, "
-          f"improvement {100 * result.improvement_ratio:+.1f}%, "
-          f"{result.state.queries} queries)")
-    return EXIT_OK
+    return (f"optimize: SNR {result.start_snr:.4g} -> {result.final_snr:.4g} "
+            f"(baseline {result.baseline_snr:.4g}, "
+            f"improvement {100 * result.improvement_ratio:+.1f}%, "
+            f"{result.state.queries} queries)")
 
 
 def _rabi_scheme_configs(cfg: dict, args, params) -> dict[str, RabiConfig]:
@@ -177,10 +144,7 @@ def _rabi_scheme_configs(cfg: dict, args, params) -> dict[str, RabiConfig]:
         stochastic=bool(args.stochastic), seed=cfg["seed"])
 
 
-def cmd_rabi(args) -> int:
-    t0 = time.perf_counter()
-    cfg, out = _prepare(args)
-    params = build_rate_params(cfg)
+def cmd_rabi(args, cfg: dict, out: Path, params) -> str:
     cfgs = _rabi_scheme_configs(cfg, args, params)
     comparison = compare_schemes(cfgs, params)
     for name, curve in comparison.curves.items():
@@ -190,11 +154,10 @@ def cmd_rabi(args) -> int:
         "mean_deviations": comparison.mean_devs,
         "orderings": comparison.orderings,
     })
-    _write_manifest(out, "rabi", args, cfg, time.perf_counter() - t0)
-    for name in sorted(comparison.contrasts):
-        print(f"rabi {name}: contrast {100 * comparison.contrasts[name]:.2f}% "
-              f"mean deviation {comparison.mean_devs[name]:.3g}")
-    return EXIT_OK
+    return "\n".join(
+        f"rabi {name}: contrast {100 * comparison.contrasts[name]:.2f}% "
+        f"mean deviation {comparison.mean_devs[name]:.3g}"
+        for name in sorted(comparison.contrasts))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -231,9 +194,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Load the config and rate parameters, run the command, which writes its
+    outputs and returns its report line, and write the manifest."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        t0 = time.perf_counter()
+        cfg, out = _prepare(args)
+        message = args.func(args, cfg, out, build_rate_params(cfg))
+        write_json(out / "manifest.json", {
+            "command": args.command,
+            "config_path": args.config,
+            "config_sha256": _config_digest(args.config),
+            "overrides": list(args.set or []),
+            "seed": cfg["seed"],
+            "stochastic": bool(getattr(args, "stochastic", False)),
+            "version": __version__,
+            "resolved_config": _json_safe(cfg),
+            "wall_time_s": time.perf_counter() - t0,
+        })
+        print(message)
+        return EXIT_OK
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

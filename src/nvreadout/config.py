@@ -162,6 +162,14 @@ def _number(cfg: dict, name: str, integer: bool = False):
     return float(value) if value.ndim == 0 else value
 
 
+def _count(cfg: dict, name: str) -> int:
+    """The value of ``name`` as a whole number >= 1."""
+    count = _number(cfg, name, integer=True)
+    if count < 1:
+        raise ConfigurationError(f"{name} must be >= 1, got {count}")
+    return count
+
+
 def _model_errors_as_config(build):
     """Re-raise a model constructor's ParameterError as a ConfigurationError:
     here a rejected value came from the config."""
@@ -221,18 +229,13 @@ def build_sequence(cfg: dict) -> SequenceConfig:
 def build_sweep_spec(cfg: dict, base: SequenceConfig,
                      mode: str | None = None) -> SweepSpec:
     c = cfg["sweep"]
-    points = {axis: _number(cfg, f"sweep.{axis}_points", integer=True)
-              for axis in ("amplitude", "duration")}
-    for axis, count in points.items():
-        if count < 1:
-            raise ConfigurationError(f"sweep {axis}_points must be >= 1")
     return SweepSpec(
         amplitudes=np.linspace(_number(cfg, "sweep.amplitude_start"),
                                _number(cfg, "sweep.amplitude_stop"),
-                               points["amplitude"]),
+                               _count(cfg, "sweep.amplitude_points")),
         durations_ns=np.linspace(_number(cfg, "sweep.duration_start_ns"),
                                  _number(cfg, "sweep.duration_stop_ns"),
-                                 points["duration"]),
+                                 _count(cfg, "sweep.duration_points")),
         base=base,
         mode=mode if mode is not None else c["mode"],
         metric=c["metric"],
@@ -272,7 +275,7 @@ def build_olo_spec(cfg: dict, base: SequenceConfig, params: RateParams,
         start_amplitude=_number(cfg, "olo.start_amplitude"),
         n_read=_number(cfg, "olo.n_read", integer=True),
         init_scan_amplitudes=np.linspace(
-            0.02, 1.0, _number(cfg, "olo.init_scan_points", integer=True)),
+            0.02, 1.0, _count(cfg, "olo.init_scan_points")),
         stochastic=stochastic,
         sample_seed=seed,
     )
@@ -293,7 +296,7 @@ def build_olo_init_pulse(cfg: dict) -> PiecewiseWaveform:
 def build_rabi_taus(cfg: dict) -> np.ndarray:
     return np.linspace(_number(cfg, "rabi.tau_start_ns"),
                        _number(cfg, "rabi.tau_stop_ns"),
-                       _number(cfg, "rabi.tau_points", integer=True))
+                       _count(cfg, "rabi.tau_points"))
 
 
 def rabi_omega(cfg: dict) -> float:

@@ -20,11 +20,12 @@ from .errors import ConfigurationError, ParameterError
 from .metrics import contrast as contrast_metric
 from .metrics import snr as snr_metric
 from .optimizer import OptimizerConfig, OptimizerState, hj_optimize
-from .photophysics import N_LEVELS, RateParams
+from .photophysics import RateParams
 from .pumpsim import (
     OLO_STREAM,
     PumpTrace,
     SequenceConfig,
+    forward,
     pair_window_counts,  # noqa: F401  (unused; perfbench/tracer.py patches it here)
     piece_block,
     prepared_states,
@@ -215,8 +216,8 @@ class _Anchor:
     u: np.ndarray
     totals: tuple[float, float]
     value: float
-    before: list
-    detected: list
+    before: np.ndarray
+    detected: np.ndarray
     rows: np.ndarray
 
 
@@ -241,8 +242,11 @@ def make_snr_objective(spec: OloSpec, init_wf: PiecewiseWaveform):
     first, which for a pattern move is the full fold.  A change the window
     cannot see, such as a piece after its end, leaves that row bit-identical
     to the anchor's and returns the anchor's totals, so it ties exactly as
-    well.  A strict improvement re-anchors in O(n).  Every trial must be a
-    finite amplitude vector inside the bounds.
+    well.  A strict improvement re-anchors in O(n): ``pumpsim.forward``
+    runs the branches through the new chain for ``P_i`` and the photons of
+    each piece, whose running sum is ``pre_i``, and ``readout_rows`` folds
+    it back for the rows.  Every trial must be a finite amplitude vector
+    inside the bounds.
 
     In stochastic mode, mimicking single experimental queries, the
     objective owns one generator, keyed ``(OLO_STREAM, 0)`` of
@@ -268,10 +272,8 @@ def make_snr_objective(spec: OloSpec, init_wf: PiecewiseWaveform):
 
     def anchored(u, value, counts=None):
         blocks = [block(i, a) for i, a in enumerate(u.tolist())]
-        before, detected = [branches], [np.zeros(2)]
-        for E in blocks[:-1]:
-            detected.append(detected[-1] + E[N_LEVELS] @ before[-1])
-            before.append(E[:N_LEVELS] @ before[-1])
+        before, photons = forward(blocks[:-1], branches)
+        detected = np.cumsum(np.concatenate([np.zeros((1, 2)), photons]), axis=0)
         rows = readout_rows(blocks)
         if counts is None:
             counts = totals(rows[0] @ branches)

@@ -141,8 +141,7 @@ def thermal_ground_state() -> np.ndarray:
     return p
 
 
-def check_populations(p: np.ndarray, *, entry_tol: float = 1e-12,
-                      sum_tol: float = 1e-9) -> np.ndarray:
+def check_populations(p: np.ndarray) -> np.ndarray:
     """Validate a population vector, or one vector per column of a (5, k)
     array; returns it as a float array."""
     p = np.asarray(p, dtype=float)
@@ -151,10 +150,10 @@ def check_populations(p: np.ndarray, *, entry_tol: float = 1e-12,
             f"populations must have shape ({N_LEVELS},) or ({N_LEVELS}, k), got {p.shape}")
     if not np.isfinite(p).all():
         raise NumericError("population vector contains non-finite entries")
-    if p.min() < -entry_tol or p.max() > 1.0 + entry_tol:
+    if p.min() < -1e-12 or p.max() > 1.0 + 1e-12:
         raise ParameterError(f"population entries outside [0, 1]: {p}")
     sums = p.sum(axis=0)
-    if np.abs(sums - 1.0).max() > sum_tol:
+    if np.abs(sums - 1.0).max() > 1e-9:
         raise ParameterError(f"populations sum to {sums}, expected 1")
     return p
 

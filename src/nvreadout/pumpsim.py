@@ -6,22 +6,25 @@ needs (bin edges, window ends), and every constant segment is propagated
 with the matrix exponential of a 6x6 block matrix whose extra row
 accumulates the time integral of the detected emission rate (Van Loan
 1978).  :func:`_segment_propagator` is the one place that exponential is
-built.  No quadrature and no per-step error enter anywhere.
+built, and :func:`_segment_blocks` the one place that looks it up.  No
+quadrature and no per-step error enter anywhere.
 
-:func:`_walk` carries populations forward through segments (init pulse,
-wait, binned traces).  A readout is a chain of piece blocks instead: each
-piece of the readout pulse has one (6, 5) block, its population map plus
-the photons it detects inside the detection window, with the window's cuts
-folded into the piece they fall in (:func:`readout_pieces`,
-:func:`piece_block`).  The model is linear, so the photons detected in the
-window are ``r @ p`` for the populations ``p`` before readout, and the row
-``r`` is the backward fold ``r_i = c_i + r_{i+1} E_i[:5]`` over the blocks
-(:func:`readout_rows`, :func:`window_expectation`).  A change to one piece
-changes one block, which is what the OLO objective exploits.  A grid of
-square pulses is walked once along its sorted durations, each pulse being
-the previous one extended by one segment, for all amplitudes at a time
-(:func:`square_pulse_states`).  Poisson shot noise is applied only on
-demand, on window totals, with generators keyed by :func:`sampling_seed`.
+Every stage is a chain of (6, 5) blocks ``[E; c]``: ``E`` maps the
+populations and ``c`` counts the photons detected on the way.  Three
+operations move populations and blocks: :func:`compose` joins two blocks,
+:func:`forward` runs populations through a chain (init pulse, wait, binned
+traces), and :func:`readout_rows` folds a chain backward.  Each piece of
+the readout pulse is one block, with the detection window's cuts folded
+into the piece they fall in (:func:`readout_pieces`, :func:`piece_block`).
+The model is linear, so the photons detected in the window are ``r @ p``
+for the populations ``p`` before readout, and the row ``r`` is the
+backward fold ``r_i = c_i + r_{i+1} E_i[:5]`` over the piece blocks
+(:func:`window_expectation`).  A change to one piece changes one block,
+which is what the OLO objective exploits.  A grid of square pulses composes
+each pulse from the previous one and one more segment, along the sorted
+durations, for all amplitudes at a time (:func:`square_pulse_states`).
+Poisson shot noise is applied only on demand, on window totals, with
+generators keyed by :func:`sampling_seed`.
 """
 
 from __future__ import annotations
@@ -68,26 +71,50 @@ def _segment_propagator(params: RateParams, beta: float, dt: float) -> np.ndarra
     return E
 
 
-def _square_pulse_blocks(params: RateParams, betas, durations):
-    """Yield the (n_beta, 6, 5) :func:`_segment_propagator` blocks of square
-    pulses at every rate in ``betas``, one stack per duration.
+def _segment_blocks(params: RateParams, betas, dts) -> np.ndarray:
+    """The (n, 6, 5) stack of :func:`_segment_propagator` blocks of the
+    segments at rates ``betas`` lasting ``dts``, broadcast against each
+    other."""
+    return np.stack([_segment_propagator(params, float(beta), float(dt))
+                     for beta, dt in np.broadcast(betas, dts)])
 
-    ``durations`` must be sorted and >= 0.  A pulse of duration ``d[j]`` is the pulse
-    of ``d[j - 1]`` followed by one segment of ``d[j] - d[j - 1]``, so the
-    whole grid costs one memoised propagator per rate and distinct step,
-    stacked once per call.
+
+def compose(later, earlier):
+    """``later ∘ earlier`` for stacks of (..., 6, 5) blocks ``[E; c]``:
+    ``[E2 E1; c1 + c2 E1]``, the populations and photons of running
+    ``earlier`` and then ``later``.  The product is associative."""
+    q = later @ earlier[..., :N_LEVELS, :]
+    q[..., N_LEVELS, :] += earlier[..., N_LEVELS, :]
+    return q
+
+
+def forward(blocks, p):
+    """Run populations ``p`` (5,) or (5, k) through a chain of n blocks:
+    the populations before each block and after the last, (n + 1, 5[, k]),
+    and the photons each block detects, (n[, k])."""
+    states = np.empty((len(blocks) + 1,) + p.shape)
+    photons = np.empty((len(blocks),) + p.shape[1:])
+    states[0] = p
+    for i, block in enumerate(blocks):
+        q = block @ states[i]
+        states[i + 1], photons[i] = q[:N_LEVELS], q[N_LEVELS]
+    return states, photons
+
+
+def _square_pulse_blocks(params: RateParams, betas, durations):
+    """Yield the (n_beta, 6, 5) blocks of square pulses at every rate in
+    ``betas``, one stack per duration.
+
+    ``durations`` must be sorted and >= 0.  A pulse of duration ``d[j]`` is
+    the pulse of ``d[j - 1]`` followed by one segment of ``d[j] - d[j - 1]``,
+    so the whole grid costs one memoised propagator per rate and distinct
+    step, stacked once per call.
     """
-    betas = [float(b) for b in betas]
-    blocks = np.zeros((len(betas), N_LEVELS + 1, N_LEVELS))
-    blocks[:, :N_LEVELS] = np.eye(N_LEVELS)
-    steps = {}
+    blocks, steps = np.eye(N_LEVELS + 1, N_LEVELS), {}
     for dt in np.diff(durations, prepend=0.0).tolist():
         if dt not in steps:
-            steps[dt] = np.stack([_segment_propagator(params, b, dt)
-                                  for b in betas])
-        q = steps[dt] @ blocks[:, :N_LEVELS]
-        q[:, N_LEVELS] += blocks[:, N_LEVELS]
-        blocks = q
+            steps[dt] = _segment_blocks(params, betas, dt)
+        blocks = compose(steps[dt], blocks)
         yield blocks
 
 
@@ -106,29 +133,13 @@ def _split(wf: PiecewiseWaveform, cuts):
     return edges, np.minimum((_midpoints(edges) / width).astype(int), wf.n - 1)
 
 
-def _walk(p0: np.ndarray, params: RateParams, edges, betas):
-    """The one segment loop: propagate through constant-rate segments.
-
-    ``p0`` is one population vector (5,) or one per column (5, k);
-    segment i runs from ``edges[i]`` to ``edges[i + 1]`` at rate
-    ``betas[i]``.  Returns the final populations and the detected photons
-    per repetition of every segment, with shape
-    ``(n_segments,) + p0.shape[1:]``.
-    """
-    p = check_populations(p0)
-    counts = np.empty((len(betas),) + p.shape[1:])
-    for i, (beta, dt) in enumerate(zip(betas, np.diff(edges))):
-        q = _segment_propagator(params, float(beta), float(dt)) @ p
-        p, counts[i] = q[:N_LEVELS], q[N_LEVELS]
-    return p, counts
-
-
 def propagate_waveform(p0: np.ndarray, wf: PiecewiseWaveform,
                        params: RateParams) -> np.ndarray:
     """Populations at the end of a waveform, ignoring photon counting."""
     edges, pieces = _split(wf, [])
     betas = params.amp_map.rate(wf.amplitudes)[pieces]
-    return _walk(p0, params, edges, betas)[0]
+    blocks = _segment_blocks(params, betas, np.diff(edges))
+    return forward(blocks, check_populations(p0))[0][-1]
 
 
 @dataclass(frozen=True)
@@ -144,10 +155,6 @@ class PumpTrace:
     bin_width_ns: float
     expected_counts_per_rep: np.ndarray
     final_populations: np.ndarray
-
-    @property
-    def span_ns(self) -> float:
-        return self.bin_width_ns * self.expected_counts_per_rep.size
 
 
 def simulate_pump(p0: np.ndarray, wf: PiecewiseWaveform, params: RateParams,
@@ -168,7 +175,8 @@ def simulate_pump(p0: np.ndarray, wf: PiecewiseWaveform, params: RateParams,
         )
     edges, pieces = _split(wf, np.arange(1, n_bins) * bin_width_ns)
     betas = params.amp_map.rate(wf.amplitudes)[pieces]
-    p, counts = _walk(p0, params, edges, betas)
+    blocks = _segment_blocks(params, betas, np.diff(edges))
+    states, counts = forward(blocks, check_populations(p0))
     bins = np.minimum((_midpoints(edges) / bin_width_ns).astype(int), n_bins - 1)
     binned = np.zeros(n_bins)
     np.add.at(binned, bins, counts)
@@ -176,7 +184,7 @@ def simulate_pump(p0: np.ndarray, wf: PiecewiseWaveform, params: RateParams,
         bin_starts_ns=np.arange(n_bins) * bin_width_ns,
         bin_width_ns=bin_width_ns,
         expected_counts_per_rep=binned,
-        final_populations=check_populations(p),
+        final_populations=check_populations(states[-1]),
     )
 
 
@@ -254,12 +262,13 @@ def piece_block(params: RateParams, beta: float, segments) -> np.ndarray:
     end; row 5 gives the photons detected in the piece's ``in_window``
     segments (see :func:`readout_pieces`).
     """
-    E = np.eye(N_LEVELS + 1, N_LEVELS)
-    for dt, inside in segments:
-        q = _segment_propagator(params, beta, dt) @ E[:N_LEVELS]
-        q[N_LEVELS] = (E[N_LEVELS] + q[N_LEVELS]) if inside else E[N_LEVELS]
-        E = q
-    return E
+    dts, inside = zip(*segments)
+    steps = _segment_blocks(params, beta, dts)
+    steps[:, N_LEVELS] *= np.array(inside, dtype=float)[:, None]
+    block = np.eye(N_LEVELS + 1, N_LEVELS)
+    for step in steps:
+        block = compose(step, block)
+    return block
 
 
 def readout_rows(blocks, tail=0.0) -> np.ndarray:
@@ -293,9 +302,7 @@ def window_expectation(cfg: SequenceConfig, params: RateParams) -> np.ndarray:
 
 def _swap_ground(p: np.ndarray) -> np.ndarray:
     """Ideal MW π-pulse: exchange the two ground populations."""
-    q = p.copy()
-    q[Level.G0], q[Level.G1] = p[Level.G1], p[Level.G0]
-    return q
+    return p[[Level.G1, Level.G0, Level.E0, Level.E1, Level.S]]
 
 
 def prepared_states(cfg: SequenceConfig, params: RateParams):
@@ -305,7 +312,8 @@ def prepared_states(cfg: SequenceConfig, params: RateParams):
     additionally gets the ideal π-pulse.
     """
     p = propagate_waveform(thermal_ground_state(), cfg.init_wf, params)
-    p = _walk(p, params, [0.0, cfg.wait_ns], [0.0])[0]
+    wait = _segment_blocks(params, 0.0, [cfg.wait_ns])
+    p = check_populations(forward(wait, p)[0][-1])
     return p, _swap_ground(p)
 
 
@@ -314,17 +322,20 @@ def square_pulse_states(cfg: SequenceConfig, params: RateParams,
     """:func:`prepared_states` for square init pulses on an (amplitude,
     duration) grid.
 
-    ``cfg`` supplies the wait.  One walk over the sorted ``durations_ns``
-    serves every amplitude (:func:`_square_pulse_blocks`).  Yields, for each
-    duration in turn, the readout-ready populations as (5, 2n) columns, m_s=0
-    for every amplitude followed by m_s=±1, and the (n, 5) count rows of the
-    same pulses: ``rows[i] @ p`` is the number of photons per repetition that
-    the pulse at amplitude i detects when it reads out the state ``p``.
+    ``cfg`` supplies the wait.  One chain of :func:`compose` steps along the
+    sorted ``durations_ns`` serves every amplitude
+    (:func:`_square_pulse_blocks`), and :func:`forward` runs each pulse's
+    state through the wait.  Yields, for each duration in turn, the
+    readout-ready populations as (5, 2n) columns, m_s=0 for every amplitude
+    followed by m_s=±1, and the (n, 5) count rows of the same pulses:
+    ``rows[i] @ p`` is the number of photons per repetition that the pulse
+    at amplitude i detects when it reads out the state ``p``.
     """
     betas = params.amp_map.rate(np.asarray(amplitudes, dtype=float))
+    wait = _segment_blocks(params, 0.0, [cfg.wait_ns])
     for blocks in _square_pulse_blocks(params, betas, durations_ns):
-        p = blocks[:, :N_LEVELS] @ thermal_ground_state()
-        p = _walk(p.T, params, [0.0, cfg.wait_ns], [0.0])[0]
+        ready = blocks[:, :N_LEVELS] @ thermal_ground_state()
+        p = forward(wait, ready.T)[0][-1]
         yield (check_populations(np.hstack([p, _swap_ground(p)])),
                blocks[:, N_LEVELS])
 

@@ -34,9 +34,9 @@ class AmplitudeBounds:
     def clip(self, u):
         return np.clip(u, self.lo, self.hi)
 
-    def contains(self, u, tol: float = 0.0) -> bool:
+    def contains(self, u) -> bool:
         u = np.asarray(u, dtype=float)
-        return bool(np.all(u >= self.lo - tol) and np.all(u <= self.hi + tol))
+        return bool(np.all(u >= self.lo) and np.all(u <= self.hi))
 
 
 @dataclass(frozen=True)

@@ -185,6 +185,7 @@ class TestOptimize:
         "olo.bound_hi=1.5",
         "olo.bound_lo=0.5",
         "olo.n_init=1",
+        "olo.init_scan_points=-1",
     ])
     def test_bad_config_value_exits_2(self, tmp_path, capsys, override):
         code = main(["optimize", "--out", str(tmp_path / "o"), *FAST_SWEEP,
@@ -282,6 +283,7 @@ class TestRabi:
         "rabi.olo_init_amplitude=.nan",
         "rabi.olo_init_amplitude=2.0",
         "rabi.repetitions=abc",
+        "rabi.tau_points=-1",
     ])
     def test_bad_config_value_exits_2(self, tmp_path, capsys,
                                       olo_waveform_file, override):

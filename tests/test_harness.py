@@ -194,7 +194,12 @@ def walked_row(cfg, params):
     end = offset + cfg.effective_detection_width_ns
     edges, pieces = pumpsim._split(wf, [offset, min(end, wf.duration_ns)])
     betas = params.amp_map.rate(wf.amplitudes)[pieces]
-    counts = pumpsim._walk(np.eye(5), params, edges, betas)[1]
+    p, counts = np.eye(5), []
+    for beta, dt in zip(betas, np.diff(edges)):
+        q = pumpsim._segment_propagator(params, float(beta), float(dt)) @ p
+        p = q[:5]
+        counts.append(q[5])
+    counts = np.array(counts)
     mids = 0.5 * (edges[:-1] + edges[1:])
     inside = (mids >= offset - 1e-9) & (mids <= end + 1e-9)
     return counts[inside].sum(axis=0)

@@ -51,3 +51,14 @@ def test_unused_imports_are_kept_only_for_the_tracer():
             for name, line, text in imported_names(path)
             if "noqa: F401" in text]
     assert [k for k in kept if k[:2] not in patched] == []
+
+
+def test_segment_propagator_has_one_caller():
+    # every block comes through pumpsim._segment_blocks, so the propagator
+    # lookup can be replaced in one place
+    callers = [f"{path.name}:{node.lineno}" for path in SOURCES
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "id", getattr(node.func, "attr", None))
+               == "_segment_propagator"]
+    assert len(callers) == 1, callers

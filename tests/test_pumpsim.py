@@ -245,6 +245,66 @@ class TestSquarePulseBlocks:
                            rtol=1e-10, atol=1e-10)
 
 
+@st.composite
+def chains(draw):
+    """Segment blocks of a ``rate_rows`` draw, at least three, at the rates
+    beta and beta / 2 in turn, and a population vector to run through them."""
+    params, beta, durations = draw(rate_rows())
+    dts = np.resize(durations, max(3, durations.size))
+    blocks = pumpsim._segment_blocks(params, beta * 0.5 ** (np.arange(dts.size)
+                                                           % 2), dts)
+    weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=5,
+                                     max_size=5)))
+    assume(weights.sum() > 0)
+    return blocks, weights / weights.sum()
+
+
+def assert_close(got, want):
+    """Equal to 1e-12 relative to the largest entry of ``want``."""
+    np.testing.assert_allclose(got, want, rtol=1e-12,
+                               atol=1e-12 * np.abs(want).max())
+
+
+class TestBlockAlgebra:
+    """compose, forward and readout_rows agree with one another."""
+
+    @given(chains())
+    @settings(max_examples=60, deadline=None)
+    def test_compose_is_associative(self, chain):
+        a, b, c = chain[0][:3]
+        assert_close(pumpsim.compose(pumpsim.compose(c, b), a),
+                     pumpsim.compose(c, pumpsim.compose(b, a)))
+
+    @given(chains())
+    @settings(max_examples=60, deadline=None)
+    def test_composed_chain_runs_like_forward(self, chain):
+        blocks, p = chain
+        whole = blocks[0]
+        for block in blocks[1:]:
+            whole = pumpsim.compose(block, whole)
+        states, photons = pumpsim.forward(blocks, p)
+        assert states.shape == (len(blocks) + 1, 5)
+        assert np.array_equal(states[0], p)
+        assert_close(whole @ p, np.append(states[-1], photons.sum()))
+
+    @given(chains())
+    @settings(max_examples=60, deadline=None)
+    def test_readout_row_counts_the_photons_of_forward(self, chain):
+        blocks, p = chain
+        photons = pumpsim.forward(blocks, p)[1]
+        assert_close(pumpsim.readout_rows(blocks)[0] @ p, photons.sum())
+
+    @given(chains())
+    @settings(max_examples=60, deadline=None)
+    def test_forward_conserves_population(self, chain):
+        blocks, p = chain
+        states, photons = pumpsim.forward(blocks, np.column_stack([p, p[::-1]]))
+        assert states.shape == (len(blocks) + 1, 5, 2)
+        assert photons.shape == (len(blocks), 2)
+        assert np.allclose(states.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+        assert photons.min() >= -1e-12
+
+
 def readout_cfg(base_seq, params, beta, duration_ns, **window):
     """``base_seq`` read out by a three-piece pulse at rates beta, beta/2,
     beta over ``duration_ns``, in one bin."""
