@@ -101,6 +101,7 @@ def cmd_sweep(args, cfg: dict, out: Path, params) -> str:
         "best_duration_ns": result.best_duration_ns,
         "best_value": result.best_value,
         "best_at_grid_edge": result.best_at_grid_edge,
+        "propagators_built": len(params.propagators),
     })
     return (f"sweep: best {spec.metric} = {result.best_value:.4g} at "
             f"(amplitude {result.best_amplitude:.4g}, "
@@ -116,7 +117,8 @@ def cmd_optimize(args, cfg: dict, out: Path, params) -> str:
     write_optimizer_log(result.state, out / "olo_log.jsonl")
     write_waveform_csv(result.waveform, out / "olo_waveform.csv")
     write_pair_trace_csv(result.trace0, result.trace1, out / "olo_traces.csv")
-    write_json(out / "olo_summary.json", olo_summary_dict(result))
+    write_json(out / "olo_summary.json", {**olo_summary_dict(result),
+               "propagators_built": len(params.propagators)})
     return (f"optimize: SNR {result.start_snr:.4g} -> {result.final_snr:.4g} "
             f"(baseline {result.baseline_snr:.4g}, "
             f"improvement {100 * result.improvement_ratio:+.1f}%, "
@@ -153,6 +155,7 @@ def cmd_rabi(args, cfg: dict, out: Path, params) -> str:
         "contrasts": comparison.contrasts,
         "mean_deviations": comparison.mean_devs,
         "orderings": comparison.orderings,
+        "propagators_built": len(params.propagators),
     })
     return "\n".join(
         f"rabi {name}: contrast {100 * comparison.contrasts[name]:.2f}% "

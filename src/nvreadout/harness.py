@@ -3,11 +3,10 @@
 Two ways of choosing readout laser settings are wired here.  The traversal
 scheme scans constant square pulses over a (amplitude, duration) grid and
 keeps the best; it extends every amplitude's pulse from one duration to the
-next, without building a sequence per cell, and scores each duration's
-column of amplitudes with array operations.  The online scheme fixes the
-duration, splits the readout pulse into equal pieces, and lets the
-Hooke-Jeeves search shape the per-piece amplitudes against the measured
-(here: simulated) SNR.
+next, without building a sequence per cell, and scores the whole grid with
+array operations.  The online scheme fixes the duration, splits the readout
+pulse into equal pieces, and lets the Hooke-Jeeves search shape the
+per-piece amplitudes against the measured (here: simulated) SNR.
 """
 
 from __future__ import annotations
@@ -106,39 +105,34 @@ class SweepResult:
 def run_sweep(spec: SweepSpec, params: RateParams) -> SweepResult:
     """Evaluate the metric on the full grid and project onto the power axis.
 
-    Each duration is one column: :func:`square_pulse_states` prepares both
-    branches for every amplitude at once, and a cell's window totals are a
-    readout row applied to them: in global mode the pulse's own count row,
-    in init-only mode the row of ``base``'s readout window, built once.  The
-    metric scores a whole column at once; cells without photons (for the
-    contrast, without m_s=0 photons) stay NaN.
+    :func:`square_pulse_states` prepares both branches for every cell at
+    once, and a cell's window totals are a readout row applied to them: in
+    global mode the pulse's own count row, in init-only mode the row of
+    ``base``'s readout window, built once.  The metric scores the whole grid
+    in one call; cells without photons (for the contrast, without m_s=0
+    photons) stay NaN.
     """
     metric = snr_metric if spec.metric == "snr" else contrast_metric
-    base, n = spec.base, spec.amplitudes.size
-    grid = np.full((n, spec.durations_ns.size), np.nan)
-    shared = (None if spec.mode == "global"
-              else np.tile(window_expectation(base, params), (n, 1)))
-    columns = square_pulse_states(base, params, spec.amplitudes, spec.durations_ns)
-    for j, (ready, count_rows) in enumerate(columns):
-        rows = count_rows if shared is None else shared
-        L0, L1 = base.repetitions * np.einsum("ik,kbi->bi", rows,
-                                              ready.reshape(-1, 2, n))
-        undefined = L0 + L1 <= 0
-        if spec.metric == "contrast":
-            undefined |= L0 <= 0
-        grid[~undefined, j] = metric(L0[~undefined], L1[~undefined])
+    base = spec.base
+    states, rows = square_pulse_states(base, params, spec.amplitudes,
+                                       spec.durations_ns)
+    if spec.mode == "init-only":
+        rows = np.broadcast_to(window_expectation(base, params), rows.shape)
+    # (amplitude, duration) cells, as the grid holds them
+    L0, L1 = (base.repetitions * np.einsum("dik,kdbi->bdi", rows, states)
+              ).transpose(0, 2, 1)
+    undefined = L0 + L1 <= 0
+    if spec.metric == "contrast":
+        undefined |= L0 <= 0
+    grid = np.full(L0.shape, np.nan)
+    grid[~undefined] = metric(L0[~undefined], L1[~undefined])
 
-    best_per_amp = np.full(spec.amplitudes.size, np.nan)
-    best_dur_per_amp = np.full(spec.amplitudes.size, np.nan)
-    for i in range(spec.amplitudes.size):
-        row = grid[i]
-        if np.all(np.isnan(row)):
-            continue
-        j = int(np.nanargmax(row))
-        best_per_amp[i] = row[j]
-        best_dur_per_amp[i] = spec.durations_ns[j]
-    if np.all(np.isnan(best_per_amp)):
+    defined = ~np.isnan(grid).all(axis=1)
+    if not defined.any():
         raise ConfigurationError("metric undefined on the whole sweep grid")
+    best = np.where(np.isnan(grid), -np.inf, grid).argmax(axis=1)
+    best_per_amp = np.where(defined, grid[np.arange(grid.shape[0]), best], np.nan)
+    best_dur_per_amp = np.where(defined, spec.durations_ns[best], np.nan)
     i_best = int(np.nanargmax(best_per_amp))
     return SweepResult(
         spec=spec,

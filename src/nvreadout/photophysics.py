@@ -17,7 +17,7 @@ All rates are in 1/ns and all times in ns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
@@ -101,6 +101,9 @@ class RateParams:
         Detected photons per radiative decay, in (0, 1].
     amp_map : AmplitudeMap
         Conversion from waveform amplitude to pumping rate.
+    propagators : dict
+        The run's propagator table, ``(beta, dt) -> (6, 5)`` block, filled
+        by ``pumpsim``; its length is the number of propagators built.
     """
 
     k_rad: float
@@ -110,6 +113,8 @@ class RateParams:
     k_s1: float
     eta: float
     amp_map: AmplitudeMap
+    propagators: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     def __post_init__(self) -> None:
         rates = (self.k_rad, self.k_isc0, self.k_isc1, self.k_s0, self.k_s1)

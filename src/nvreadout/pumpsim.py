@@ -5,9 +5,10 @@ drive.  :func:`_split` cuts a waveform's pieces at the times a caller
 needs (bin edges, window ends), and every constant segment is propagated
 with the matrix exponential of a 6x6 block matrix whose extra row
 accumulates the time integral of the detected emission rate (Van Loan
-1978).  :func:`_segment_propagator` is the one place that exponential is
-built, and :func:`_segment_blocks` the one place that looks it up.  No
-quadrature and no per-step error enter anywhere.
+1978).  A run keeps its blocks in one table, ``RateParams.propagators``:
+:func:`_segment_blocks` looks them up, and :func:`_build_blocks` builds the
+missing ones in one stacked exponential.  No quadrature and no per-step
+error enter anywhere.
 
 Every stage is a chain of (6, 5) blocks ``[E; c]``: ``E`` maps the
 populations and ``c`` counts the photons detected on the way.  Three
@@ -30,7 +31,6 @@ generators keyed by :func:`sampling_seed`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
@@ -49,34 +49,42 @@ from .waveform import PiecewiseWaveform
 _REL_TOL = 1e-9
 
 
-# Process-wide memo: the optimizer revisits the same amplitude lattice
-# thousands of times, so hits dominate after warm-up.  Purely a speed-up;
-# results are bit-identical.
-@lru_cache(maxsize=1 << 17)
-def _segment_propagator(params: RateParams, beta: float, dt: float) -> np.ndarray:
-    """Rows 0-4: populations after dt; row 5: detected photons in dt.
+def _build_blocks(params: RateParams, betas: np.ndarray,
+                  dts: np.ndarray) -> np.ndarray:
+    """The (k, 6, 5) blocks of k segments at rates ``betas`` lasting ``dts``,
+    from one stacked exponential.
 
-    Only the population columns of the augmented exponential are kept; the
-    accumulator column is the unit vector and never needed.
+    Rows 0-4 of a block: populations after dt; row 5: detected photons in
+    dt.  Only the population columns of the augmented exponential are kept;
+    the accumulator column is the unit vector and never needed.
     """
-    M = build_rate_matrix(params, beta)
-    A = np.zeros((N_LEVELS + 1, N_LEVELS + 1))
-    A[:N_LEVELS, :N_LEVELS] = M
-    A[N_LEVELS, Level.E0] = A[N_LEVELS, Level.E1] = params.eta * params.k_rad
-    E = np.ascontiguousarray(expm(A * dt)[:, :N_LEVELS])
+    if not np.all(np.isfinite(betas) & (betas >= 0)):
+        raise ParameterError(f"pumping rates must be finite and >= 0, got {betas}")
+    M0 = build_rate_matrix(params, 0.0)
+    A = np.zeros((betas.size, N_LEVELS + 1, N_LEVELS + 1))
+    # M(beta) = M(0) + beta (M(1) - M(0)) exactly: the difference is 0 and ±1
+    A[:, :N_LEVELS, :N_LEVELS] = M0 + betas[:, None, None] * (
+        build_rate_matrix(params, 1.0) - M0)
+    A[:, N_LEVELS, [Level.E0, Level.E1]] = params.eta * params.k_rad
+    E = expm(A * dts[:, None, None])[:, :, :N_LEVELS]
     # exp(Mt) is exactly column-stochastic; restoring that removes the drift
     # of the computed exponential (about 1e-11 at 1e6 ns)
-    E[:N_LEVELS] /= E[:N_LEVELS].sum(axis=0)
+    E[:, :N_LEVELS] /= E[:, :N_LEVELS].sum(axis=1, keepdims=True)
     E.setflags(write=False)
     return E
 
 
 def _segment_blocks(params: RateParams, betas, dts) -> np.ndarray:
-    """The (n, 6, 5) stack of :func:`_segment_propagator` blocks of the
-    segments at rates ``betas`` lasting ``dts``, broadcast against each
-    other."""
-    return np.stack([_segment_propagator(params, float(beta), float(dt))
-                     for beta, dt in np.broadcast(betas, dts)])
+    """The (n, 6, 5) stack of the blocks of the segments at rates ``betas``
+    lasting ``dts``, broadcast against each other, from the run's table
+    ``params.propagators``.  The blocks it lacks are built first, all in
+    one :func:`_build_blocks` call."""
+    table = params.propagators
+    keys = [(float(beta), float(dt)) for beta, dt in np.broadcast(betas, dts)]
+    missing = list(dict.fromkeys(key for key in keys if key not in table))
+    if missing:
+        table.update(zip(missing, _build_blocks(params, *np.array(missing).T)))
+    return np.stack([table[key] for key in keys])
 
 
 def compose(later, earlier):
@@ -107,14 +115,16 @@ def _square_pulse_blocks(params: RateParams, betas, durations):
 
     ``durations`` must be sorted and >= 0.  A pulse of duration ``d[j]`` is
     the pulse of ``d[j - 1]`` followed by one segment of ``d[j] - d[j - 1]``,
-    so the whole grid costs one memoised propagator per rate and distinct
-    step, stacked once per call.
+    so the whole grid costs one propagator per rate and distinct step,
+    looked up in one call.
     """
-    blocks, steps = np.eye(N_LEVELS + 1, N_LEVELS), {}
-    for dt in np.diff(durations, prepend=0.0).tolist():
-        if dt not in steps:
-            steps[dt] = _segment_blocks(params, betas, dt)
-        blocks = compose(steps[dt], blocks)
+    dts = np.diff(durations, prepend=0.0).tolist()
+    distinct = {dt: j for j, dt in enumerate(dict.fromkeys(dts))}
+    steps = _segment_blocks(params, betas, np.reshape(list(distinct), (-1, 1)))
+    steps = steps.reshape(len(distinct), -1, N_LEVELS + 1, N_LEVELS)
+    blocks = np.eye(N_LEVELS + 1, N_LEVELS)
+    for dt in dts:
+        blocks = compose(steps[distinct[dt]], blocks)
         yield blocks
 
 
@@ -133,13 +143,20 @@ def _split(wf: PiecewiseWaveform, cuts):
     return edges, np.minimum((_midpoints(edges) / width).astype(int), wf.n - 1)
 
 
+def _population_vector(p: np.ndarray) -> np.ndarray:
+    """``p`` checked as one (5,) population vector."""
+    if np.ndim(p) != 1:
+        raise ParameterError(f"expected one population vector, got {np.shape(p)}")
+    return check_populations(p)
+
+
 def propagate_waveform(p0: np.ndarray, wf: PiecewiseWaveform,
                        params: RateParams) -> np.ndarray:
     """Populations at the end of a waveform, ignoring photon counting."""
     edges, pieces = _split(wf, [])
     betas = params.amp_map.rate(wf.amplitudes)[pieces]
     blocks = _segment_blocks(params, betas, np.diff(edges))
-    return forward(blocks, check_populations(p0))[0][-1]
+    return forward(blocks, _population_vector(p0))[0][-1]
 
 
 @dataclass(frozen=True)
@@ -176,7 +193,7 @@ def simulate_pump(p0: np.ndarray, wf: PiecewiseWaveform, params: RateParams,
     edges, pieces = _split(wf, np.arange(1, n_bins) * bin_width_ns)
     betas = params.amp_map.rate(wf.amplitudes)[pieces]
     blocks = _segment_blocks(params, betas, np.diff(edges))
-    states, counts = forward(blocks, check_populations(p0))
+    states, counts = forward(blocks, _population_vector(p0))
     bins = np.minimum((_midpoints(edges) / bin_width_ns).astype(int), n_bins - 1)
     binned = np.zeros(n_bins)
     np.add.at(binned, bins, counts)
@@ -320,24 +337,29 @@ def prepared_states(cfg: SequenceConfig, params: RateParams):
 def square_pulse_states(cfg: SequenceConfig, params: RateParams,
                         amplitudes, durations_ns):
     """:func:`prepared_states` for square init pulses on an (amplitude,
-    duration) grid.
+    duration) grid of n amplitudes and d durations.
 
     ``cfg`` supplies the wait.  One chain of :func:`compose` steps along the
     sorted ``durations_ns`` serves every amplitude
-    (:func:`_square_pulse_blocks`), and :func:`forward` runs each pulse's
-    state through the wait.  Yields, for each duration in turn, the
-    readout-ready populations as (5, 2n) columns, m_s=0 for every amplitude
-    followed by m_s=±1, and the (n, 5) count rows of the same pulses:
-    ``rows[i] @ p`` is the number of photons per repetition that the pulse
-    at amplitude i detects when it reads out the state ``p``.
+    (:func:`_square_pulse_blocks`), and the wait block runs every pulse's
+    state at once.  Returns the readout-ready populations of the whole grid
+    as a (5, d, 2, n) array, m_s=0 then m_s=±1 along axis 2, and the
+    (d, n, 5) count rows of the same pulses: ``rows[j, i] @ p`` is the
+    number of photons per repetition that the pulse at duration j and
+    amplitude i detects when it reads out the state ``p``.
     """
     betas = params.amp_map.rate(np.asarray(amplitudes, dtype=float))
-    wait = _segment_blocks(params, 0.0, [cfg.wait_ns])
-    for blocks in _square_pulse_blocks(params, betas, durations_ns):
-        ready = blocks[:, :N_LEVELS] @ thermal_ground_state()
-        p = forward(wait, ready.T)[0][-1]
-        yield (check_populations(np.hstack([p, _swap_ground(p)])),
-               blocks[:, N_LEVELS])
+    ready = np.empty((len(durations_ns), betas.size, N_LEVELS))
+    rows = np.empty_like(ready)
+    for j, blocks in enumerate(_square_pulse_blocks(params, betas, durations_ns)):
+        ready[j] = blocks[:, :N_LEVELS] @ thermal_ground_state()
+        rows[j] = blocks[:, N_LEVELS]
+    wait = _segment_blocks(params, 0.0, cfg.wait_ns)[0]
+    p = (wait @ ready.reshape(-1, N_LEVELS).T)[:N_LEVELS].reshape(
+        N_LEVELS, len(rows), 1, betas.size)
+    states = np.concatenate([p, _swap_ground(p)], axis=2)
+    check_populations(states.reshape(N_LEVELS, -1))
+    return states, rows
 
 
 def simulate_pair(cfg: SequenceConfig, params: RateParams):

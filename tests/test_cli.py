@@ -300,6 +300,40 @@ class TestRabi:
         run_twice_and_compare(argv, out)
 
 
+class TestPropagatorCount:
+    """Each run builds its propagators into a table of its own and writes
+    the table's size into its summary, so a rerun in the same process
+    counts the same blocks again."""
+
+    def counts(self, tmp_path, argv, summary):
+        counts = []
+        for k in range(2):
+            out = tmp_path / f"run{k}"
+            assert main([*argv, "--out", str(out)]) == 0
+            counts.append(json.loads(read(out / summary))["propagators_built"])
+        return counts
+
+    def test_sweep(self, tmp_path):
+        argv = ["sweep", "--set", "sweep.amplitude_points=80",
+                "--set", "sweep.duration_points=80"]
+        assert self.counts(tmp_path, argv, "sweep_summary.json") == [321, 321]
+
+    def test_optimize(self, tmp_path):
+        assert self.counts(tmp_path, ["optimize"],
+                           "olo_summary.json") == [134, 134]
+
+    def test_rabi(self, tmp_path):
+        # the default run's optimum: 4 pieces at full power, then dark
+        path = tmp_path / "olo_waveform.csv"
+        write_waveform_csv(nv.PiecewiseWaveform(920.0, np.concatenate(
+            [np.full(4, 1.0), np.zeros(16)])), path)
+        argv = ["rabi", "--stochastic", "--set", "rabi.tau_points=241",
+                "--set", "rabi.repetitions=1.0e6",
+                "--set", f"rabi.olo_waveform={path}",
+                "--set", "rabi.olo_init_amplitude=0.02"]
+        assert self.counts(tmp_path, argv, "rabi_summary.json") == [84, 84]
+
+
 class TestConfigHandling:
     def test_config_file_roundtrip(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"

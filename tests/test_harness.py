@@ -8,7 +8,7 @@ import nvreadout as nv
 from nvreadout import pumpsim
 from nvreadout.errors import ConfigurationError, ParameterError
 from nvreadout.harness import SWEEP_METRICS, SWEEP_MODES
-from test_pumpsim import rate_rows, reference_walk
+from test_pumpsim import rate_rows, reference_block, reference_walk
 
 
 class TestRunSweep:
@@ -95,9 +95,9 @@ class TestRunSweep:
         spec = nv.SweepSpec(amplitudes=np.linspace(0.02, 1.0, 80),
                             durations_ns=np.linspace(400.0, 2000.0, 80),
                             base=base_seq)
-        pumpsim._segment_propagator.cache_clear()
+        params = replace(params)    # a new run's empty table
         nv.run_sweep(spec, params)
-        assert pumpsim._segment_propagator.cache_info().misses == 80 * 4 + 1
+        assert len(params.propagators) == 80 * 4 + 1
 
 
 def sweep_cell(spec, amplitude, duration_ns):
@@ -196,7 +196,7 @@ def walked_row(cfg, params):
     betas = params.amp_map.rate(wf.amplitudes)[pieces]
     p, counts = np.eye(5), []
     for beta, dt in zip(betas, np.diff(edges)):
-        q = pumpsim._segment_propagator(params, float(beta), float(dt)) @ p
+        q = reference_block(params, beta, dt) @ p
         p = q[:5]
         counts.append(q[5])
     counts = np.array(counts)

@@ -53,12 +53,15 @@ def test_unused_imports_are_kept_only_for_the_tracer():
     assert [k for k in kept if k[:2] not in patched] == []
 
 
-def test_segment_propagator_has_one_caller():
-    # every block comes through pumpsim._segment_blocks, so the propagator
-    # lookup can be replaced in one place
-    callers = [f"{path.name}:{node.lineno}" for path in SOURCES
-               for node in ast.walk(ast.parse(path.read_text()))
-               if isinstance(node, ast.Call)
-               and getattr(node.func, "id", getattr(node.func, "attr", None))
-               == "_segment_propagator"]
-    assert len(callers) == 1, callers
+def test_pumpsim_calls_expm_once_in_its_builder():
+    # every segment block comes from one stacked exponential, so the
+    # exponential can be replaced in one place
+    source = (Path(nv.__file__).parent / "pumpsim.py").read_text()
+    calls = [(function.name, node.lineno)
+             for function in ast.walk(ast.parse(source))
+             if isinstance(function, ast.FunctionDef)
+             for node in ast.walk(function)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "expm"]
+    assert [name for name, _ in calls] == ["_build_blocks"], calls
+    assert source.count("expm(") == 1

@@ -1,9 +1,11 @@
+import mpmath
 import numpy as np
 import pytest
 from dataclasses import replace
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 import nvreadout as nv
 from nvreadout import Level, pumpsim
@@ -55,8 +57,17 @@ class TestSimulatePump:
     @pytest.mark.parametrize("beta", [0.01, 0.5])
     def test_long_pulse_conserves_population(self, params, beta):
         wf = nv.make_constant(1e6, beta / params.amp_map.beta_max)
-        final = nv.propagate_waveform(np.eye(5), wf, params)
+        final = np.column_stack([nv.propagate_waveform(p, wf, params)
+                                 for p in np.eye(5)])
         assert np.allclose(final.sum(axis=0), 1.0, rtol=0.0, atol=1e-13)
+
+    def test_population_columns_rejected(self, params):
+        # one population vector per call; a (5, k) stack is a ParameterError
+        wf = nv.make_constant(100.0, 0.2)
+        with pytest.raises(ParameterError):
+            nv.simulate_pump(np.eye(5), wf, params, 50.0)
+        with pytest.raises(ParameterError):
+            nv.propagate_waveform(np.eye(5), wf, params)
 
     def test_inconsistent_binning_rejected(self, params):
         wf = nv.make_constant(100.0, 0.2)
@@ -79,6 +90,21 @@ class TestSimulatePump:
 N_BINS = 8
 
 
+def augmented_generator(params, beta):
+    """The 6x6 generator of the populations and the count accumulator
+    dN/dt = eta k_rad (p_E0 + p_E1) at pumping rate ``beta``."""
+    A = np.zeros((6, 6))
+    A[:5, :5] = nv.build_rate_matrix(params, beta)
+    A[5, Level.E0] = A[5, Level.E1] = params.eta * params.k_rad
+    return A
+
+
+def reference_block(params, beta, dt):
+    """The (6, 5) block of one segment from its own ``scipy.linalg.expm``
+    of the augmented generator, independent of the propagator table."""
+    return expm(augmented_generator(params, beta) * dt)[:, :5]
+
+
 def reference_walk(p0, wf, params, times):
     """Populations and cumulative detected photons at sorted ``times``.
 
@@ -94,10 +120,8 @@ def reference_walk(p0, wf, params, times):
     states = {0.0: y}
     for t0, t1 in zip(stops[:-1], stops[1:]):
         piece = min(int(0.5 * (t0 + t1) / wf.piece_width_ns), wf.n - 1)
-        A = np.zeros((6, 6))
-        A[:5, :5] = nv.build_rate_matrix(
-            params, params.amp_map.rate(wf.amplitudes[piece]))
-        A[5, Level.E0] = A[5, Level.E1] = params.eta * params.k_rad
+        A = augmented_generator(params,
+                                params.amp_map.rate(wf.amplitudes[piece]))
         y = solve_ivp(lambda t, y: A @ y, (t0, t1), y, method="DOP853",
                       rtol=1e-11, atol=1e-12).y[:, -1]
         states[t1] = y
@@ -152,7 +176,8 @@ class TestOracle:
             assert row[level] == pytest.approx(ref[1, 5] - ref[0, 5], rel=1e-8)
         columns = np.column_stack([p0, nv.pure_state(Level.G1),
                                    nv.thermal_ground_state()])
-        final = nv.propagate_waveform(columns, wf, params)
+        final = np.column_stack([nv.propagate_waveform(p, wf, params)
+                                 for p in columns.T])
         assert np.allclose(final.sum(axis=0), 1.0, rtol=0.0, atol=1e-12)
         assert np.all(final >= -1e-15)
 
@@ -180,8 +205,7 @@ def rate_rows(draw):
 
 
 def per_duration_blocks(params, beta, durations):
-    return np.stack([pumpsim._segment_propagator(params, beta, float(d))
-                     for d in durations])
+    return np.stack([reference_block(params, beta, d) for d in durations])
 
 
 def chained_blocks(params, beta, durations):
@@ -243,6 +267,55 @@ class TestSquarePulseBlocks:
         assert np.allclose(chained_blocks(params, beta, durations),
                            per_duration_blocks(params, beta, durations),
                            rtol=1e-10, atol=1e-10)
+
+
+class TestBuildBlocks:
+    """One stacked exponential over rates from 0 to beta_max and durations
+    from 1e-3 to 1e6 ns, against independent references."""
+
+    FRACTIONS = np.array([0.0, 1e-3, 0.1, 0.5, 1.0])
+    DTS = np.array([1e-3, 1.0, 460.0, 1e4, 1e6])
+
+    @pytest.fixture(scope="class")
+    def batch(self, params):
+        betas = params.amp_map.beta_max * np.repeat(self.FRACTIONS,
+                                                    self.DTS.size)
+        dts = np.tile(self.DTS, self.FRACTIONS.size)
+        return betas, dts, pumpsim._build_blocks(params, betas, dts)
+
+    def test_matches_mpmath(self, params, batch):
+        for beta, dt, block in zip(*batch):
+            with mpmath.workdps(40):
+                exact = mpmath.expm(mpmath.matrix(
+                    augmented_generator(params, beta).tolist()) * mpmath.mpf(dt))
+            want = np.array(exact.tolist(), dtype=float)[:, :5]
+            assert np.allclose(block, want, rtol=1e-10, atol=1e-10), (beta, dt)
+
+    def test_matches_reference_integrator(self, params, batch):
+        # DOP853 on dY/dt = A Y from the identity; 1e6 ns is too long for it
+        for beta, dt, block in zip(*batch):
+            if dt > 1e4:
+                continue
+            A = augmented_generator(params, beta)
+            Y = solve_ivp(lambda t, y: (A @ y.reshape(6, 6)).ravel(), (0.0, dt),
+                          np.eye(6).ravel(), method="DOP853", rtol=1e-11,
+                          atol=1e-12).y[:, -1].reshape(6, 6)
+            assert np.allclose(block[:5], Y[:5, :5], rtol=0.0, atol=1e-10)
+            # 1e-8 of the photons of the brightest state, as for a window
+            # total; an entry can be exactly 0
+            assert np.allclose(block[5], Y[5, :5], rtol=0.0,
+                               atol=1e-8 * Y[5, :5].max())
+
+    def test_conserves_population(self, batch):
+        assert np.allclose(batch[2][:, :5].sum(axis=1), 1.0, rtol=0.0,
+                           atol=1e-13)
+
+    @pytest.mark.parametrize("bad", [np.nan, -1e-9, -np.inf])
+    def test_bad_rate_anywhere_in_the_batch_rejected(self, params, bad):
+        betas = params.amp_map.beta_max * self.FRACTIONS
+        betas[2] = bad
+        with pytest.raises(ParameterError):
+            pumpsim._build_blocks(params, betas, self.DTS)
 
 
 @st.composite
