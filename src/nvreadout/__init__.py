@@ -41,7 +41,6 @@ from .photophysics import (
     RateParams,
     build_rate_matrix,
     emission_rate,
-    propagate,
     pure_state,
     steady_state,
     thermal_ground_state,

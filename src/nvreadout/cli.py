@@ -90,7 +90,7 @@ def cmd_trace(args, cfg: dict, out: Path, params) -> str:
 
 
 def cmd_sweep(args, cfg: dict, out: Path, params) -> str:
-    spec = build_sweep_spec(cfg, build_sequence(cfg), mode=args.mode)
+    spec = build_sweep_spec(cfg, build_sequence(cfg))
     result = run_sweep(spec, params)
     write_sweep_grid_csv(result, out / "sweep_grid.csv")
     write_sweep_projection_csv(result, out / "sweep_projection.csv")
@@ -184,8 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_trace)
     p = sub.add_parser("sweep", parents=[common],
                        help="constant-pulse traversal over (amplitude, duration)")
-    p.add_argument("--mode", choices=["global", "init-only"],
-                   help="which pulse the grid drives (overrides config)")
     p.set_defaults(func=cmd_sweep)
     p = sub.add_parser("optimize", parents=[common],
                        help="online readout-waveform optimization")

@@ -20,6 +20,7 @@ import yaml
 
 from .errors import ConfigurationError, ParameterError
 from .harness import OloSpec, SweepSpec
+from .metrics import FIT_MIN_SAMPLES
 from .optimizer import OptimizerConfig
 from .photophysics import AmplitudeMap, RateParams
 from .pumpsim import SequenceConfig
@@ -294,9 +295,14 @@ def build_olo_init_pulse(cfg: dict) -> PiecewiseWaveform:
 
 
 def build_rabi_taus(cfg: dict) -> np.ndarray:
+    """The tau grid, with at least the samples a curve's fit needs."""
+    points = _count(cfg, "rabi.tau_points")
+    if points < FIT_MIN_SAMPLES:
+        raise ConfigurationError(
+            f"rabi.tau_points must be >= {FIT_MIN_SAMPLES} for the sinusoid "
+            f"fit, got {points}")
     return np.linspace(_number(cfg, "rabi.tau_start_ns"),
-                       _number(cfg, "rabi.tau_stop_ns"),
-                       _count(cfg, "rabi.tau_points"))
+                       _number(cfg, "rabi.tau_stop_ns"), points)
 
 
 def rabi_omega(cfg: dict) -> float:

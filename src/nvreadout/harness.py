@@ -242,10 +242,11 @@ def make_snr_objective(spec: OloSpec, init_wf: PiecewiseWaveform):
     it back for the rows.  Every trial must be a finite amplitude vector
     inside the bounds.
 
-    In stochastic mode, mimicking single experimental queries, the
-    objective owns one generator, keyed ``(OLO_STREAM, 0)`` of
-    ``spec.sample_seed``, and draws both window totals from it in one
-    Poisson call per query.
+    A stochastic objective, mimicking single experimental queries, owns one
+    generator, keyed ``(OLO_STREAM, 0)`` of ``spec.sample_seed``, and
+    scores each query on both window totals drawn from it in one Poisson
+    call; the anchor still keeps the expected totals.  A deterministic one
+    has no generator and scores the expected totals.
     """
     start, params = spec.start_readout, spec.params
     cfg = replace(spec.base, init_wf=init_wf, readout_wf=start,
@@ -292,24 +293,17 @@ def make_snr_objective(spec: OloSpec, init_wf: PiecewiseWaveform):
             return anchor.totals
         return totals(anchor.detected[lo] + row @ anchor.before[lo])
 
-    def answer(u, value, counts):
+    rng = (np.random.default_rng(sampling_seed(spec.sample_seed, OLO_STREAM))
+           if spec.stochastic else None)
+
+    def objective(u):
         nonlocal anchor
+        counts = expected_counts(u)
+        seen = counts if rng is None else sample_counts(counts, rng).tolist()
+        value = snr_metric(*seen)
         if value > anchor.value:
             anchor = anchored(np.asarray(u, dtype=float), value, counts)
         return value
-
-    if not spec.stochastic:
-        def objective(u):
-            counts = expected_counts(u)
-            return answer(u, snr_metric(*counts), counts)
-        return objective, expected_counts
-
-    rng = np.random.default_rng(sampling_seed(spec.sample_seed, OLO_STREAM))
-
-    def objective(u):
-        counts = expected_counts(u)
-        L0, L1 = sample_counts(counts, rng)
-        return answer(u, snr_metric(float(L0), float(L1)), counts)
     return objective, expected_counts
 
 

@@ -122,8 +122,7 @@ def write_optimizer_log(state: OptimizerState, path: str | Path) -> None:
 
 
 def write_rabi_curve_csv(curve: RabiCurve, path: str | Path) -> None:
-    fit_y = curve.fit.predict(curve.taus_ns) if curve.fit is not None \
-        else np.full_like(curve.signals, np.nan)
+    fit_y = curve.fit.predict(curve.taus_ns)
     rows = zip(_texts(curve.taus_ns), _texts(curve.signals), _texts(fit_y),
                _texts(np.abs(curve.signals - fit_y)))
     _write_rows(path, ["tau_ns", "y", "fit_y", "deviation"], rows)

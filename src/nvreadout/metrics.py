@@ -61,6 +61,7 @@ _GRID_BLOCK = 256          # frequencies per block of (block, n) arrays
 _ILL_CONDITIONED = 1e-8    # determinant / n² below which lstsq takes over
 _OVERSAMPLE = 24           # frequency grid points per 2π/span
 _COARSE = 6                # grid points per step of the coarse scan
+FIT_MIN_SAMPLES = 8        # fewest samples fit_sinusoid accepts
 
 
 def _grid_residuals(ws: np.ndarray, ts: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -128,8 +129,8 @@ def fit_sinusoid(ts, ys) -> SinusoidFit:
     ys = np.asarray(ys, dtype=float).ravel()
     if ts.size != ys.size:
         raise FitError(f"length mismatch: {ts.size} times vs {ys.size} values")
-    if ts.size < 8:
-        raise FitError(f"need at least 8 samples, got {ts.size}")
+    if ts.size < FIT_MIN_SAMPLES:
+        raise FitError(f"need at least {FIT_MIN_SAMPLES} samples, got {ts.size}")
     span = float(ts.max() - ts.min())
     if span <= 0:
         raise FitError("degenerate time axis: all sample times equal")
@@ -139,7 +140,8 @@ def fit_sinusoid(ts, ys) -> SinusoidFit:
     dt_min = float(np.min(np.diff(np.sort(ts))))
     if dt_min <= 0:
         dt_min = span / (ts.size - 1)
-    # at least 8 samples make the span at least 7 * dt_min, so lo < hi
+    # at least FIT_MIN_SAMPLES = 8 samples make the span at least 7 * dt_min,
+    # so lo < hi
     lo, hi = 2.0 * np.pi / span, np.pi / dt_min
 
     step = 2.0 * np.pi / (span * _OVERSAMPLE)

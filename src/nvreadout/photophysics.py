@@ -11,6 +11,8 @@ comes entirely from the m_s=±1 excited level crossing over more strongly.
 Populations are plain length-5 numpy vectors ordered by :class:`Level`.
 Rate matrices ``M`` are 5x5 generators with the convention ``dp/dt = M @ p``
 (columns sum to zero), so ``p(t) = expm(M t) @ p(0)`` for a constant drive.
+This module only states the model; time evolution is ``pumpsim``'s, whose
+``_build_blocks`` is the package's one exponential.
 
 All rates are in 1/ns and all times in ns.
 """
@@ -21,7 +23,6 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import DegenerateModelError, NumericError, ParameterError
 
@@ -187,25 +188,6 @@ def build_rate_matrix(params: RateParams, beta: float) -> np.ndarray:
     np.fill_diagonal(M, 0.0)
     M[np.diag_indices(N_LEVELS)] = -M.sum(axis=0)
     return M
-
-
-def propagate(M: np.ndarray, p0: np.ndarray, dt: float) -> np.ndarray:
-    """Evolve populations for ``dt`` ns under a constant generator.
-
-    Uses the matrix exponential, which is exact for a constant drive, so
-    there is no step-size error to tune.
-    """
-    if not np.isfinite(dt):
-        raise NumericError(f"dt must be finite, got {dt}")
-    if dt < 0:
-        raise ParameterError(f"dt must be >= 0, got {dt}")
-    p0 = check_populations(p0)
-    if dt == 0.0:
-        return p0.copy()
-    if not np.all(np.isfinite(M)):
-        raise NumericError("rate matrix contains non-finite entries")
-    p = expm(M * dt) @ p0
-    return check_populations(p)
 
 
 def steady_state(M: np.ndarray) -> np.ndarray:

@@ -138,7 +138,7 @@ def _split(wf: PiecewiseWaveform, cuts):
     width = wf.piece_width_ns
     edges = np.sort(np.concatenate([np.arange(wf.n) * width, [wf.duration_ns],
                                     np.asarray(cuts, dtype=float)]))
-    keep = np.diff(edges) > _REL_TOL * max(wf.duration_ns, 1.0)
+    keep = np.diff(edges) > _REL_TOL * wf.duration_ns
     edges = edges[np.concatenate([[True], keep])]
     return edges, np.minimum((_midpoints(edges) / width).astype(int), wf.n - 1)
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, FitError
+from .errors import ConfigurationError
 from .metrics import (
     SinusoidFit,
     expected_mean_deviation,
@@ -79,15 +79,15 @@ class RabiConfig:
 
 @dataclass(frozen=True)
 class RabiCurve:
-    """Normalized Rabi signals with fit, contrast, and deviation."""
+    """Normalized Rabi signals with fit, contrast, and deviation; a curve
+    exists only once its fit has succeeded."""
 
     taus_ns: np.ndarray
     signals: np.ndarray            # normalized to the maximal-count point
     counts: np.ndarray             # raw window totals per tau
-    fit: SinusoidFit | None
-    contrast: float | None         # from fitted extrema, (max-min)/max
-    mean_dev: float | None         # sampled, or its Poisson expectation
-    fit_message: str | None = None
+    fit: SinusoidFit
+    contrast: float                # from fitted extrema, (max-min)/max
+    mean_dev: float                # sampled, or its Poisson expectation
 
 
 def rabi_expectations(cfg: RabiConfig, params: RateParams) -> np.ndarray:
@@ -109,6 +109,9 @@ def realize_curve(cfg: RabiConfig, expected: np.ndarray) -> RabiCurve:
     from the fit.  Noiseless curves report its leading-order expectation
     under Poisson sampling at ``base.repetitions``, which assumes the
     expected totals lie on an exact sinusoid, as the linear model makes them.
+
+    A fit that fails raises its ``FitError``; ``config.build_rabi_taus``
+    keeps configured grids at or above the fit's minimum sample count.
     """
     counts = (sample_counts(expected, cfg.sample_seed) if cfg.stochastic
               else expected).astype(float)
@@ -116,12 +119,7 @@ def realize_curve(cfg: RabiConfig, expected: np.ndarray) -> RabiCurve:
     if ref <= 0:
         raise ConfigurationError("no photons detected at any tau")
     signals = counts / ref
-    try:
-        fit = fit_sinusoid(cfg.taus_ns, signals)
-    except FitError as exc:
-        return RabiCurve(taus_ns=cfg.taus_ns, signals=signals, counts=counts,
-                         fit=None, contrast=None, mean_dev=None,
-                         fit_message=str(exc))
+    fit = fit_sinusoid(cfg.taus_ns, signals)
     y_max = fit.offset + fit.amplitude
     y_min = fit.offset - fit.amplitude
     curve_contrast = (y_max - y_min) / y_max
@@ -185,17 +183,15 @@ def compare_schemes(cfgs: dict[str, RabiConfig], params: RateParams) -> SchemeCo
 
     ``cfgs`` maps each name in :data:`SCHEMES` to a config whose ``base``
     carries that scheme's init and readout waveforms, as built by
-    :func:`make_scheme_configs`.
+    :func:`make_scheme_configs`.  A scheme whose fit fails stops the
+    comparison with that fit's ``FitError``.
     """
     missing = [s for s in SCHEMES if s not in cfgs]
     if missing:
         raise ConfigurationError(f"missing scheme configs: {missing}")
     curves, contrasts, mean_devs = {}, {}, {}
     for name, cfg in cfgs.items():
-        curve = simulate_rabi(cfg, params)
-        if curve.fit is None:
-            raise FitError(f"scheme {name!r}: {curve.fit_message}")
-        curves[name] = curve
+        curves[name] = curve = simulate_rabi(cfg, params)
         contrasts[name] = curve.contrast
         mean_devs[name] = curve.mean_dev
     orderings = {

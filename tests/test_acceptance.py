@@ -51,8 +51,8 @@ def rabi_scheme_configs(inputs, base_seq, repetitions, stochastic, seed):
 
 def test_criterion_01_singlet_lifetime(params):
     t0 = time.perf_counter()
-    M = nv.build_rate_matrix(params, 0.0)
-    p = nv.propagate(M, nv.pure_state(nv.Level.S), 250.0)
+    dark = nv.make_constant(250.0, 0.0)
+    p = nv.propagate_waveform(nv.pure_state(nv.Level.S), dark, params)
     implied = -250.0 / np.log(p[nv.Level.S])
     elapsed = time.perf_counter() - t0
     ok = abs(implied - 250.0) <= 0.25 and elapsed < 1.0

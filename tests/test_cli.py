@@ -66,8 +66,8 @@ class TestSweep:
 
     def test_init_only_mode_flag(self, tmp_path):
         out = tmp_path / "run"
-        assert main(["sweep", "--out", str(out), "--mode", "init-only",
-                     *FAST_SWEEP]) == 0
+        assert main(["sweep", "--out", str(out),
+                     "--set", "sweep.mode=init-only", *FAST_SWEEP]) == 0
         summary = json.loads(read(out / "sweep_summary.json"))
         assert summary["mode"] == "init-only"
 
@@ -102,7 +102,7 @@ class TestSweep:
         "sweep.duration_points=2.7",
         "photophysics.k_rad=.nan",
         "photophysics.beta_max=.inf",
-        "sequence.init_pieces=0",
+        "sequence.wait_ns=-1",
         "sequence.readout_amplitude=[]",
         "sequence.readout_amplitude=[0.1,1.5]",
         "sequence.init_duration_ns=.nan",
@@ -284,6 +284,7 @@ class TestRabi:
         "rabi.olo_init_amplitude=2.0",
         "rabi.repetitions=abc",
         "rabi.tau_points=-1",
+        "rabi.tau_points=7",
     ])
     def test_bad_config_value_exits_2(self, tmp_path, capsys,
                                       olo_waveform_file, override):

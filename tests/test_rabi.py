@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import nvreadout as nv
 from nvreadout import Level
-from nvreadout.errors import ConfigurationError
+from nvreadout.errors import ConfigurationError, FitError
 from test_pumpsim import reference_walk
 
 OMEGA = 2 * np.pi / 200.0
@@ -127,14 +127,11 @@ class TestSimulateRabi:
         stderr = sampled.std(ddof=1) / np.sqrt(sampled.size)
         assert abs(sampled.mean() - expected) < 3 * stderr
 
-    def test_fit_failure_keeps_raw_curve(self, params, rabi_base):
+    def test_fit_failure_raises(self, params, rabi_base):
         # too few samples for the fit, but a valid Rabi grid
         cfg = make_cfg(rabi_base, taus=np.linspace(0.0, 600.0, 5))
-        curve = nv.simulate_rabi(cfg, params)
-        assert curve.fit is None
-        assert curve.contrast is None
-        assert curve.fit_message
-        assert curve.signals.size == 5
+        with pytest.raises(FitError, match="at least 8 samples"):
+            nv.simulate_rabi(cfg, params)
 
     def test_grid_validation(self, rabi_base):
         with pytest.raises(ConfigurationError):
