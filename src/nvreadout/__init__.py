@@ -10,6 +10,7 @@ from .errors import (
     NVReadoutError,
     ObjectiveError,
     ParameterError,
+    SamplingRangeError,
     UndefinedMetricError,
 )
 from .harness import (

@@ -31,7 +31,7 @@ from .config import (
     load_config,
     rabi_omega,
 )
-from .errors import ConfigurationError, NVReadoutError
+from .errors import ConfigurationError, NVReadoutError, SamplingRangeError
 from .harness import run_olo, run_sweep
 from .io import (
     olo_summary_dict,
@@ -50,6 +50,10 @@ from .rabi import RabiConfig, compare_schemes, make_scheme_configs
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
+
+#: The setting that scales the Poisson means each sampling command draws.
+REPETITIONS_KEY = {"optimize": "sequence.repetitions",
+                   "rabi": "rabi.repetitions"}
 
 
 def _config_digest(path: str | None) -> str:
@@ -117,8 +121,12 @@ def cmd_optimize(args, cfg: dict, out: Path, params) -> str:
     write_optimizer_log(result.state, out / "olo_log.jsonl")
     write_waveform_csv(result.waveform, out / "olo_waveform.csv")
     write_pair_trace_csv(result.trace0, result.trace1, out / "olo_traces.csv")
-    write_json(out / "olo_summary.json", {**olo_summary_dict(result),
-               "propagators_built": len(params.propagators)})
+    edge = baseline.best_at_grid_edge
+    write_json(out / "olo_summary.json", {
+        **olo_summary_dict(result),
+        "baseline_at_grid_edge_amplitude": edge["amplitude"],
+        "baseline_at_grid_edge_duration": edge["duration"],
+        "propagators_built": len(params.propagators)})
     return (f"optimize: SNR {result.start_snr:.4g} -> {result.final_snr:.4g} "
             f"(baseline {result.baseline_snr:.4g}, "
             f"improvement {100 * result.improvement_ratio:+.1f}%, "
@@ -215,6 +223,10 @@ def main(argv: list[str] | None = None) -> int:
         })
         print(message)
         return EXIT_OK
+    except SamplingRangeError as exc:
+        print(f"config error: {REPETITIONS_KEY[args.command]} too large: "
+              f"{exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

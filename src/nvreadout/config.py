@@ -4,8 +4,9 @@ Unknown keys are rejected with the offending section named, so typos fail
 fast instead of silently falling back to defaults.  Individual keys can be
 overridden from the command line with ``--set section.key=value``.  The
 ``build_*`` functions turn a value that is not a finite number (or not a
-whole one where a count is expected), and any value a model constructor
-rejects, into a :class:`ConfigurationError`.
+whole one where a count is expected), any count above :data:`MAX_POINTS`,
+and any value a model constructor rejects, into a
+:class:`ConfigurationError`.
 """
 
 from __future__ import annotations
@@ -25,6 +26,11 @@ from .optimizer import OptimizerConfig
 from .photophysics import AmplitudeMap, RateParams
 from .pumpsim import SequenceConfig
 from .waveform import AmplitudeBounds, PiecewiseWaveform, make_constant
+
+#: Most points a configured count, and the sweep's amplitude x duration grid,
+#: may hold: far above any grid the model needs, and checked before any
+#: array of that size is built.
+MAX_POINTS = 10_000
 
 DEFAULT_CONFIG: dict = {
     "photophysics": {
@@ -164,10 +170,13 @@ def _number(cfg: dict, name: str, integer: bool = False):
 
 
 def _count(cfg: dict, name: str) -> int:
-    """The value of ``name`` as a whole number >= 1."""
+    """The value of ``name`` as a whole number in [1, MAX_POINTS]."""
     count = _number(cfg, name, integer=True)
     if count < 1:
         raise ConfigurationError(f"{name} must be >= 1, got {count}")
+    if count > MAX_POINTS:
+        raise ConfigurationError(
+            f"{name} must be <= {MAX_POINTS}, got {count}")
     return count
 
 
@@ -230,13 +239,16 @@ def build_sequence(cfg: dict) -> SequenceConfig:
 def build_sweep_spec(cfg: dict, base: SequenceConfig,
                      mode: str | None = None) -> SweepSpec:
     c = cfg["sweep"]
+    n_amp = _count(cfg, "sweep.amplitude_points")
+    n_dur = _count(cfg, "sweep.duration_points")
+    if n_amp * n_dur > MAX_POINTS:
+        raise ConfigurationError(
+            f"sweep grid of {n_amp} x {n_dur} cells is above {MAX_POINTS}")
     return SweepSpec(
         amplitudes=np.linspace(_number(cfg, "sweep.amplitude_start"),
-                               _number(cfg, "sweep.amplitude_stop"),
-                               _count(cfg, "sweep.amplitude_points")),
+                               _number(cfg, "sweep.amplitude_stop"), n_amp),
         durations_ns=np.linspace(_number(cfg, "sweep.duration_start_ns"),
-                                 _number(cfg, "sweep.duration_stop_ns"),
-                                 _count(cfg, "sweep.duration_points")),
+                                 _number(cfg, "sweep.duration_stop_ns"), n_dur),
         base=base,
         mode=mode if mode is not None else c["mode"],
         metric=c["metric"],
@@ -274,7 +286,7 @@ def build_olo_spec(cfg: dict, base: SequenceConfig, params: RateParams,
         optimizer=opt,
         start_duration_ns=_number(cfg, "olo.start_duration_ns"),
         start_amplitude=_number(cfg, "olo.start_amplitude"),
-        n_read=_number(cfg, "olo.n_read", integer=True),
+        n_read=_count(cfg, "olo.n_read"),
         init_scan_amplitudes=np.linspace(
             0.02, 1.0, _count(cfg, "olo.init_scan_points")),
         stochastic=stochastic,

@@ -17,6 +17,10 @@ class ConfigurationError(NVReadoutError, ValueError):
     """Inconsistent sequence, binning, window, or run configuration."""
 
 
+class SamplingRangeError(ConfigurationError):
+    """A Poisson mean lies above the range numpy's sampler draws from."""
+
+
 class DegenerateModelError(NVReadoutError):
     """The rate model has no unique stationary state (e.g. laser off)."""
 

@@ -195,6 +195,7 @@ class OloResult:
     baseline_snr: float
     final_snr: float
     improvement_ratio: float         # final / baseline - 1
+    init_at_grid_edge: bool          # init amplitude at an end of its scan
     trace0: PumpTrace
     trace1: PumpTrace
 
@@ -307,9 +308,10 @@ def make_snr_objective(spec: OloSpec, init_wf: PiecewiseWaveform):
     return objective, expected_counts
 
 
-def _scan_init_amplitude(spec: OloSpec) -> float:
+def _scan_init_amplitude(spec: OloSpec) -> SweepResult:
     """Amplitude scan of the square initialization pulse: one init-only sweep
-    column at the duration of ``base.init_wf``.
+    column at the duration of ``base.init_wf``, whose best amplitude the run
+    takes.
 
     Scores each candidate with the deterministic SNR of the starting
     readout waveform over its whole window; amplitude modulation buys
@@ -322,7 +324,7 @@ def _scan_init_amplitude(spec: OloSpec) -> float:
     scan = SweepSpec(amplitudes=spec.init_scan_amplitudes,
                      durations_ns=np.array([spec.base.init_wf.duration_ns]),
                      base=readout, mode="init-only", metric="snr")
-    return run_sweep(scan, spec.params).best_amplitude
+    return run_sweep(scan, spec.params)
 
 
 def run_olo(spec: OloSpec, baseline: SweepResult | float) -> OloResult:
@@ -336,7 +338,8 @@ def run_olo(spec: OloSpec, baseline: SweepResult | float) -> OloResult:
     """
     baseline_snr = baseline.best_value if isinstance(baseline, SweepResult) else float(baseline)
 
-    init_amp = _scan_init_amplitude(spec)
+    init_scan = _scan_init_amplitude(spec)
+    init_amp = init_scan.best_amplitude
     init_wf = make_constant(spec.base.init_wf.duration_ns, init_amp)
 
     objective, expected_counts = make_snr_objective(spec, init_wf)
@@ -359,6 +362,7 @@ def run_olo(spec: OloSpec, baseline: SweepResult | float) -> OloResult:
         baseline_snr=baseline_snr,
         final_snr=final_snr,
         improvement_ratio=final_snr / baseline_snr - 1.0,
+        init_at_grid_edge=init_scan.best_at_grid_edge["amplitude"],
         trace0=trace0,
         trace1=trace1,
     )

@@ -135,6 +135,7 @@ def olo_summary_dict(result: OloResult) -> dict:
         "baseline_snr": result.baseline_snr,
         "final_snr": result.final_snr,
         "improvement_ratio": result.improvement_ratio,
+        "init_at_grid_edge": result.init_at_grid_edge,
         "queries": result.state.queries,
         "cycles": result.state.iterations,
         "final_alpha": result.state.alpha,

@@ -2,7 +2,10 @@
 
 ``snr`` and ``contrast`` operate on window photon totals of the two spin
 preparations; the sinusoid fit, a coarse-to-fine scan over frequency,
-quantifies how cleanly Rabi data sit on the expected oscillation.
+quantifies how cleanly Rabi data sit on the expected oscillation.  Each
+stage of the scan scores an arithmetic progression of frequencies, and the
+sums its normal equations need factor into one product of two small tables
+of complex exponentials, so no (frequencies, samples) table is ever built.
 """
 
 from __future__ import annotations
@@ -57,45 +60,52 @@ def _linear_fit_at(omega: float, ts: np.ndarray, ys: np.ndarray):
     return coef, residual
 
 
-_GRID_BLOCK = 256          # frequencies per block of (block, n) arrays
 _ILL_CONDITIONED = 1e-8    # determinant / n² below which lstsq takes over
 _OVERSAMPLE = 24           # frequency grid points per 2π/span
 _COARSE = 6                # grid points per step of the coarse scan
 FIT_MIN_SAMPLES = 8        # fewest samples fit_sinusoid accepts
 
 
-def _grid_residuals(ws: np.ndarray, ts: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Squared least-squares residuals on {1, cos(wt), sin(wt)} at each
-    frequency ``w`` in ``ws``.
+def _grid_residuals(w0: float, dw: float, count: int, ts: np.ndarray,
+                    ys: np.ndarray) -> np.ndarray:
+    """Squared least-squares residuals on {1, cos(wt), sin(wt)} at each of
+    the ``count`` frequencies ``w_k = w0 + k dw``.
 
-    The 3x3 normal equations of each frequency are built from ``C @ y``,
-    ``S @ y`` and row sums, with the offset eliminated, so a block of
-    ``_GRID_BLOCK`` frequencies costs one (block, n) cos and sin table and a
-    few array products.  Frequencies where cos and sin barely span two
-    dimensions on the samples (sin vanishes at the Nyquist limit) fall back
-    to :func:`_linear_fit_at`.
+    The 3x3 normal equations of each frequency, with the offset eliminated,
+    need the sums of y e^{iwt}, of e^{iwt} and of e^{2iwt} (whose real and
+    imaginary parts give the sums of cos², sin² and cos·sin).  Splitting
+    k = a B + b with B about sqrt(count) factors e^{i w_k t} into
+    e^{i (w0 + a B dw) t} e^{i b dw t}, so each of these sums over the
+    samples is one entry of a product of a (count / B, n) table and a
+    (B, n) table: about 2 sqrt(count) n exponentials, and no (count, n)
+    array.  The times ``ts`` may be spaced arbitrarily.  Frequencies where
+    cos and sin barely span two dimensions on the samples (sin vanishes at
+    the Nyquist limit) fall back to :func:`_linear_fit_at`.
     """
     n = ts.size
     yc = ys - ys.mean()
-    out = np.empty(ws.size)
-    for first in range(0, ws.size, _GRID_BLOCK):
-        w = ws[first:first + _GRID_BLOCK]
-        angles = np.outer(w, ts)
-        C, S = np.cos(angles), np.sin(angles)
-        c_sum, s_sum = C.sum(axis=1), S.sum(axis=1)
-        cc = np.einsum("ij,ij->i", C, C) - c_sum**2 / n
-        ss = np.einsum("ij,ij->i", S, S) - s_sum**2 / n
-        cs = np.einsum("ij,ij->i", C, S) - c_sum * s_sum / n
-        cy, sy = C @ yc, S @ yc
-        det = cc * ss - cs**2
-        ok = det > _ILL_CONDITIONED * n**2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            explained = (ss * cy**2 - 2.0 * cs * cy * sy + cc * sy**2) / det
-        res2 = yc @ yc - explained
-        for i in np.flatnonzero(~ok):
-            res2[i] = _linear_fit_at(w[i], ts, ys)[1] ** 2
-        out[first:first + w.size] = res2
-    return out
+    width = int(np.ceil(np.sqrt(count)))
+    rows = -(-count // width)
+    outer = np.exp(1j * np.outer(w0 + width * dw * np.arange(rows), ts))
+    inner = np.exp(1j * np.outer(dw * np.arange(width), ts))
+    # each (rows, width) block of sums, raveled, is in frequency order.
+    # einsum, not matmul: a BLAS product this small gains nothing from
+    # threads, and a threaded one stalled whole fits by 10-20 ms on a busy
+    # 2-vCPU host
+    sums = np.einsum("ik,jk->ij", np.concatenate([outer * yc, outer]), inner)
+    e_y, e_1 = (part.ravel()[:count] for part in np.split(sums, 2))
+    e_2 = np.einsum("ik,jk->ij", outer * outer, inner * inner).ravel()[:count]
+    cc = 0.5 * (n + e_2.real) - e_1.real**2 / n
+    ss = 0.5 * (n - e_2.real) - e_1.imag**2 / n
+    cs = 0.5 * e_2.imag - e_1.real * e_1.imag / n
+    cy, sy = e_y.real, e_y.imag
+    det = cc * ss - cs**2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        explained = (ss * cy**2 - 2.0 * cs * cy * sy + cc * sy**2) / det
+    res2 = yc @ yc - explained
+    for k in np.flatnonzero(~(det > _ILL_CONDITIONED * n**2)):
+        res2[k] = _linear_fit_at(w0 + k * dw, ts, ys)[1] ** 2
+    return res2
 
 
 def _golden_section(f, a: float, b: float, xatol: float):
@@ -123,7 +133,10 @@ def fit_sinusoid(ts, ys) -> SinusoidFit:
     to the Nyquist limit of the closest samples at ``_OVERSAMPLE`` points per
     2π/span; every ``_COARSE``-th point is scanned, then the points within
     one coarse step of the best, and golden-section search of the residual
-    polishes the best grid point between its two neighbours.
+    polishes the best grid point between its two neighbours.  Both scans are
+    progressions ``w0 + k dw`` that :func:`_grid_residuals` scores from its
+    factored exponential tables; the grid array itself only supplies the
+    chosen frequency and the polish bounds.
     """
     ts = np.asarray(ts, dtype=float).ravel()
     ys = np.asarray(ys, dtype=float).ravel()
@@ -148,9 +161,13 @@ def fit_sinusoid(ts, ys) -> SinusoidFit:
     grid = np.arange(lo, hi + step, step)
     # cut the arange's overshoot; the Nyquist point can sit ulps above hi
     grid = grid[grid <= hi + 0.5 * step]
-    j = _COARSE * int(np.argmin(_grid_residuals(grid[::_COARSE], ts, ys)))
-    near = slice(max(j - _COARSE, 0), j + _COARSE + 1)
-    i_best = near.start + int(np.argmin(_grid_residuals(grid[near], ts, ys)))
+    coarse = -(-grid.size // _COARSE)
+    j = _COARSE * int(np.argmin(_grid_residuals(lo, _COARSE * step, coarse,
+                                                ts, ys)))
+    first = max(j - _COARSE, 0)
+    near = grid[first:j + _COARSE + 1]
+    i_best = first + int(np.argmin(_grid_residuals(near[0], step, near.size,
+                                                   ts, ys)))
 
     omega = float(grid[i_best])
     w_lo = grid[max(i_best - 1, 0)]

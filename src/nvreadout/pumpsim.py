@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import ConfigurationError, ParameterError
+from .errors import ConfigurationError, ParameterError, SamplingRangeError
 from .photophysics import (
     N_LEVELS,
     Level,
@@ -394,6 +394,11 @@ def sampling_seed(seed: int, stream: int, index: int = 0) -> np.random.SeedSeque
     return np.random.SeedSequence(seed, spawn_key=(stream, index))
 
 
+#: Largest mean ``numpy.random.Generator.poisson`` accepts.
+POISSON_MEAN_MAX = (np.iinfo(np.int64).max
+                    - 10.0 * np.sqrt(np.iinfo(np.int64).max))
+
+
 def sample_counts(expected, seed):
     """Poisson draws of window totals, one per element of ``expected``, all
     in one call.
@@ -401,10 +406,16 @@ def sample_counts(expected, seed):
     ``seed`` is anything ``numpy.random.default_rng`` takes: an int, a key
     from :func:`sampling_seed`, or a generator that a run keeps drawing
     from.  A scalar mean gives an int, an array of means an int array; a
-    given int or key reproduces the same draws bit-exactly.
+    given int or key reproduces the same draws bit-exactly.  A mean above
+    :data:`POISSON_MEAN_MAX`, which only a repetition count far beyond any
+    experiment gives, raises :class:`SamplingRangeError`.
     """
     expected = np.asarray(expected, dtype=float)
     if not np.all(np.isfinite(expected) & (expected >= 0)):
         raise ParameterError(f"expected counts must be finite and >= 0, got {expected}")
+    if expected.max(initial=0.0) > POISSON_MEAN_MAX:
+        raise SamplingRangeError(
+            f"Poisson mean {expected.max():.4g} is above the sampler's limit "
+            f"{POISSON_MEAN_MAX:.4g}")
     draws = np.random.default_rng(seed).poisson(expected)
     return int(draws) if expected.ndim == 0 else draws

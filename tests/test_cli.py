@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import nvreadout as nv
+from nvreadout import cli
 from nvreadout.cli import main
 from nvreadout.io import write_waveform_csv
 
@@ -155,6 +156,12 @@ class TestOptimize:
         assert summary["final_snr"] >= summary["baseline_snr"]
         assert (out / "olo_waveform.csv").exists()
         assert (out / "olo_traces.csv").exists()
+        # the baseline sits on its 400 ns duration floor and the init scan
+        # picks its lowest amplitude
+        flags = {k: v for k, v in summary.items() if "grid_edge" in k}
+        assert flags == {"baseline_at_grid_edge_amplitude": False,
+                         "baseline_at_grid_edge_duration": True,
+                         "init_at_grid_edge": True}
 
     def test_headline_run_is_pinned(self, tmp_path):
         # the regression anchor: the default run's trajectory, gain and
@@ -193,6 +200,17 @@ class TestOptimize:
                      "--set", "olo.init_scan_points=3", "--set", override])
         assert code == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    def test_poisson_mean_above_the_sampler_range_exits_2(self, tmp_path,
+                                                          capsys):
+        code = main(["optimize", "--out", str(tmp_path / "o"), "--stochastic",
+                     *FAST_SWEEP, "--set", "olo.max_queries=5",
+                     "--set", "olo.init_scan_points=3",
+                     "--set", "sequence.repetitions=1e300"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: sequence.repetitions")
+        assert "Traceback" not in err
 
     def test_stochastic_seeded_rerun_identical(self, tmp_path):
         out = tmp_path / "run"
@@ -293,12 +311,69 @@ class TestRabi:
         assert code == 2
         assert capsys.readouterr().err.startswith("config error:")
 
+    def test_poisson_mean_above_the_sampler_range_exits_2(
+            self, tmp_path, capsys, olo_waveform_file):
+        code = main([*self.rabi_args(tmp_path / "o", olo_waveform_file),
+                     "--stochastic", "--set", "rabi.repetitions=1e300"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: rabi.repetitions")
+        assert "Traceback" not in err
+
     def test_stochastic_rerun_identical(self, tmp_path, olo_waveform_file):
         out = tmp_path / "run"
         argv = self.rabi_args(out, olo_waveform_file) + [
             "--stochastic", "--seed", "3",
             "--set", "rabi.repetitions=1.0e6"]
         run_twice_and_compare(argv, out)
+
+
+class TestPointCounts:
+    """A count too large to allocate is a config error, raised before any
+    run starts and before any array of that size is asked for."""
+
+    LARGE = 10**6   # elements no configured array may ask for
+
+    @pytest.fixture()
+    def refuse_large_arrays(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the run started before the config check")
+        for name in ("run_sweep", "run_olo", "compare_schemes"):
+            monkeypatch.setattr(cli, name, refuse)
+        linspace, full = np.linspace, np.full
+
+        def guarded_linspace(start, stop, num=50, **kwargs):
+            assert num <= self.LARGE, f"linspace of {num} points"
+            return linspace(start, stop, num, **kwargs)
+
+        def guarded_full(shape, *args, **kwargs):
+            assert np.prod(shape) <= self.LARGE, f"full of shape {shape}"
+            return full(shape, *args, **kwargs)
+        monkeypatch.setattr(np, "linspace", guarded_linspace)
+        monkeypatch.setattr(np, "full", guarded_full)
+
+    @pytest.mark.parametrize("command, overrides, named", [
+        ("sweep", ["sweep.amplitude_points=100000000000"],
+         "sweep.amplitude_points"),
+        ("sweep", ["sweep.duration_points=100000000000"],
+         "sweep.duration_points"),
+        ("sweep", ["sweep.amplitude_points=10000",
+                   "sweep.duration_points=10000"], "sweep grid"),
+        ("optimize", ["olo.init_scan_points=100000000000"],
+         "olo.init_scan_points"),
+        ("optimize", ["olo.n_read=100000000000"], "olo.n_read"),
+        ("rabi", ["rabi.tau_points=100000000000"], "rabi.tau_points"),
+    ], ids=["amplitudes", "durations", "cells", "init-scan", "pieces", "taus"])
+    def test_rejected_before_any_array_is_built(
+            self, tmp_path, capsys, refuse_large_arrays, command, overrides,
+            named):
+        wf = tmp_path / "olo_waveform.csv"
+        write_waveform_csv(nv.make_constant(920.0, 1.0), wf)
+        sets = [arg for o in [f"rabi.olo_waveform={wf}", *overrides]
+                for arg in ("--set", o)]
+        assert main([command, "--out", str(tmp_path / "o"), *sets]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err
 
 
 class TestPropagatorCount:

@@ -84,6 +84,38 @@ def synth(ts, offset, amplitude, omega, phase):
     return offset + amplitude * np.cos(omega * ts + phase)
 
 
+def plain_scan_omega(ts, ys):
+    """``fit_sinusoid``'s frequency by an independent scan: the residual of
+    every point of its grid from explicit cos and sin tables of the whole
+    (grid, samples) product, then the same golden-section polish between
+    the best point's neighbours."""
+    span, dt_min = np.ptp(ts), np.min(np.diff(np.sort(ts)))
+    lo, hi = 2 * np.pi / span, np.pi / dt_min
+    step = 2 * np.pi / (span * metrics._OVERSAMPLE)
+    grid = np.arange(lo, hi + step, step)
+    grid = grid[grid <= hi + 0.5 * step]
+    n, yc = ts.size, ys - ys.mean()
+    C, S = np.cos(np.outer(grid, ts)), np.sin(np.outer(grid, ts))
+    c_sum, s_sum = C.sum(axis=1), S.sum(axis=1)
+    cc = np.einsum("ij,ij->i", C, C) - c_sum**2 / n
+    ss = np.einsum("ij,ij->i", S, S) - s_sum**2 / n
+    cs = np.einsum("ij,ij->i", C, S) - c_sum * s_sum / n
+    cy, sy = C @ yc, S @ yc
+    det = cc * ss - cs**2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        res2 = yc @ yc - (ss * cy**2 - 2 * cs * cy * sy + cc * sy**2) / det
+    for k in np.flatnonzero(~(det > metrics._ILL_CONDITIONED * n**2)):
+        res2[k] = metrics._linear_fit_at(grid[k], ts, ys)[1] ** 2
+    i = int(np.argmin(res2))
+    omega = float(grid[i])
+    w_lo, w_hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
+
+    def residual_at(w):
+        return metrics._linear_fit_at(w, ts, ys)[1]
+    w, r = metrics._golden_section(residual_at, w_lo, w_hi, step * 1e-8)
+    return float(w) if r <= residual_at(omega) else omega
+
+
 class TestFitSinusoid:
     def test_noiseless_recovery(self):
         # 5 MHz on a 400 ns span, 64 samples
@@ -140,8 +172,7 @@ class TestFitSinusoid:
             ys = 0.8 + 0.1 * np.cos(0.04 * ts + 1.0) + rng.normal(0, 0.01, ts.size)
             lo, count = 2 * np.pi / np.ptp(ts), 600
             step = (np.pi / 2.5 - lo) / (count - 1)
-            got = metrics._grid_residuals(lo + step * np.arange(count),
-                                          ts, ys)
+            got = metrics._grid_residuals(lo, step, count, ts, ys)
             want = [metrics._linear_fit_at(lo + step * k, ts, ys)[1] ** 2
                     for k in range(count)]
             scale = np.sum((ys - ys.mean()) ** 2)
@@ -165,6 +196,24 @@ class TestFitSinusoid:
                 with monkeypatch.context() as every_point:
                     every_point.setattr(metrics, "_COARSE", 1)
                     assert omega == nv.fit_sinusoid(ts, ys).omega
+
+    @pytest.mark.parametrize("points", [9, 31, 61, 241])
+    @pytest.mark.parametrize("scale", [1e4, 1e6, 1e8])
+    @pytest.mark.parametrize("jitter", [0.0, 0.3], ids=["uniform", "jittered"])
+    def test_frequency_is_the_plain_scan_minimum_polished(self, points, scale,
+                                                          jitter):
+        # Rabi-like curves as criterion 8 fits them: Poisson counts about a
+        # 200 ns oscillation, normalized to their maximum; the jittered tau
+        # grids move each sample by up to 30 % of the spacing
+        rng = np.random.default_rng(int(points * scale) % 2**32)
+        for _ in range(4):
+            ts = np.linspace(0.0, 600.0, points)
+            ts += jitter * rng.uniform(-1, 1, points) * 600.0 / (points - 1)
+            expected = synth(ts, 0.85, 0.12, 2 * np.pi / 200.0,
+                             rng.uniform(-np.pi, np.pi)) * scale
+            ys = rng.poisson(expected) / scale
+            ys /= ys.max()
+            assert nv.fit_sinusoid(ts, ys).omega == plain_scan_omega(ts, ys)
 
     def test_nyquist_alternation_recovered(self):
         ts = np.linspace(0.0, 600.0, 241)

@@ -476,6 +476,16 @@ class TestSampleCounts:
         with pytest.raises(ParameterError):
             nv.sample_counts(expected, 0)
 
+    def test_mean_above_the_sampler_range_rejected(self):
+        # the limit is numpy's own: a mean on it draws, one ulp above raises
+        assert nv.sample_counts(pumpsim.POISSON_MEAN_MAX, 0) > 0
+        above = np.nextafter(pumpsim.POISSON_MEAN_MAX, np.inf)
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).poisson(above)
+        with pytest.raises(nv.SamplingRangeError):
+            nv.sample_counts(np.array([1.0, above]), 0)
+        assert issubclass(nv.SamplingRangeError, ConfigurationError)
+
     def test_array_is_one_generator_call(self):
         expected = np.array([0.0, 3.5, 1e6, 2.5e7])
         rng = np.random.default_rng(nv.sampling_seed(7, 1, 2))
