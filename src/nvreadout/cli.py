@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__
 from .config import (
     _number,
+    _path,
     build_baseline_spec,
     build_olo_init_pulse,
     build_olo_spec,
@@ -81,7 +82,7 @@ def _prepare(args):
         raise ConfigurationError(f"seed must be >= 0, got {cfg['seed']}")
     if args.out is not None:
         cfg["output_dir"] = args.out
-    out = Path(cfg["output_dir"])
+    out = Path(_path(cfg, "output_dir"))
     out.mkdir(parents=True, exist_ok=True)
     return cfg, out
 
@@ -135,11 +136,11 @@ def cmd_optimize(args, cfg: dict, out: Path, params) -> str:
 
 def _rabi_scheme_configs(cfg: dict, args, params) -> dict[str, RabiConfig]:
     seq = build_sequence(cfg)
-    wf_path = cfg["rabi"]["olo_waveform"]
-    if not wf_path:
+    if cfg["rabi"]["olo_waveform"] is None:
         raise ConfigurationError(
             "rabi.olo_waveform is not set; run the optimize command first and "
             "point it at the written olo_waveform.csv")
+    wf_path = _path(cfg, "rabi.olo_waveform")
     if not Path(wf_path).exists():
         raise ConfigurationError(
             f"OLO waveform file {wf_path!r} not found; run the optimize "
@@ -182,10 +183,13 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="YAML config file (defaults if omitted)")
     common.add_argument("--out", help="output directory (overrides config)")
     common.add_argument("--seed", type=int, help="sampling seed (overrides config)")
-    common.add_argument("--stochastic", action="store_true",
-                        help="Poisson-sample window counts instead of expectations")
     common.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                         help="override one config key (repeatable)")
+    # only the commands in REPETITIONS_KEY draw samples
+    sampling = argparse.ArgumentParser(add_help=False)
+    sampling.add_argument("--stochastic", action="store_true",
+                          help="Poisson-sample window counts instead of "
+                               "expectations")
 
     p = sub.add_parser("trace", parents=[common],
                        help="paired photon time traces of both spin preparations")
@@ -193,10 +197,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", parents=[common],
                        help="constant-pulse traversal over (amplitude, duration)")
     p.set_defaults(func=cmd_sweep)
-    p = sub.add_parser("optimize", parents=[common],
+    p = sub.add_parser("optimize", parents=[common, sampling],
                        help="online readout-waveform optimization")
     p.set_defaults(func=cmd_optimize)
-    p = sub.add_parser("rabi", parents=[common],
+    p = sub.add_parser("rabi", parents=[common, sampling],
                        help="Rabi comparison of the three readout schemes")
     p.set_defaults(func=cmd_rabi)
     return parser

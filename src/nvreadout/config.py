@@ -27,9 +27,9 @@ from .photophysics import AmplitudeMap, RateParams
 from .pumpsim import SequenceConfig
 from .waveform import AmplitudeBounds, PiecewiseWaveform, make_constant
 
-#: Most points a configured count, and the sweep's amplitude x duration grid,
-#: may hold: far above any grid the model needs, and checked before any
-#: array of that size is built.
+#: Most points a configured count, the sweep's amplitude x duration grid and
+#: the readout's time bins may hold: far above any grid the model needs, and
+#: checked before any array of that size is built.
 MAX_POINTS = 10_000
 
 DEFAULT_CONFIG: dict = {
@@ -99,6 +99,28 @@ def _check_keys(section: str, given: dict, known: dict) -> None:
         )
 
 
+def _parse_yaml(text: str, where: str):
+    """``text`` parsed as YAML, which must hold only what the manifest's
+    JSON can: null, booleans, numbers, strings, lists and mappings."""
+    try:
+        value = yaml.safe_load(text)
+    except (yaml.YAMLError, ValueError) as exc:   # ValueError: "!!float abc"
+        raise ConfigurationError(f"cannot parse {where}: {exc}") from None
+    _check_plain(value, where)
+    return value
+
+
+def _check_plain(value, where: str) -> None:
+    if isinstance(value, dict):
+        value = [*value.keys(), *value.values()]
+    if isinstance(value, list):
+        for item in value:
+            _check_plain(item, where)
+    elif not isinstance(value, (type(None), bool, int, float, str)):
+        raise ConfigurationError(
+            f"{where}: {value!r} is not a number, string, list or mapping")
+
+
 def load_config(path: str | Path | None = None,
                 overrides: list[str] | None = None) -> dict:
     """Merged config dict: defaults <- file <- --set overrides."""
@@ -108,10 +130,7 @@ def load_config(path: str | Path | None = None,
             text = Path(path).read_text()
         except OSError as exc:
             raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
-        try:
-            loaded = yaml.safe_load(text)
-        except yaml.YAMLError as exc:
-            raise ConfigurationError(f"config parse error in {path}: {exc}") from exc
+        loaded = _parse_yaml(text, f"config file {path}")
         if loaded is None:
             loaded = {}
         if not isinstance(loaded, dict):
@@ -134,7 +153,7 @@ def _apply_override(cfg: dict, item: str) -> None:
     if "=" not in item:
         raise ConfigurationError(f"--set expects section.key=value, got {item!r}")
     key_path, raw = item.split("=", 1)
-    value = yaml.safe_load(raw)
+    value = _parse_yaml(raw, f"--set {item!r}")
     parts = key_path.strip().split(".")
     if len(parts) == 1:
         section = parts[0]
@@ -152,21 +171,44 @@ def _apply_override(cfg: dict, item: str) -> None:
     cfg[section][key] = value
 
 
-def _number(cfg: dict, name: str, integer: bool = False):
-    """The value of ``name`` ("section.key", or a top-level key) as a finite
-    float, as an int if ``integer``, or as a float array if it is a list."""
-    raw = functools.reduce(dict.__getitem__, name.split("."), cfg)
+def _setting(cfg: dict, name: str):
+    """The raw value of ``name`` ("section.key", or a top-level key)."""
+    return functools.reduce(dict.__getitem__, name.split("."), cfg)
+
+
+def _numbers(cfg: dict, name: str) -> np.ndarray:
+    """The value of ``name``, a number or a list of them, as a float array
+    of finite values."""
+    raw = _setting(cfg, name)
     try:
         value = np.asarray(raw, dtype=float)
     except (TypeError, ValueError, OverflowError):
         raise ConfigurationError(f"{name} must be a number, got {raw!r}") from None
     if not np.all(np.isfinite(value)):
         raise ConfigurationError(f"{name} must be finite, got {raw!r}")
-    if integer:
-        if value.ndim or not float(value).is_integer():
-            raise ConfigurationError(f"{name} must be a whole number, got {raw!r}")
-        return int(value)
-    return float(value) if value.ndim == 0 else value
+    return value
+
+
+def _number(cfg: dict, name: str, integer: bool = False):
+    """The value of ``name`` as one finite float, or as an int if
+    ``integer``.  Only ``sequence.readout_amplitude`` may be a list, and it
+    is read with :func:`_numbers`."""
+    value = _numbers(cfg, name)
+    if value.ndim:
+        raise ConfigurationError(
+            f"{name} must be a single number, got {_setting(cfg, name)!r}")
+    if integer and not float(value).is_integer():
+        raise ConfigurationError(
+            f"{name} must be a whole number, got {_setting(cfg, name)!r}")
+    return int(value) if integer else float(value)
+
+
+def _path(cfg: dict, name: str) -> str:
+    """The value of ``name`` as a non-empty path string."""
+    value = _setting(cfg, name)
+    if not isinstance(value, str) or not value:
+        raise ConfigurationError(f"{name} must be a path, got {value!r}")
+    return value
 
 
 def _count(cfg: dict, name: str) -> int:
@@ -222,13 +264,18 @@ def build_sequence(cfg: dict) -> SequenceConfig:
     init_wf = make_constant(_number(cfg, "sequence.init_duration_ns"),
                             _number(cfg, "sequence.init_amplitude"))
     readout_wf = PiecewiseWaveform(_number(cfg, "sequence.readout_duration_ns"),
-                                   _number(cfg, "sequence.readout_amplitude"))
+                                   _numbers(cfg, "sequence.readout_amplitude"))
+    bin_width = _number(cfg, "sequence.bin_width_ns")
+    if bin_width > 0 and readout_wf.duration_ns / bin_width > MAX_POINTS:
+        raise ConfigurationError(
+            f"sequence.bin_width_ns of {bin_width} ns cuts the readout into "
+            f"more than {MAX_POINTS} bins")
     width = cfg["sequence"]["detection_width_ns"]
     return SequenceConfig(
         init_wf=init_wf,
         wait_ns=_number(cfg, "sequence.wait_ns"),
         readout_wf=readout_wf,
-        bin_width_ns=_number(cfg, "sequence.bin_width_ns"),
+        bin_width_ns=bin_width,
         repetitions=_number(cfg, "sequence.repetitions"),
         detection_offset_ns=_number(cfg, "sequence.detection_offset_ns"),
         detection_width_ns=(None if width is None

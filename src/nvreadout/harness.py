@@ -15,11 +15,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, ParameterError
+from .errors import ConfigurationError, ParameterError, UndefinedMetricError
 from .metrics import contrast as contrast_metric
 from .metrics import snr as snr_metric
 from .optimizer import OptimizerConfig, OptimizerState, hj_optimize
-from .photophysics import RateParams
+from .photophysics import N_LEVELS, RateParams
 from .pumpsim import (
     OLO_STREAM,
     PumpTrace,
@@ -203,14 +203,16 @@ class OloResult:
 @dataclass(frozen=True)
 class _Anchor:
     """The readout chain of one queried point ``u``: its window totals as
-    the objective returned them, its value, and per piece i the branch
-    populations ``before[i]`` at its start (5, 2), the photons
-    ``detected[i]`` before it (2,) and the readout row ``rows[i + 1]`` of
-    the pieces after it."""
+    the objective returned them, its value, the block ``blocks[i]`` of each
+    piece, and per piece i the branch populations ``before[i]`` at its start
+    (5, 2), the photons ``detected[i]`` before it (2,) and the readout row
+    ``rows[i]`` of the pieces from i on (5,).  ``before[n]``,
+    ``detected[n]`` and ``rows[n]`` are those after the last piece."""
 
     u: np.ndarray
     totals: tuple[float, float]
     value: float
+    blocks: list
     before: np.ndarray
     detected: np.ndarray
     rows: np.ndarray
@@ -229,19 +231,23 @@ def make_snr_objective(spec: OloSpec, init_wf: PiecewiseWaveform):
     it has returned so far, which under the strict-improvement rule of
     ``hj_optimize`` is the incumbent.  A query at the anchor returns the
     totals the anchor got when it was queried, so ties are bit-exact.  A
-    query that changes one piece i costs one block product,
-    ``pre_i + (c'_i + r_{i+1} E'_i[:5]) P_i`` with the anchor's photons
-    ``pre_i`` and populations ``P_i`` before piece i and its row
-    ``r_{i+1}`` after it.  One that changes several pieces folds
-    (``pumpsim.readout_rows``) from the last changed piece back to the
-    first, which for a pattern move is the full fold.  A change the window
-    cannot see, such as a piece after its end, leaves that row bit-identical
-    to the anchor's and returns the anchor's totals, so it ties exactly as
-    well.  A strict improvement re-anchors in O(n): ``pumpsim.forward``
-    runs the branches through the new chain for ``P_i`` and the photons of
-    each piece, whose running sum is ``pre_i``, and ``readout_rows`` folds
-    it back for the rows.  Every trial must be a finite amplitude vector
-    inside the bounds.
+    query that differs from the anchor in pieces lo..hi-1 folds the row
+    ``r_i = c'_i + r_{i+1} E'_i[:5]`` as one running (5,) vector from the
+    anchor's row ``r_hi`` back to ``r_lo``, and returns
+    ``pre_lo + r_lo P_lo`` with the anchor's photons ``pre_lo`` and
+    populations ``P_lo`` before piece lo: one block product for a one-piece
+    trial, the full fold for a pattern move.  A change the window cannot
+    see, such as a piece after its end, leaves that row bit-identical to the
+    anchor's and returns the anchor's totals, so it ties exactly as well.
+
+    A strict improvement moves the anchor to the trial.  Its prefix up to
+    piece lo and its rows from hi on stay; ``pumpsim.forward`` runs the
+    branches on from ``P_lo`` through the new pieces, whose photons add up
+    from ``pre_lo`` on, and ``pumpsim.readout_rows`` folds back from piece
+    hi - 1 to 0.  These are the operations a full rebuild runs, in the same
+    order, so the moved anchor is bit-identical to one built from scratch;
+    the first anchor is that move from an empty chain with lo = 0, hi = n.
+    Every trial must be a finite amplitude vector inside the bounds.
 
     A stochastic objective, mimicking single experimental queries, owns one
     generator, keyed ``(OLO_STREAM, 0)`` of ``spec.sample_seed``, and
@@ -254,6 +260,7 @@ def make_snr_objective(spec: OloSpec, init_wf: PiecewiseWaveform):
                   bin_width_ns=start.duration_ns)
     branches = np.column_stack(prepared_states(cfg, params))
     pieces = readout_pieces(cfg)
+    n, bounds = start.n, start.bounds
     memo = {}
 
     def block(i, a):
@@ -263,47 +270,63 @@ def make_snr_objective(spec: OloSpec, init_wf: PiecewiseWaveform):
         return memo[key]
 
     def totals(per_rep):
-        L0, L1 = cfg.repetitions * per_rep
-        return float(L0), float(L1)
+        return tuple((cfg.repetitions * per_rep).tolist())
 
-    def anchored(u, value, counts=None):
-        blocks = [block(i, a) for i, a in enumerate(u.tolist())]
-        before, photons = forward(blocks[:-1], branches)
-        detected = np.cumsum(np.concatenate([np.zeros((1, 2)), photons]), axis=0)
-        rows = readout_rows(blocks)
+    def moved(u, value, counts, lo, hi):
+        """The anchor moved to ``u``, which differs from it at most in
+        pieces lo..hi-1, with ``value`` and the window totals ``counts``
+        (those of its rows if None)."""
+        blocks = anchor.blocks.copy()
+        blocks[lo:hi] = [block(i, a)
+                         for i, a in enumerate(u[lo:hi].tolist(), lo)]
+        before, photons = forward(blocks[lo:], anchor.before[lo])
+        detected = np.cumsum(
+            np.concatenate([anchor.detected[lo:lo + 1], photons]), axis=0)
+        rows = readout_rows(blocks[:hi], anchor.rows[hi])
         if counts is None:
             counts = totals(rows[0] @ branches)
-        return _Anchor(u.copy(), counts, value, before, detected, rows)
+        return _Anchor(u.copy(), counts, value, blocks,
+                       np.concatenate([anchor.before[:lo], before]),
+                       np.concatenate([anchor.detected[:lo], detected]),
+                       np.concatenate([rows, anchor.rows[hi + 1:]]))
 
-    anchor = anchored(start.amplitudes, -np.inf)
+    anchor = _Anchor(np.full(n, np.nan), None, -np.inf, [None] * n,
+                     branches[None], np.zeros((1, 2)),
+                     np.zeros((n + 1, N_LEVELS)))
+    anchor = moved(start.amplitudes, -np.inf, None, 0, n)
+
+    def query(u):
+        """The window totals at ``u``, and the span lo..hi-1 of the pieces
+        where ``u`` differs from the anchor (lo = n, hi = 0 if nowhere)."""
+        if u.shape != (n,) or not bounds.contains(u):
+            raise ParameterError(f"trial amplitudes must be {n} values in "
+                                 f"[{bounds.lo}, {bounds.hi}], got {u}")
+        changed = (u != anchor.u).nonzero()[0]
+        if changed.size == 0:
+            return anchor.totals, n, 0
+        lo, hi = int(changed[0]), int(changed[-1]) + 1
+        amplitudes, row = u.tolist(), anchor.rows[hi]
+        for i in range(hi - 1, lo - 1, -1):
+            E = block(i, amplitudes[i])
+            row = E[N_LEVELS] + row @ E[:N_LEVELS]
+        if row.tolist() == anchor.rows[lo].tolist():
+            return anchor.totals, lo, hi
+        return totals(anchor.detected[lo] + row @ anchor.before[lo]), lo, hi
 
     def expected_counts(u):
-        u = np.asarray(u, dtype=float)
-        if u.shape != anchor.u.shape or not start.bounds.contains(u):
-            raise ParameterError(f"trial amplitudes must be {start.n} values "
-                                 f"in [{start.bounds.lo}, {start.bounds.hi}],"
-                                 f" got {u}")
-        changed = np.flatnonzero(u != anchor.u)
-        if changed.size == 0:
-            return anchor.totals
-        lo, hi = changed[0], changed[-1] + 1
-        row = readout_rows([block(i, a) for i, a in
-                            enumerate(u[lo:hi].tolist(), lo)],
-                           anchor.rows[hi])[0]
-        if np.array_equal(row, anchor.rows[lo]):
-            return anchor.totals
-        return totals(anchor.detected[lo] + row @ anchor.before[lo])
+        return query(np.asarray(u, dtype=float))[0]
 
     rng = (np.random.default_rng(sampling_seed(spec.sample_seed, OLO_STREAM))
            if spec.stochastic else None)
 
     def objective(u):
         nonlocal anchor
-        counts = expected_counts(u)
+        u = np.asarray(u, dtype=float)
+        counts, lo, hi = query(u)
         seen = counts if rng is None else sample_counts(counts, rng).tolist()
         value = snr_metric(*seen)
         if value > anchor.value:
-            anchor = anchored(np.asarray(u, dtype=float), value, counts)
+            anchor = moved(u, value, counts, lo, hi)
         return value
     return objective, expected_counts
 
@@ -331,12 +354,16 @@ def run_olo(spec: OloSpec, baseline: SweepResult | float) -> OloResult:
     """Full online optimization of the readout waveform.
 
     ``baseline`` is the constant-scheme reference the improvement ratio is
-    measured against: a sweep result or a plain SNR value.  The reported
-    final SNR is always the deterministic window expectation of the returned
-    waveform, so stochastic runs are judged on what they found rather than
-    on a lucky draw.
+    measured against: a sweep result or a plain SNR value, which must not
+    be 0 (:class:`UndefinedMetricError`).  The reported final SNR is always
+    the deterministic window expectation of the returned waveform, so
+    stochastic runs are judged on what they found rather than on a lucky
+    draw.
     """
     baseline_snr = baseline.best_value if isinstance(baseline, SweepResult) else float(baseline)
+    if baseline_snr == 0:
+        raise UndefinedMetricError("improvement ratio undefined: the baseline "
+                                   "SNR is 0")
 
     init_scan = _scan_init_amplitude(spec)
     init_amp = init_scan.best_amplitude

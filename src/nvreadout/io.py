@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ParameterError
 from .harness import OloResult, SweepResult
-from .optimizer import OptimizerState
+from .optimizer import OptimizerState, QueryRecord
 from .pumpsim import PumpTrace
 from .rabi import RabiCurve
 from .waveform import PiecewiseWaveform
@@ -115,9 +116,25 @@ def write_sweep_projection_csv(result: SweepResult, path: str | Path) -> None:
     _write_rows(path, ["power", f"best_{metric}", "best_duration_ns"], rows)
 
 
+def _log_line(rec: QueryRecord) -> str:
+    """``json.dumps(rec.as_dict(), sort_keys=True)``, formatted directly:
+    ``json`` writes a finite float, and a list of them, as its ``repr``.  A
+    record holding a value that is not finite (or whose sum overflows) goes
+    through ``json``.
+    """
+    u = np.asarray(rec.u, dtype=float).tolist()
+    value, alpha = float(rec.value), float(rec.alpha)
+    if not math.isfinite(value + alpha + sum(u)):
+        return json.dumps(rec.as_dict(), sort_keys=True)
+    return (f'{{"accepted": {"true" if rec.accepted else "false"}, '
+            f'"alpha": {alpha!r}, "cycle": {rec.cycle}, '
+            f'"query_index": {rec.query_index}, '
+            f'"u": {u!r}, "value": {value!r}}}')
+
+
 def write_optimizer_log(state: OptimizerState, path: str | Path) -> None:
-    """One JSON record per objective query, in query order."""
-    lines = [json.dumps(rec.as_dict(), sort_keys=True) for rec in state.history]
+    """One JSON record per objective query, in query order, keys sorted."""
+    lines = [_log_line(rec) for rec in state.history]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -10,6 +10,7 @@ of complex exponentials, so no (frequencies, samples) table is ever built.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,12 +23,17 @@ def snr(L0, L1):
 
     L0 and L1 are total detected photons in the detection window, summed
     over the same number of repetitions for each spin preparation.  Scalars
-    or equal-shape arrays; arrays give the scalar values elementwise.
+    or equal-shape arrays; arrays give the scalar values elementwise.  A
+    pair of floats, as each OLO query scores, skips numpy's dispatch.
     """
     total = L0 + L1
-    if np.any(total <= 0):
+    if isinstance(total, float):
+        undefined, root = total <= 0, math.sqrt
+    else:
+        undefined, root = np.any(total <= 0), np.sqrt
+    if undefined:
         raise UndefinedMetricError(f"SNR undefined for L0 + L1 = {total}")
-    return (L0 - L1) / np.sqrt(total)
+    return (L0 - L1) / root(total)
 
 
 def contrast(L0, L1):

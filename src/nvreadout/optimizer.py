@@ -22,6 +22,7 @@ query, so with a fixed seed the whole trajectory replays exactly (see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,7 +99,7 @@ class OptimizerState:
 
 def _query(state: OptimizerState, objective, u: np.ndarray) -> tuple[float, QueryRecord]:
     value = float(objective(u))
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ObjectiveError(f"objective returned {value} at u = {u.tolist()}")
     record = QueryRecord(
         query_index=state.queries, cycle=state.cycle, u=u.copy(),
@@ -130,7 +131,7 @@ def exploratory_move(state: OptimizerState, objective) -> OptimizerState:
             if not _budget_left(state):
                 return state
             trial = state.best.copy()
-            trial[i] = bounds.clip(state.best[i] + sign * state.alpha)
+            trial[i] = bounds.clip(float(state.best[i]) + sign * state.alpha)
             value, record = _query(state, objective, trial)
             if value > state.best_value:
                 record.accepted = True

@@ -105,6 +105,9 @@ class RateParams:
     propagators : dict
         The run's propagator table, ``(beta, dt) -> (6, 5)`` block, filled
         by ``pumpsim``; its length is the number of propagators built.
+    generator : tuple
+        ``(M(0), M(1) - M(0))``, built once from the rates: the generator at
+        pumping rate beta is ``M(0) + beta (M(1) - M(0))``.
     """
 
     k_rad: float
@@ -116,6 +119,7 @@ class RateParams:
     amp_map: AmplitudeMap
     propagators: dict = field(default_factory=dict, init=False, repr=False,
                               compare=False)
+    generator: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rates = (self.k_rad, self.k_isc0, self.k_isc1, self.k_s0, self.k_s1)
@@ -127,6 +131,11 @@ class RateParams:
             raise ParameterError("k_isc1 must exceed k_isc0 (spin contrast)")
         if not self.k_s0 > self.k_s1:
             raise ParameterError("k_s0 must exceed k_s1 (singlet favors m_s=0)")
+        M0 = build_rate_matrix(self, 0.0)
+        dM = build_rate_matrix(self, 1.0) - M0
+        M0.setflags(write=False)
+        dM.setflags(write=False)
+        object.__setattr__(self, "generator", (M0, dM))
 
     @property
     def singlet_lifetime_ns(self) -> float:

@@ -40,7 +40,6 @@ from .photophysics import (
     N_LEVELS,
     Level,
     RateParams,
-    build_rate_matrix,
     check_populations,
     thermal_ground_state,
 )
@@ -60,11 +59,10 @@ def _build_blocks(params: RateParams, betas: np.ndarray,
     """
     if not np.all(np.isfinite(betas) & (betas >= 0)):
         raise ParameterError(f"pumping rates must be finite and >= 0, got {betas}")
-    M0 = build_rate_matrix(params, 0.0)
+    M0, dM = params.generator
     A = np.zeros((betas.size, N_LEVELS + 1, N_LEVELS + 1))
     # M(beta) = M(0) + beta (M(1) - M(0)) exactly: the difference is 0 and ±1
-    A[:, :N_LEVELS, :N_LEVELS] = M0 + betas[:, None, None] * (
-        build_rate_matrix(params, 1.0) - M0)
+    A[:, :N_LEVELS, :N_LEVELS] = M0 + betas[:, None, None] * dM
     A[:, N_LEVELS, [Level.E0, Level.E1]] = params.eta * params.k_rad
     E = expm(A * dts[:, None, None])[:, :, :N_LEVELS]
     # exp(Mt) is exactly column-stochastic; restoring that removes the drift

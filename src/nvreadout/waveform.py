@@ -32,11 +32,17 @@ class AmplitudeBounds:
                 f"need 0 <= lo < hi <= 1, got [{self.lo}, {self.hi}]")
 
     def clip(self, u):
+        """``u`` clipped into the box as ``np.clip`` clips it (a value equal
+        to a limit and NaN come back unchanged); a Python float stays a
+        Python float."""
+        if isinstance(u, float):
+            return self.lo if u < self.lo else self.hi if u > self.hi else u
         return np.clip(u, self.lo, self.hi)
 
     def contains(self, u) -> bool:
+        """Whether every entry of ``u`` lies in the box; NaN never does."""
         u = np.asarray(u, dtype=float)
-        return bool(np.all(u >= self.lo) and np.all(u <= self.hi))
+        return bool(u.size == 0 or (self.lo <= u.min() and u.max() <= self.hi))
 
 
 @dataclass(frozen=True)
@@ -53,8 +59,10 @@ class PiecewiseWaveform:
             raise ParameterError("waveform needs at least one piece")
         if not np.all(np.isfinite(amps)):
             raise ParameterError("amplitudes must be finite")
-        if not (np.isfinite(self.duration_ns) and self.duration_ns > 0):
-            raise ParameterError(f"duration must be positive, got {self.duration_ns}")
+        if not (np.isfinite(self.duration_ns) and self.duration_ns / amps.size > 0):
+            raise ParameterError(
+                f"duration must be positive, and its {amps.size} piece(s) "
+                f"wider than 0 ns, got {self.duration_ns}")
         if not self.bounds.contains(amps):
             raise ParameterError(
                 f"amplitudes outside [{self.bounds.lo}, {self.bounds.hi}]: {amps}"

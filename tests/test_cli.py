@@ -1,13 +1,19 @@
+import contextlib
 import hashlib
+import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nvreadout as nv
-from nvreadout import cli
+from nvreadout import cli, pumpsim
 from nvreadout.cli import main
+from nvreadout.config import DEFAULT_CONFIG
 from nvreadout.io import write_waveform_csv
 
 FAST_SWEEP = [
@@ -398,6 +404,18 @@ class TestPropagatorCount:
         assert self.counts(tmp_path, ["optimize"],
                            "olo_summary.json") == [134, 134]
 
+    def test_optimize_builds_in_31_batches(self, tmp_path, monkeypatch):
+        # the blocks are built once each, in the batches the run asks for
+        batches = []
+        build = pumpsim._build_blocks
+
+        def counted(params, betas, dts):
+            batches.append(betas.size)
+            return build(params, betas, dts)
+        monkeypatch.setattr(pumpsim, "_build_blocks", counted)
+        assert main(["optimize", "--out", str(tmp_path / "o")]) == 0
+        assert (len(batches), sum(batches)) == (31, 134)
+
     def test_rabi(self, tmp_path):
         # the default run's optimum: 4 pieces at full power, then dark
         path = tmp_path / "olo_waveform.csv"
@@ -442,3 +460,149 @@ class TestConfigHandling:
         assert main(["trace", "--out", str(out), "--seed", "99"]) == 0
         manifest = json.loads(read(out / "manifest.json"))
         assert manifest["seed"] == 99
+
+
+class TestStochasticFlag:
+    @pytest.mark.parametrize("command", ["trace", "sweep"])
+    def test_commands_that_never_sample_reject_it(self, tmp_path, capsys,
+                                                   command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--stochastic", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "--stochastic" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+#: The sections each command reads, besides the top-level ``seed``.
+READS = {"trace": ("photophysics", "sequence"),
+         "sweep": ("photophysics", "sequence", "sweep"),
+         "optimize": ("photophysics", "sequence", "sweep", "olo"),
+         "rabi": ("photophysics", "sequence", "sweep", "rabi")}
+TEXT_SETTINGS = ("photophysics.map_shape", "sweep.mode", "sweep.metric",
+                 "rabi.olo_waveform")
+#: Counts and repetition numbers, with the least value each accepts.
+COUNT_FLOORS = {"seed": 0, "sequence.repetitions": 1,
+                "sweep.amplitude_points": 1, "sweep.duration_points": 1,
+                "olo.n_read": 1, "olo.init_scan_points": 1,
+                "olo.max_queries": 1, "rabi.tau_points": 1,
+                "rabi.repetitions": 1}
+MALFORMED = ["[1", "{a", "[1, 2", "'abc", '"abc', "a: b: c", "{a: [1}", "]",
+             "*alias", "`x", "@x", "%x", "!!float abc", "!!int 1.5x",
+             "!!python/name:os.system"]
+
+
+def numeric_settings(command):
+    return ["seed"] + [f"{section}.{key}" for section in READS[command]
+                       for key in DEFAULT_CONFIG[section]
+                       if f"{section}.{key}" not in TEXT_SETTINGS]
+
+
+def not_dividing_the_readout(width):
+    bins = DEFAULT_CONFIG["sequence"]["readout_duration_ns"] / width
+    return math.isinf(bins) or abs(bins - round(bins)) > 1e-6 * bins
+
+
+@st.composite
+def bad_overrides(draw):
+    """A command and one ``--set`` override it must refuse."""
+    command = draw(st.sampled_from(sorted(READS)))
+    numbers = numeric_settings(command)
+    kind = draw(st.sampled_from(["non-finite", "count", "bin width",
+                                 "malformed", "list"]))
+    if kind == "non-finite":
+        key = draw(st.sampled_from(numbers))
+        value = draw(st.sampled_from([".nan", ".NaN", ".inf", "-.inf",
+                                      "1e400", "-1e999", "nan", "inf"]))
+    elif kind == "count":
+        key = draw(st.sampled_from([k for k in COUNT_FLOORS if k in numbers]))
+        value = str(draw(st.integers(max_value=COUNT_FLOORS[key] - 1)))
+    elif kind == "bin width":
+        key = "sequence.bin_width_ns"
+        value = repr(draw(st.floats(0.0, 1e7, exclude_min=True).filter(
+            not_dividing_the_readout)))
+    elif kind == "malformed":
+        key = draw(st.sampled_from(numbers + list(TEXT_SETTINGS)))
+        value = draw(st.sampled_from(MALFORMED) | st.text(
+            st.characters(blacklist_characters="]",
+                          blacklist_categories=("Cs",)),
+            max_size=8).map(lambda text: "[" + text))
+    else:
+        key = draw(st.sampled_from(
+            [k for k in numbers if k != "sequence.readout_amplitude"]))
+        items = st.floats(-10.0, 10.0) | st.integers(-3, 3)
+        value = repr(draw(st.lists(items, max_size=3)
+                          | st.lists(st.lists(items, min_size=1, max_size=2),
+                                     min_size=1, max_size=2)))
+    return command, f"{key}={value}"
+
+
+class TestSetFuzz:
+    """Every value a setting cannot take ends the run with exit code 2 (or
+    3 for a model failure) and one error line, never with a traceback."""
+
+    TINY = ["sweep.amplitude_points=3", "sweep.duration_points=2",
+            "olo.init_scan_points=3", "olo.max_queries=10", "olo.n_read=2",
+            "rabi.tau_points=31", "rabi.olo_init_amplitude=0.02"]
+
+    @pytest.fixture(scope="class")
+    def tiny_args(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fuzz")
+        wf = root / "olo_waveform.csv"
+        write_waveform_csv(nv.make_constant(920.0, 1.0), wf)
+        return ["--out", str(root / "o")] + [
+            arg for o in [*self.TINY, f"rabi.olo_waveform={wf}"]
+            for arg in ("--set", o)]
+
+    @given(bad_overrides())
+    @settings(max_examples=300, deadline=None)
+    def test_bad_override_exits_2_or_3(self, tiny_args, case):
+        command, override = case
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, *tiny_args, "--set", override])
+        assert code in (2, 3), (command, override)
+        assert "Traceback" not in err.getvalue()
+        assert err.getvalue().startswith(("config error:", "error:"))
+
+    def test_malformed_value_names_the_override(self, tmp_path, capsys):
+        code = main(["sweep", "--out", str(tmp_path / "o"),
+                     "--set", "sequence.repetitions=[1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:")
+        assert "sequence.repetitions=[1" in err
+
+    @pytest.mark.parametrize("override", ["olo.alpha0=[0.1]",
+                                          "olo.max_queries=[5]",
+                                          "sequence.wait_ns=[1, 2]"])
+    def test_list_for_a_single_number_exits_2(self, tmp_path, capsys,
+                                               override):
+        code = main(["optimize", "--out", str(tmp_path / "o"), *FAST_SWEEP,
+                     "--set", "olo.init_scan_points=3", "--set", override])
+        assert code == 2
+        assert "must be a single number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["2020-01-01", "!!binary AAAA",
+                                       "!!set {a}"])
+    def test_value_json_cannot_hold_exits_2(self, tmp_path, capsys, value):
+        # even for a setting the command never reads: the manifest records
+        # every setting
+        code = main(["trace", "--out", str(tmp_path / "o"),
+                     "--set", f"olo.alpha0={value}"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_readout_amplitude_may_be_a_list(self, tmp_path):
+        assert main(["trace", "--out", str(tmp_path / "o"), "--set",
+                     "sequence.readout_amplitude=[0.2, 0.4, 0.6, 0.8]"]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["--set", "rabi.olo_waveform=[1]", "--out", "o"],
+        ["--set", "rabi.olo_waveform=3", "--out", "o"],
+        ["--set", "output_dir=[o]"]])
+    def test_path_that_is_not_a_string_exits_2(self, tmp_path, capsys,
+                                               monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(["rabi", *FAST_SWEEP, *argv]) == 2
+        assert "must be a path" in capsys.readouterr().err

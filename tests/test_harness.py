@@ -1,6 +1,8 @@
+import inspect
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -226,6 +228,30 @@ def objective_case(base_seq, params, n, duration_ns, offset_ns, width_ns,
     return objective, expected_counts, cfg, branches
 
 
+def olo_pieces(cfg, n, duration_ns):
+    """The readout pieces of an OLO objective over ``n`` pieces of
+    ``duration_ns`` in ``cfg``'s detection window."""
+    return pumpsim.readout_pieces(replace(
+        cfg, readout_wf=nv.PiecewiseWaveform(duration_ns, np.zeros(n)),
+        bin_width_ns=duration_ns))
+
+
+def assert_anchor_is_a_full_rebuild(objective, params, pieces, branches):
+    """The objective's anchor holds, bit for bit, what one forward pass and
+    one backward fold over freshly looked-up blocks of its point give."""
+    anchor = inspect.getclosurevars(objective).nonlocals["anchor"]
+    blocks = [pumpsim.piece_block(params, params.amp_map.rate(a), segments)
+              for a, segments in zip(anchor.u.tolist(), pieces)]
+    before, photons = pumpsim.forward(blocks, branches)
+    detected = np.cumsum(np.concatenate([np.zeros((1, 2)), photons]), axis=0)
+    rows = pumpsim.readout_rows(blocks)
+    for name, want in (("before", before), ("detected", detected),
+                       ("rows", rows)):
+        got = getattr(anchor, name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+    return anchor
+
+
 @st.composite
 def readout_edits(draw):
     """A rate set, a readout of 1 to 24 pieces whose detection window may
@@ -266,6 +292,9 @@ class TestIncrementalObjective:
                 # the trial is now the anchor and answers with its old bits
                 assert expected_counts(trial) == got
                 best = trial
+                anchor = assert_anchor_is_a_full_rebuild(
+                    objective, params, olo_pieces(cfg, n, duration), branches)
+                assert np.array_equal(anchor.u, best)
 
     @pytest.mark.parametrize("seed", [2, 11, 23])
     def test_matches_reference_integrator(self, base_seq, params, seed):
@@ -330,6 +359,29 @@ class TestIncrementalObjective:
                 == [r.accepted for r in slow.history])
         assert np.array_equal(fast.best, slow.best)
 
+    def test_every_move_of_the_default_run_is_a_full_rebuild(self, olo_spec,
+                                                             params):
+        init_amp = nv.harness._scan_init_amplitude(olo_spec).best_amplitude
+        init_wf = nv.make_constant(olo_spec.base.init_wf.duration_ns, init_amp)
+        objective, _ = nv.make_snr_objective(olo_spec, init_wf)
+        start = olo_spec.start_readout
+        cfg = replace(olo_spec.base, init_wf=init_wf)
+        pieces = olo_pieces(cfg, start.n, start.duration_ns)
+        branches = np.column_stack(nv.prepared_states(cfg, params))
+        moves = []
+
+        def checked(u):
+            value = objective(u)
+            anchor = inspect.getclosurevars(objective).nonlocals["anchor"]
+            if not moves or anchor is not moves[-1]:
+                moves.append(assert_anchor_is_a_full_rebuild(
+                    objective, params, pieces, branches))
+            return value
+
+        state = nv.hj_optimize(checked, start.amplitudes, olo_spec.optimizer)
+        assert state.queries == 469
+        assert len(moves) == sum(r.accepted for r in state.history) == 50
+
     @pytest.mark.parametrize("bad", [[0.3] * 5, [0.3] * 7, [0.3] * 5 + [1.2],
                                      [0.3] * 5 + [np.nan],
                                      [0.3] * 5 + [-np.inf]])
@@ -382,6 +434,25 @@ class TestRunOlo:
         values = [objective(np.array([a])) for a in grid]
         oracle = grid[int(np.argmax(values))]
         assert abs(res.waveform.amplitudes[0] - oracle) <= 1e-3
+
+    def test_default_run_beats_every_square_pulse_on_its_lattice(
+            self, olo_spec, olo_result, params):
+        # oracle: the search space holds every pulse of k leading pieces at
+        # amplitude a and dark pieces after them; scored by the sequence's
+        # own window sum, not by the objective's anchored chain
+        start = olo_spec.start_readout
+        cfg = replace(olo_spec.base, bin_width_ns=start.duration_ns,
+                      init_wf=nv.make_constant(olo_spec.base.init_wf.duration_ns,
+                                               olo_result.init_amplitude))
+        best = -np.inf
+        for k in range(1, start.n + 1):
+            for a in np.linspace(0.05, 1.0, 20):
+                u = np.zeros(start.n)
+                u[:k] = a
+                pulse = replace(cfg, readout_wf=replace(start, amplitudes=u))
+                best = max(best, nv.snr(*nv.pair_window_counts(pulse, params)))
+        assert best == pytest.approx(388.961, abs=1e-3)
+        assert olo_result.final_snr >= best * (1 - 1e-12)
 
     def test_free_never_below_tied(self, params, base_seq, sweep_snr):
         # a 1-piece (tied) search explores a subset of the 20-piece space

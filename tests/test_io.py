@@ -1,7 +1,12 @@
+import json
+
 import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
 
 import nvreadout as nv
 from nvreadout.io import (
+    write_optimizer_log,
     write_sweep_grid_csv,
     write_sweep_projection_csv,
     write_waveform_csv,
@@ -48,3 +53,24 @@ def test_text_equals_per_value_formatting_with_nan_cells(tmp_path, params,
         ["piece_index", "start_ns", "width_ns", "amplitude"],
         ([str(i), fmt(i * width), fmt(width), fmt(a)]
          for i, a in enumerate(wf.amplitudes)))
+
+
+edge_floats = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308,
+                               1e16, 1e-5, 0.1, 1 / 3]) | st.floats()
+query_records = st.builds(
+    nv.QueryRecord, query_index=st.integers(0, 10**6),
+    cycle=st.integers(0, 10**4),
+    u=st.lists(edge_floats, max_size=6).map(np.array), value=edge_floats,
+    alpha=edge_floats, accepted=st.booleans())
+
+
+@given(st.lists(query_records, max_size=5))
+def test_log_lines_equal_json_of_each_record(tmp_path_factory, records):
+    # the log is formatted directly; json.dumps is the reference, NaN and
+    # infinity included
+    path = tmp_path_factory.mktemp("log") / "olo_log.jsonl"
+    state = nv.OptimizerState(config=None, best=None, best_value=0.0,
+                              alpha=0.1, history=records)
+    write_optimizer_log(state, path)
+    assert path.read_text() == "\n".join(
+        json.dumps(rec.as_dict(), sort_keys=True) for rec in records) + "\n"

@@ -46,6 +46,16 @@ class TestRateParams:
         with pytest.raises(ParameterError):
             replace(params, **bad)
 
+    @given(rate_params_strategy(), st.floats(0.0, 10.0))
+    @settings(max_examples=50)
+    def test_generator_is_built_from_its_own_rates(self, params, beta):
+        # each instance, a replace() copy included, holds its own M(0) and
+        # M(1) - M(0), never another instance's
+        for p in (params, replace(params, k_rad=2 * params.k_rad)):
+            M0, dM = p.generator
+            assert np.array_equal(M0, nv.build_rate_matrix(p, 0.0))
+            assert np.array_equal(M0 + beta * dM, nv.build_rate_matrix(p, beta))
+
 
 class TestAmplitudeMap:
     def test_linear(self):

@@ -41,6 +41,25 @@ class TestPiecewiseWaveform:
             wf.amplitudes[0] = 0.9
 
 
+class TestAmplitudeBounds:
+    @given(st.floats() | st.sampled_from([-0.0, 0.0, 0.1, 0.9, 1.0]),
+           st.sampled_from([(0.0, 1.0), (0.1, 0.9), (0, 1)]))
+    def test_float_clip_is_numpy_clip(self, x, limits):
+        got = nv.AmplitudeBounds(*limits).clip(x)
+        want = np.clip(np.float64(x), *limits)
+        assert isinstance(got, (float, int))
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.signbit(got) == np.signbit(want)
+
+    @pytest.mark.parametrize("u, inside", [
+        ([0.0, 1.0], True), ([0.5], True), ([], True), ([-0.0], True),
+        ([0.5, np.nan], False), ([np.nan], False),
+        ([np.nextafter(1.0, 2.0)], False), ([-1e-300], False),
+        ([np.inf], False)])
+    def test_contains(self, u, inside):
+        assert nv.AmplitudeBounds().contains(np.array(u)) is inside
+
+
 class TestCsvRoundTrip:
     @given(amps=amplitude_vectors, duration=st.floats(1.0, 5000.0))
     @settings(max_examples=40, deadline=None)
