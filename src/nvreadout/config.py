@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -99,13 +100,31 @@ def _check_keys(section: str, given: dict, known: dict) -> None:
         )
 
 
+class _Loader(yaml.SafeLoader):
+    """PyYAML's safe loader, which follows YAML 1.1, with the floats of the
+    YAML 1.2 core schema added: under 1.1 a float needs a dot and a signed
+    exponent, so ``1e6``, ``1e+03`` and ``1.0e6`` would load as strings."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    # the 1.2 core floats that 1.2 does not resolve as integers
+    re.compile(r"^[-+]?(?:(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
+               r"|[0-9]+[eE][-+]?[0-9]+)$"),
+    list("-+.0123456789"))
+
+
 def _parse_yaml(text: str, where: str):
     """``text`` parsed as YAML, which must hold only what the manifest's
     JSON can: null, booleans, numbers, strings, lists and mappings."""
     try:
-        value = yaml.safe_load(text)
+        value = yaml.load(text, Loader=_Loader)
     except (yaml.YAMLError, ValueError) as exc:   # ValueError: "!!float abc"
         raise ConfigurationError(f"cannot parse {where}: {exc}") from None
+    except RecursionError:
+        raise ConfigurationError(f"cannot parse {where}: nested too deeply") from None
+    # the parser takes more stack per level than this check, so a value it
+    # could nest, the check can walk
     _check_plain(value, where)
     return value
 

@@ -102,6 +102,31 @@ def rabi_expectations(cfg: RabiConfig, params: RateParams) -> np.ndarray:
     return L0 * c2 + L1 * (1.0 - c2)
 
 
+def _signals(cfg: RabiConfig, expected: np.ndarray):
+    """The window totals of one sweep, drawn if it is stochastic, and the
+    signals: those totals normalized to their maximum."""
+    counts = (sample_counts(expected, cfg.sample_seed) if cfg.stochastic
+              else expected).astype(float)
+    ref = counts.max()
+    if ref <= 0:
+        raise ConfigurationError("no photons detected at any tau")
+    return counts, counts / ref
+
+
+def _fitted_curve(cfg: RabiConfig, expected: np.ndarray, counts: np.ndarray,
+                  signals: np.ndarray, fit: SinusoidFit) -> RabiCurve:
+    """The curve of :func:`_signals`' output with its sinusoid fit."""
+    y_max = fit.offset + fit.amplitude
+    y_min = fit.offset - fit.amplitude
+    curve_contrast = (y_max - y_min) / y_max
+    if cfg.stochastic:
+        dev = mean_deviation(signals, fit, cfg.taus_ns)
+    else:
+        dev = expected_mean_deviation(expected)
+    return RabiCurve(taus_ns=cfg.taus_ns, signals=signals, counts=counts,
+                     fit=fit, contrast=float(curve_contrast), mean_dev=dev)
+
+
 def realize_curve(cfg: RabiConfig, expected: np.ndarray) -> RabiCurve:
     """Turn expected totals into a (possibly sampled) fitted Rabi curve.
 
@@ -113,22 +138,9 @@ def realize_curve(cfg: RabiConfig, expected: np.ndarray) -> RabiCurve:
     A fit that fails raises its ``FitError``; ``config.build_rabi_taus``
     keeps configured grids at or above the fit's minimum sample count.
     """
-    counts = (sample_counts(expected, cfg.sample_seed) if cfg.stochastic
-              else expected).astype(float)
-    ref = counts.max()
-    if ref <= 0:
-        raise ConfigurationError("no photons detected at any tau")
-    signals = counts / ref
-    fit = fit_sinusoid(cfg.taus_ns, signals)
-    y_max = fit.offset + fit.amplitude
-    y_min = fit.offset - fit.amplitude
-    curve_contrast = (y_max - y_min) / y_max
-    if cfg.stochastic:
-        dev = mean_deviation(signals, fit, cfg.taus_ns)
-    else:
-        dev = expected_mean_deviation(expected)
-    return RabiCurve(taus_ns=cfg.taus_ns, signals=signals, counts=counts,
-                     fit=fit, contrast=float(curve_contrast), mean_dev=dev)
+    counts, signals = _signals(cfg, expected)
+    return _fitted_curve(cfg, expected, counts, signals,
+                         fit_sinusoid(cfg.taus_ns, signals))
 
 
 def simulate_rabi(cfg: RabiConfig, params: RateParams) -> RabiCurve:
@@ -183,17 +195,28 @@ def compare_schemes(cfgs: dict[str, RabiConfig], params: RateParams) -> SchemeCo
 
     ``cfgs`` maps each name in :data:`SCHEMES` to a config whose ``base``
     carries that scheme's init and readout waveforms, as built by
-    :func:`make_scheme_configs`.  A scheme whose fit fails stops the
-    comparison with that fit's ``FitError``.
+    :func:`make_scheme_configs`, all on one tau grid.  Every curve is
+    drawn first and one :func:`metrics.fit_sinusoid` call fits them all,
+    so its frequency tables are built once; each curve then gets the fit
+    :func:`realize_curve` would give it.  A fit that fails stops the
+    comparison with its ``FitError``.
     """
     missing = [s for s in SCHEMES if s not in cfgs]
     if missing:
         raise ConfigurationError(f"missing scheme configs: {missing}")
-    curves, contrasts, mean_devs = {}, {}, {}
+    taus = cfgs[SCHEMES[0]].taus_ns
+    if not all(np.array_equal(cfg.taus_ns, taus) for cfg in cfgs.values()):
+        raise ConfigurationError("the schemes must share one tau grid")
+    drawn = {}
     for name, cfg in cfgs.items():
-        curves[name] = curve = simulate_rabi(cfg, params)
-        contrasts[name] = curve.contrast
-        mean_devs[name] = curve.mean_dev
+        expected = rabi_expectations(cfg, params)
+        drawn[name] = (cfg, expected, *_signals(cfg, expected))
+    fits = fit_sinusoid(taus, np.stack([signals for *_, signals
+                                        in drawn.values()]))
+    curves = {name: _fitted_curve(*curve, fit)
+              for (name, curve), fit in zip(drawn.items(), fits)}
+    contrasts = {name: curve.contrast for name, curve in curves.items()}
+    mean_devs = {name: curve.mean_dev for name, curve in curves.items()}
     orderings = {
         "olo_contrast_above_constant_snr":
             contrasts["olo-snr"] > contrasts["constant-snr"],

@@ -442,6 +442,22 @@ class TestConfigHandling:
         assert manifest["seed"] == 12
         assert manifest["config_sha256"] != "defaults"
 
+    def test_exponent_floats_are_recorded_as_numbers(self, tmp_path):
+        # YAML 1.1 reads a float with no dot, or with an unsigned exponent,
+        # as a string; the manifest records the number the run used, and
+        # the run's other outputs are those of the plain spelling
+        runs = {}
+        for name, repetitions, wait in (("exp", "1e6", "1e+03"),
+                                        ("plain", "1000000.0", "1000.0")):
+            runs[name] = out = tmp_path / name
+            assert main(["trace", "--out", str(out),
+                         "--set", f"rabi.repetitions={repetitions}",
+                         "--set", f"sequence.wait_ns={wait}"]) == 0
+        resolved = json.loads(read(runs["exp"] / "manifest.json"))["resolved_config"]
+        assert resolved["rabi"]["repetitions"] == 1e6
+        assert resolved["sequence"]["wait_ns"] == 1000.0
+        assert read(runs["exp"] / "trace.csv") == read(runs["plain"] / "trace.csv")
+
     def test_unparseable_yaml_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("photophysics: [unclosed\n")
@@ -592,6 +608,16 @@ class TestSetFuzz:
                      "--set", f"olo.alpha0={value}"])
         assert code == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("command", sorted(READS))
+    def test_deeply_nested_value_exits_2(self, tiny_args, capsys, command):
+        # deeper than the YAML parser's recursion reaches
+        deep = "[" * 3000 + "]" * 3000
+        code = main([command, *tiny_args, "--set", f"olo.alpha0={deep}"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:") and "nested too deeply" in err
+        assert "Traceback" not in err
 
     def test_readout_amplitude_may_be_a_list(self, tmp_path):
         assert main(["trace", "--out", str(tmp_path / "o"), "--set",

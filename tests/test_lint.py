@@ -54,15 +54,27 @@ def test_unused_imports_are_kept_only_for_the_tracer():
     assert [k for k in kept if k[:2] not in patched] == []
 
 
-def expm_call_sites(path: Path):
-    """(module, top-level function or None) of every call to ``expm``."""
-    tree = ast.parse(path.read_text())
-    owner = {id(node): top.name for top in tree.body
-             if isinstance(top, ast.FunctionDef) for node in ast.walk(top)}
-    return [(path.stem, owner.get(id(node))) for node in ast.walk(tree)
-            if isinstance(node, ast.Call)
-            and "expm" in (getattr(node.func, "id", None),
-                           getattr(node.func, "attr", None))]
+def calls_with_branches(path: Path, name: str):
+    """(top-level function, branch conditions) of every call to ``name``:
+    the test of each ``if`` and the iterable of each ``for`` in whose body
+    the call sits, as source text, innermost first."""
+    source = path.read_text()
+    found = []
+
+    def visit(node, top, branches):
+        if isinstance(node, ast.Call) and name in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            found.append((top, branches))
+        for child in ast.iter_child_nodes(node):
+            inner = branches
+            if isinstance(node, (ast.If, ast.For)) and child in node.body:
+                condition = node.test if isinstance(node, ast.If) else node.iter
+                inner = [ast.get_source_segment(source, condition), *branches]
+            visit(child, top, inner)
+
+    for top in ast.parse(source).body:
+        visit(top, top.name if isinstance(top, ast.FunctionDef) else None, [])
+    return found
 
 
 def imported_modules(path: Path):
@@ -78,9 +90,24 @@ def test_pumpsim_calls_expm_once_in_its_builder():
     # every propagator of the package comes from one stacked exponential, so
     # the exponential can be replaced in one place; pumpsim keeps it as a
     # module-level name, which the benchmark's tracer patches
-    calls = [site for path in SOURCES for site in expm_call_sites(path)]
+    calls = [(path.stem, top) for path in SOURCES
+             for top, _ in calls_with_branches(path, "expm")]
     assert calls == [("pumpsim", "_build_blocks")]
     assert [path.stem for path in SOURCES
             if any(module.split(".")[0] == "scipy"
                    for module in imported_modules(path))] == ["pumpsim"]
     assert "expm" in vars(pumpsim)
+
+
+def test_lstsq_only_behind_the_ill_conditioned_branches():
+    # the fit solves its normal equations in closed form; lstsq is the
+    # fallback where they are ill-conditioned, and nothing else
+    lstsq = [(path.stem, top) for path in SOURCES
+             for top, _ in calls_with_branches(path, "lstsq")]
+    assert lstsq == [("metrics", "_linear_fit_at")]
+    fallbacks = [(path.stem, top, branches) for path in SOURCES
+                 for top, branches in calls_with_branches(path, "_linear_fit_at")]
+    assert {(module, top) for module, top, _ in fallbacks} == {
+        ("metrics", "_fit_at"), ("metrics", "_grid_residuals")}
+    assert all(branches and "_ILL_CONDITIONED" in branches[0]
+               for _, _, branches in fallbacks)

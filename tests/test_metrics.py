@@ -3,9 +3,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import nvreadout as nv
@@ -84,11 +85,39 @@ def synth(ts, offset, amplitude, omega, phase):
     return offset + amplitude * np.cos(omega * ts + phase)
 
 
+def lstsq_residual(omega, ts, ys):
+    """Residual norm of the least-squares fit on {1, cos, sin} at ``omega``,
+    by ``lstsq`` of the (n, 3) design."""
+    design = np.column_stack([np.ones_like(ts), np.cos(omega * ts),
+                              np.sin(omega * ts)])
+    coef = np.linalg.lstsq(design, ys, rcond=None)[0]
+    return float(np.linalg.norm(ys - design @ coef))
+
+
+def golden_section(f, a, b, xatol):
+    """Minimum of a unimodal ``f`` on [a, b], to within ``xatol``."""
+    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > xatol:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = f(d)
+    return (c, fc) if fc <= fd else (d, fd)
+
+
 def plain_scan_omega(ts, ys):
-    """``fit_sinusoid``'s frequency by an independent scan: the residual of
-    every point of its grid from explicit cos and sin tables of the whole
-    (grid, samples) product, then the same golden-section polish between
-    the best point's neighbours."""
+    """``fit_sinusoid``'s frequency by an independent scan and polish: the
+    residual of every point of its grid from explicit cos and sin tables of
+    the whole (grid, samples) product, then a golden-section search of the
+    ``lstsq`` residual between the best point's neighbours, kept if it is
+    no worse than that point.  Returns the frequency and the polish
+    tolerance."""
     span, dt_min = np.ptp(ts), np.min(np.diff(np.sort(ts)))
     lo, hi = 2 * np.pi / span, np.pi / dt_min
     step = 2 * np.pi / (span * metrics._OVERSAMPLE)
@@ -105,15 +134,14 @@ def plain_scan_omega(ts, ys):
     with np.errstate(divide="ignore", invalid="ignore"):
         res2 = yc @ yc - (ss * cy**2 - 2 * cs * cy * sy + cc * sy**2) / det
     for k in np.flatnonzero(~(det > metrics._ILL_CONDITIONED * n**2)):
-        res2[k] = metrics._linear_fit_at(grid[k], ts, ys)[1] ** 2
+        res2[k] = lstsq_residual(grid[k], ts, ys) ** 2
     i = int(np.argmin(res2))
     omega = float(grid[i])
     w_lo, w_hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
-
-    def residual_at(w):
-        return metrics._linear_fit_at(w, ts, ys)[1]
-    w, r = metrics._golden_section(residual_at, w_lo, w_hi, step * 1e-8)
-    return float(w) if r <= residual_at(omega) else omega
+    xatol = step * 1e-8
+    w, r = golden_section(lambda w: lstsq_residual(w, ts, ys), w_lo, w_hi,
+                          xatol)
+    return (float(w) if r <= lstsq_residual(omega, ts, ys) else omega), xatol
 
 
 class TestFitSinusoid:
@@ -165,18 +193,22 @@ class TestFitSinusoid:
 
     def test_grid_residuals_match_least_squares(self):
         # the batched normal equations against one lstsq per frequency, up
-        # to the Nyquist limit where sin vanishes on the samples
+        # to the Nyquist limit where sin vanishes on the samples; two curves
+        # share the tables of one call
         rng = np.random.default_rng(4)
         for ts in (np.linspace(0.0, 600.0, 241),
                    np.sort(rng.uniform(0.0, 500.0, 90))):
-            ys = 0.8 + 0.1 * np.cos(0.04 * ts + 1.0) + rng.normal(0, 0.01, ts.size)
+            ys = np.stack([0.8 + 0.1 * np.cos(w * ts + 1.0)
+                           + rng.normal(0, 0.01, ts.size) for w in (0.04, 0.3)])
             lo, count = 2 * np.pi / np.ptp(ts), 600
             step = (np.pi / 2.5 - lo) / (count - 1)
             got = metrics._grid_residuals(lo, step, count, ts, ys)
-            want = [metrics._linear_fit_at(lo + step * k, ts, ys)[1] ** 2
-                    for k in range(count)]
-            scale = np.sum((ys - ys.mean()) ** 2)
-            assert np.max(np.abs(got - want)) < 1e-12 * scale
+            assert got.shape == (2, count)
+            for row, y in zip(got, ys):
+                want = [lstsq_residual(lo + step * k, ts, y) ** 2
+                        for k in range(count)]
+                scale = np.sum((y - y.mean()) ** 2)
+                assert np.max(np.abs(row - want)) < 1e-12 * scale
 
     @pytest.mark.parametrize("points", [31, 61, 241])
     @pytest.mark.parametrize("scale", [1e4, 1e6, 1e8])
@@ -204,7 +236,10 @@ class TestFitSinusoid:
                                                           jitter):
         # Rabi-like curves as criterion 8 fits them: Poisson counts about a
         # 200 ns oscillation, normalized to their maximum; the jittered tau
-        # grids move each sample by up to 30 % of the spacing
+        # grids move each sample by up to 30 % of the spacing.  The oracle
+        # polishes by golden section of the lstsq residual, the fit by
+        # Brent's method on its own normal equations, so the two agree to
+        # within a few polish tolerances, not bit for bit
         rng = np.random.default_rng(int(points * scale) % 2**32)
         for _ in range(4):
             ts = np.linspace(0.0, 600.0, points)
@@ -213,7 +248,29 @@ class TestFitSinusoid:
                              rng.uniform(-np.pi, np.pi)) * scale
             ys = rng.poisson(expected) / scale
             ys /= ys.max()
-            assert nv.fit_sinusoid(ts, ys).omega == plain_scan_omega(ts, ys)
+            want, xatol = plain_scan_omega(ts, ys)
+            # the two polishes stop within xatol of where each one's
+            # rounding makes the residual flat; the largest gap measured
+            # over these 24 cases is 8.2 xatol, on 9-point curves at 1e4
+            assert abs(nv.fit_sinusoid(ts, ys).omega - want) <= 9 * xatol
+
+    @given(st.integers(9, 241), st.floats(0.0, 1.0), st.floats(0.5, 1.0),
+           st.floats(0.01, 0.4), st.floats(-np.pi, np.pi))
+    @settings(max_examples=60, deadline=None)
+    def test_noiseless_curve_on_the_grid_fits_to_rounding(self, points, where,
+                                                          offset, amplitude,
+                                                          phase):
+        # a noiseless sinusoid at a frequency of the fit's own grid, as the
+        # criterion-8 curves are (200 ns is 48 steps above one period per
+        # 600 ns span): the polish keeps or finds an exact fit
+        ts = np.linspace(0.0, 600.0, points)
+        lo, hi = 2 * np.pi / 600.0, np.pi / np.min(np.diff(ts))
+        step = lo / metrics._OVERSAMPLE
+        grid = np.arange(lo, hi + step, step)
+        grid = grid[grid <= hi + 0.5 * step]
+        omega = grid[int(where * (grid.size - 1))]
+        fit = nv.fit_sinusoid(ts, synth(ts, offset, amplitude, omega, phase))
+        assert fit.residual_norm < 1e-12
 
     def test_nyquist_alternation_recovered(self):
         ts = np.linspace(0.0, 600.0, 241)
@@ -251,6 +308,92 @@ class TestFitSinusoid:
             nv.fit_sinusoid(np.arange(5.0), np.arange(5.0))
         with pytest.raises(FitError):
             nv.fit_sinusoid(np.arange(16.0), np.arange(8.0))
+
+
+def mp_fit_at(omega, ts, ys):
+    """Least-squares (offset, cos, sin) coefficients and residual norm at
+    ``omega`` in 40-digit arithmetic, on the basis evaluated at the same
+    double-precision angles ``omega * ts`` the fit uses."""
+    with mpmath.workdps(40):
+        basis = mpmath.matrix([[1, mpmath.cos(a), mpmath.sin(a)]
+                               for a in (omega * ts).tolist()])
+        y = mpmath.matrix(ys.tolist())
+        coef = mpmath.lu_solve(basis.T * basis, basis.T * y)
+        residual = mpmath.norm(y - basis * coef)
+        return np.array([float(c) for c in coef]), float(residual)
+
+
+def centred_det(omega, ts):
+    """det of the offset-eliminated 2x2 normal equations, over n²."""
+    c, s = np.cos(omega * ts), np.sin(omega * ts)
+    c, s = c - c.mean(), s - s.mean()
+    return ((c @ c) * (s @ s) - (c @ s) ** 2) / ts.size**2
+
+
+class TestFitAt:
+    """The normal equations at one frequency against a 40-digit solution."""
+
+    @given(st.integers(8, 80), st.booleans(), st.floats(0.0, 1.0),
+           st.floats(-10.0, -1.0), st.floats(1e-6, 0.1),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_40_digit_solution(self, points, jittered, where,
+                                           log_gap, noise, seed):
+        # omega anywhere on the fit's range, or within a relative gap of
+        # 1e-10 .. 0.1 below the Nyquist limit of the closest samples
+        rng = np.random.default_rng(seed)
+        ts = np.linspace(0.0, 600.0, points)
+        if jittered:
+            ts = np.sort(ts + 0.3 * rng.uniform(-1, 1, points) * 600 / (points - 1))
+        lo, hi = 2 * np.pi / np.ptp(ts), np.pi / np.min(np.diff(ts))
+        omega = lo + where * (hi - lo) if where < 0.5 else hi * (1 - 10**log_gap)
+        ys = (rng.uniform(0.1, 1.0)
+              + rng.uniform(0.0, 0.3) * np.cos(rng.uniform(lo, hi) * ts + 1.0)
+              + rng.normal(0.0, noise, points))
+        coef, residual = metrics._fit_at(omega, ts, ys)
+        det = centred_det(omega, ts)
+        assume(not 0.1 < det / metrics._ILL_CONDITIONED < 10)
+        if det < metrics._ILL_CONDITIONED:
+            # ill-conditioned: the lstsq fallback, as it stands
+            want_coef, want_residual = metrics._linear_fit_at(omega, ts, ys)
+            assert np.array_equal(coef, want_coef)
+            assert residual == want_residual
+            return
+        want_coef, want_residual = mp_fit_at(omega, ts, ys)
+        scale = np.max(np.abs(ys))
+        # each coefficient in the curve's units: times the largest value
+        # its basis function takes on the samples (sin is small near
+        # Nyquist, where its coefficient is loosely determined)
+        reach = np.array([1.0, np.max(np.abs(np.cos(omega * ts))),
+                          np.max(np.abs(np.sin(omega * ts)))])
+        assert np.max(np.abs(coef - want_coef) * reach) < 1e-12 * scale
+        assert abs(residual - want_residual) < 1e-12 * scale
+
+
+class TestBatchFit:
+    @pytest.mark.parametrize("points", [9, 31, 241])
+    @pytest.mark.parametrize("jitter", [0.0, 0.3], ids=["uniform", "jittered"])
+    def test_rows_fit_bit_for_bit_as_single_curves(self, points, jitter):
+        # Poisson curves at three count scales and one noiseless curve on
+        # one tau grid, fitted together and one at a time
+        rng = np.random.default_rng(points)
+        ts = np.linspace(0.0, 600.0, points)
+        ts += jitter * rng.uniform(-1, 1, points) * 600.0 / (points - 1)
+        rows = [synth(ts, 0.85, 0.12, 2 * np.pi / 200.0, 0.4)]
+        for scale in (1e4, 1e6, 1e8):
+            expected = synth(ts, 0.8, 0.15, 2 * np.pi / rng.uniform(90, 300),
+                             rng.uniform(-np.pi, np.pi)) * scale
+            rows.append(rng.poisson(expected) / scale)
+        ys = np.stack(rows)
+        fits = nv.fit_sinusoid(ts, ys)
+        assert fits == [nv.fit_sinusoid(ts, y) for y in ys]
+
+    def test_row_length_checked(self):
+        with pytest.raises(FitError, match="length mismatch"):
+            nv.fit_sinusoid(np.arange(16.0), np.ones((3, 15)))
+        with pytest.raises(FitError, match="non-finite"):
+            nv.fit_sinusoid(np.arange(16.0),
+                            np.vstack([np.ones(16), np.full(16, np.nan)]))
 
 
 class TestMeanDeviation:

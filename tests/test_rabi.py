@@ -157,6 +157,13 @@ class TestCompareSchemes:
         comp = nv.compare_schemes(schemes, params)
         assert comp.orderings["olo_contrast_above_constant_snr"]
 
+    def test_schemes_on_different_tau_grids_rejected(self, schemes, params):
+        # one fit call serves all schemes, so they share one tau grid
+        moved = {**schemes, "olo-snr": replace(
+            schemes["olo-snr"], taus_ns=np.linspace(0.0, 600.0, 31))}
+        with pytest.raises(ConfigurationError, match="one tau grid"):
+            nv.compare_schemes(moved, params)
+
     def test_missing_scheme_rejected(self, schemes, params):
         incomplete = {k: v for k, v in schemes.items() if k != "olo-snr"}
         with pytest.raises(ConfigurationError):
