@@ -7,8 +7,10 @@ with the matrix exponential of a 6x6 block matrix whose extra row
 accumulates the time integral of the detected emission rate (Van Loan
 1978).  A run keeps its blocks in one table, ``RateParams.propagators``:
 :func:`_segment_blocks` looks them up, and :func:`_build_blocks` builds the
-missing ones in one stacked exponential.  No quadrature and no per-step
-error enter anywhere.
+missing ones in one call of :func:`expm`: a batch of at least
+:data:`_STACKED_MIN` blocks goes through one stacked Padé exponential
+(:func:`_stacked_expm`), a smaller one through scipy's kernel, matrix by
+matrix.  No quadrature and no per-step error enter anywhere.
 
 Every stage is a chain of (6, 5) blocks ``[E; c]``: ``E`` maps the
 populations and ``c`` counts the photons detected on the way.  Three
@@ -33,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
+import scipy.linalg
 
 from .errors import ConfigurationError, ParameterError, SamplingRangeError
 from .photophysics import (
@@ -47,11 +49,65 @@ from .waveform import PiecewiseWaveform
 
 _REL_TOL = 1e-9
 
+#: Fewest matrices :func:`expm` sends through the stacked Padé kernel; a
+#: smaller stack is faster matrix by matrix in scipy's.
+_STACKED_MIN = 4
+
+#: Coefficients b_0..b_13 of the [13/13] Padé approximant of exp, and the
+#: 1-norm up to which it is accurate to double precision (Higham 2005).
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+           16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def _stacked_expm(A: np.ndarray) -> np.ndarray:
+    """exp of every matrix of a (k, n, n) stack by [13/13] Padé scaling and
+    squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 2005).
+
+    Each matrix is scaled by its own power of two 2^-s, exactly, so that
+    its 1-norm is at most theta_13.  The stack is sorted by s, so squaring
+    round j acts on the contiguous tail of the matrices with s >= j; every
+    step acts on each matrix alone, so a matrix's exponential does not
+    depend on the stack it is built in.
+    """
+    b = _PADE13
+    s = np.maximum(np.frexp(np.abs(A).sum(axis=1).max(axis=1) / _THETA13)[1], 0)
+    order = np.argsort(s, kind="stable")
+    s = s[order]
+    A = np.ldexp(A[order], -s[:, None, None])
+    eye = np.eye(A.shape[-1])
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
+    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye)
+    R = np.linalg.solve(V - U, V + U)
+    for j in range(1, int(s[-1]) + 1):
+        tail = R[np.searchsorted(s, j):]
+        tail[...] = tail @ tail
+    out = np.empty_like(R)
+    out[order] = R
+    return out
+
+
+def expm(A: np.ndarray) -> np.ndarray:
+    """exp of every matrix of a (k, n, n) stack: scipy's kernel, one matrix
+    at a time, below :data:`_STACKED_MIN` matrices, and the stacked Padé
+    kernel :func:`_stacked_expm` from there on."""
+    if len(A) < _STACKED_MIN:
+        return scipy.linalg.expm(A)
+    return _stacked_expm(A)
+
 
 def _build_blocks(params: RateParams, betas: np.ndarray,
                   dts: np.ndarray) -> np.ndarray:
     """The (k, 6, 5) blocks of k segments at rates ``betas`` lasting ``dts``,
-    from one stacked exponential.
+    from one :func:`expm` call: the stacked Padé kernel builds them when k
+    is at least :data:`_STACKED_MIN`, scipy's otherwise.
 
     Rows 0-4 of a block: populations after dt; row 5: detected photons in
     dt.  Only the population columns of the augmented exponential are kept;
@@ -65,8 +121,11 @@ def _build_blocks(params: RateParams, betas: np.ndarray,
     A[:, :N_LEVELS, :N_LEVELS] = M0 + betas[:, None, None] * dM
     A[:, N_LEVELS, [Level.E0, Level.E1]] = params.eta * params.k_rad
     E = expm(A * dts[:, None, None])[:, :, :N_LEVELS]
-    # exp(Mt) is exactly column-stochastic; restoring that removes the drift
-    # of the computed exponential (about 1e-11 at 1e6 ns)
+    # A's off-diagonal entries are rates, so exp(At) is exactly nonnegative,
+    # and exp(Mt) column-stochastic; restoring both removes the rounding of
+    # the computed exponential: entries of about -1e-19 where the exact one
+    # is 0, and a drift of about 1e-11 at 1e6 ns
+    np.maximum(E, 0.0, out=E)
     E[:, :N_LEVELS] /= E[:, :N_LEVELS].sum(axis=1, keepdims=True)
     E.setflags(write=False)
     return E
@@ -107,23 +166,44 @@ def forward(blocks, p):
     return states, photons
 
 
-def _square_pulse_blocks(params: RateParams, betas, durations):
-    """Yield the (n_beta, 6, 5) blocks of square pulses at every rate in
-    ``betas``, one stack per duration.
+def _chain_steps(durations) -> list[float]:
+    """The segments that chain square pulses along sorted ``durations``:
+    ``d[0]``, then the step from each duration to the next.
+
+    A grid that is exactly ``np.linspace(d[0], d[-1], n)`` steps by numpy's
+    own step throughout, where its differences would round to several.
+    """
+    d = np.asarray(durations, dtype=float)
+    n = d.size
+    if n > 1 and np.array_equal(d, np.linspace(d[0], d[-1], n)):
+        return [float(d[0])] + [float((d[-1] - d[0]) / (n - 1))] * (n - 1)
+    return np.diff(d, prepend=0.0).tolist()
+
+
+def _square_pulse_blocks(params: RateParams, betas, durations, wait_ns):
+    """The block of a dark wait of ``wait_ns``, and an iterator over the
+    (n_beta, 6, 5) blocks of square pulses at every rate in ``betas``, one
+    stack per duration.
 
     ``durations`` must be sorted and >= 0.  A pulse of duration ``d[j]`` is
-    the pulse of ``d[j - 1]`` followed by one segment of ``d[j] - d[j - 1]``,
-    so the whole grid costs one propagator per rate and distinct step,
-    looked up in one call.
+    the pulse of ``d[j - 1]`` followed by one segment (:func:`_chain_steps`),
+    so the whole grid costs one propagator per rate and distinct step.
+    They and the wait are looked up in one call.
     """
-    dts = np.diff(durations, prepend=0.0).tolist()
+    dts = _chain_steps(durations)
     distinct = {dt: j for j, dt in enumerate(dict.fromkeys(dts))}
-    steps = _segment_blocks(params, betas, np.reshape(list(distinct), (-1, 1)))
-    steps = steps.reshape(len(distinct), -1, N_LEVELS + 1, N_LEVELS)
-    blocks = np.eye(N_LEVELS + 1, N_LEVELS)
-    for dt in dts:
-        blocks = compose(steps[distinct[dt]], blocks)
-        yield blocks
+    betas = np.asarray(betas, dtype=float)
+    stack = _segment_blocks(
+        params, np.append(np.tile(betas, len(distinct)), 0.0),
+        np.append(np.repeat(list(distinct), betas.size), wait_ns))
+    steps = stack[:-1].reshape(len(distinct), betas.size, N_LEVELS + 1, N_LEVELS)
+
+    def chain():
+        blocks = np.eye(N_LEVELS + 1, N_LEVELS)
+        for dt in dts:
+            blocks = compose(steps[distinct[dt]], blocks)
+            yield blocks
+    return stack[-1], chain()
 
 
 def _midpoints(edges: np.ndarray) -> np.ndarray:
@@ -347,12 +427,12 @@ def square_pulse_states(cfg: SequenceConfig, params: RateParams,
     amplitude i detects when it reads out the state ``p``.
     """
     betas = params.amp_map.rate(np.asarray(amplitudes, dtype=float))
+    wait, chain = _square_pulse_blocks(params, betas, durations_ns, cfg.wait_ns)
     ready = np.empty((len(durations_ns), betas.size, N_LEVELS))
     rows = np.empty_like(ready)
-    for j, blocks in enumerate(_square_pulse_blocks(params, betas, durations_ns)):
+    for j, blocks in enumerate(chain):
         ready[j] = blocks[:, :N_LEVELS] @ thermal_ground_state()
         rows[j] = blocks[:, N_LEVELS]
-    wait = _segment_blocks(params, 0.0, cfg.wait_ns)[0]
     p = (wait @ ready.reshape(-1, N_LEVELS).T)[:N_LEVELS].reshape(
         N_LEVELS, len(rows), 1, betas.size)
     states = np.concatenate([p, _swap_ground(p)], axis=2)

@@ -398,13 +398,13 @@ class TestPropagatorCount:
     def test_sweep(self, tmp_path):
         argv = ["sweep", "--set", "sweep.amplitude_points=80",
                 "--set", "sweep.duration_points=80"]
-        assert self.counts(tmp_path, argv, "sweep_summary.json") == [321, 321]
+        assert self.counts(tmp_path, argv, "sweep_summary.json") == [161, 161]
 
     def test_optimize(self, tmp_path):
         assert self.counts(tmp_path, ["optimize"],
-                           "olo_summary.json") == [134, 134]
+                           "olo_summary.json") == [94, 94]
 
-    def test_optimize_builds_in_31_batches(self, tmp_path, monkeypatch):
+    def test_optimize_builds_in_30_batches(self, tmp_path, monkeypatch):
         # the blocks are built once each, in the batches the run asks for
         batches = []
         build = pumpsim._build_blocks
@@ -414,7 +414,7 @@ class TestPropagatorCount:
             return build(params, betas, dts)
         monkeypatch.setattr(pumpsim, "_build_blocks", counted)
         assert main(["optimize", "--out", str(tmp_path / "o")]) == 0
-        assert (len(batches), sum(batches)) == (31, 134)
+        assert (len(batches), sum(batches)) == (30, 94)
 
     def test_rabi(self, tmp_path):
         # the default run's optimum: 4 pieces at full power, then dark
@@ -425,7 +425,7 @@ class TestPropagatorCount:
                 "--set", "rabi.repetitions=1.0e6",
                 "--set", f"rabi.olo_waveform={path}",
                 "--set", "rabi.olo_init_amplitude=0.02"]
-        assert self.counts(tmp_path, argv, "rabi_summary.json") == [84, 84]
+        assert self.counts(tmp_path, argv, "rabi_summary.json") == [44, 44]
 
 
 class TestConfigHandling:

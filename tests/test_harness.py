@@ -93,13 +93,14 @@ class TestRunSweep:
 
     def test_propagators_built_are_fixed_by_the_grid(self, params, base_seq):
         # one propagator per amplitude and distinct duration step (a linspace
-        # has 4 after rounding, the first included), plus the wait
+        # grid chains its first duration and then numpy's one step), plus
+        # the wait
         spec = nv.SweepSpec(amplitudes=np.linspace(0.02, 1.0, 80),
                             durations_ns=np.linspace(400.0, 2000.0, 80),
                             base=base_seq)
         params = replace(params)    # a new run's empty table
         nv.run_sweep(spec, params)
-        assert len(params.propagators) == 80 * 4 + 1
+        assert len(params.propagators) == 80 * 2 + 1
 
 
 def sweep_cell(spec, amplitude, duration_ns):
@@ -188,23 +189,38 @@ class TestSnrObjective:
                       detection_width_ns=460.0)
 
 
-def walked_row(cfg, params):
-    """The readout row of ``cfg`` from one forward walk of the identity
-    through the window's segments, summing the in-window photons: the
-    readout before it became a fold over piece blocks."""
+def window_segments(cfg, params):
+    """The reference block of each constant-rate segment of ``cfg``'s
+    readout, in order, and whether the segment lies in the window."""
     wf, offset = cfg.readout_wf, cfg.detection_offset_ns
     end = offset + cfg.effective_detection_width_ns
     edges, pieces = pumpsim._split(wf, [offset, min(end, wf.duration_ns)])
     betas = params.amp_map.rate(wf.amplitudes)[pieces]
-    p, counts = np.eye(5), []
-    for beta, dt in zip(betas, np.diff(edges)):
-        q = reference_block(params, beta, dt) @ p
-        p = q[:5]
-        counts.append(q[5])
-    counts = np.array(counts)
     mids = 0.5 * (edges[:-1] + edges[1:])
     inside = (mids >= offset - 1e-9) & (mids <= end + 1e-9)
-    return counts[inside].sum(axis=0)
+    return [(reference_block(params, beta, dt), hit)
+            for beta, dt, hit in zip(betas, np.diff(edges), inside)]
+
+
+def walked_row(cfg, params):
+    """The readout row of ``cfg`` from one forward walk of the identity
+    through the window's segments, summing the in-window photons: the
+    readout before it became a fold over piece blocks."""
+    p, row = np.eye(5), np.zeros(5)
+    for block, hit in window_segments(cfg, params):
+        q = block @ p
+        p = q[:5]
+        if hit:
+            row += q[5]
+    return row
+
+
+def rounding_scale(cfg, params):
+    """Sum over the window's segments of the largest entry of each one's
+    photon row: each exponential rounds at about 1e-16 of that, and a
+    population vector carries it into the total unamplified."""
+    return sum(block[5].max() for block, hit in window_segments(cfg, params)
+               if hit)
 
 
 def objective_case(base_seq, params, n, duration_ns, offset_ns, width_ns,
@@ -286,8 +302,13 @@ class TestIncrementalObjective:
             got = expected_counts(trial)
             trial_cfg = replace(cfg, readout_wf=replace(cfg.readout_wf,
                                                         amplitudes=trial))
-            want = cfg.repetitions * (walked_row(trial_cfg, params) @ branches)
-            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+            want = cfg.repetitions * (walked_row(trial_cfg, params)
+                                      @ branches)
+            # near zero counts both sides are their exponentials' rounding,
+            # which differs by kernel; measure it against the segments' scale
+            np.testing.assert_allclose(
+                got, want, rtol=1e-13,
+                atol=1e-13 * cfg.repetitions * rounding_scale(trial_cfg, params))
             if sum(got) > 0 and objective(trial) > objective(best):
                 # the trial is now the anchor and answers with its old bits
                 assert expected_counts(trial) == got

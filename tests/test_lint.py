@@ -55,7 +55,8 @@ def test_unused_imports_are_kept_only_for_the_tracer():
 
 
 def calls_with_branches(path: Path, name: str):
-    """(top-level function, branch conditions) of every call to ``name``:
+    """(top-level function, branch conditions) of every call to ``name``, a
+    bare or attribute name or a dotted path such as ``scipy.linalg.expm``:
     the test of each ``if`` and the iterable of each ``for`` in whose body
     the call sits, as source text, innermost first."""
     source = path.read_text()
@@ -63,7 +64,8 @@ def calls_with_branches(path: Path, name: str):
 
     def visit(node, top, branches):
         if isinstance(node, ast.Call) and name in (
-                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                (ast.unparse(node.func),) if "." in name else
+                (getattr(node.func, "id", None), getattr(node.func, "attr", None))):
             found.append((top, branches))
         for child in ast.iter_child_nodes(node):
             inner = branches
@@ -87,12 +89,21 @@ def imported_modules(path: Path):
 
 
 def test_pumpsim_calls_expm_once_in_its_builder():
-    # every propagator of the package comes from one stacked exponential, so
-    # the exponential can be replaced in one place; pumpsim keeps it as a
-    # module-level name, which the benchmark's tracer patches
-    calls = [(path.stem, top) for path in SOURCES
-             for top, _ in calls_with_branches(path, "expm")]
-    assert calls == [("pumpsim", "_build_blocks")]
+    # every propagator of the package comes from one exponential entry
+    # point, pumpsim.expm, so the exponential can be replaced in one place;
+    # pumpsim keeps it as a module-level name, which the benchmark's tracer
+    # patches
+    def calls(name):
+        return [(path.stem, top) for path in SOURCES
+                for top, _ in calls_with_branches(path, name)]
+    assert calls("expm") == [("pumpsim", "expm"), ("pumpsim", "_build_blocks")]
+    # scipy's per-matrix kernel and the stacked Padé kernel each run only
+    # inside it, scipy's behind the batch-size branch, so dropping scipy
+    # deletes one branch
+    assert [(path.stem, top, branches) for path in SOURCES
+            for top, branches in calls_with_branches(path, "scipy.linalg.expm")
+            ] == [("pumpsim", "expm", ["len(A) < _STACKED_MIN"])]
+    assert calls("_stacked_expm") == [("pumpsim", "expm")]
     assert [path.stem for path in SOURCES
             if any(module.split(".")[0] == "scipy"
                    for module in imported_modules(path))] == ["pumpsim"]

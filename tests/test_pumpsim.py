@@ -4,8 +4,8 @@ import pytest
 from dataclasses import replace
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+import scipy.linalg
 from scipy.integrate import solve_ivp
-from scipy.linalg import expm
 
 import nvreadout as nv
 from nvreadout import Level, pumpsim
@@ -102,7 +102,7 @@ def augmented_generator(params, beta):
 def reference_block(params, beta, dt):
     """The (6, 5) block of one segment from its own ``scipy.linalg.expm``
     of the augmented generator, independent of the propagator table."""
-    return expm(augmented_generator(params, beta) * dt)[:, :5]
+    return scipy.linalg.expm(augmented_generator(params, beta) * dt)[:, :5]
 
 
 def reference_walk(p0, wf, params, times):
@@ -210,8 +210,8 @@ def per_duration_blocks(params, beta, durations):
 
 def chained_blocks(params, beta, durations):
     """The sweep's chained blocks of one rate, stacked as (n, 6, 5)."""
-    return np.stack([blocks[0] for blocks in
-                     pumpsim._square_pulse_blocks(params, [beta], durations)])
+    chain = pumpsim._square_pulse_blocks(params, [beta], durations, 0.0)[1]
+    return np.stack([blocks[0] for blocks in chain])
 
 
 class TestSquarePulseBlocks:
@@ -316,6 +316,65 @@ class TestBuildBlocks:
         betas[2] = bad
         with pytest.raises(ParameterError):
             pumpsim._build_blocks(params, betas, self.DTS)
+
+
+class TestStackedExpm:
+    """The stacked Padé kernel against a 40-digit exponential, and the
+    batch sizes that reach it."""
+
+    FRACTIONS = np.array([0.0, 1e-3, 0.1, 0.5, 1.0])
+    DTS = np.array([1e-3, 1.0, 46.0, 460.0, 1e4, 1e5, 1e6])
+
+    @pytest.fixture(scope="class")
+    def stack(self, params):
+        betas = params.amp_map.beta_max * np.repeat(self.FRACTIONS,
+                                                    self.DTS.size)
+        dts = np.tile(self.DTS, self.FRACTIONS.size)
+        return np.stack([augmented_generator(params, beta) * dt
+                         for beta, dt in zip(betas, dts)])
+
+    def test_matches_mpmath(self, stack):
+        # before the column-sum restore; each of the kernel's squarings
+        # doubles the rounding it carries, so the error, measured against
+        # each row's largest entry, grows with the 1-norm from 1e-15 at
+        # theta_13 (2.2e-11 at 1e6 ns, where scipy's kernel errs by 1.2e-11)
+        for A, got in zip(stack, pumpsim._stacked_expm(stack)):
+            with mpmath.workdps(40):
+                exact = mpmath.expm(mpmath.matrix(A.tolist()))
+            want = np.array(exact.tolist(), dtype=float)
+            scale = np.abs(want).max(axis=1, keepdims=True)
+            norm = np.abs(A).sum(axis=0).max()
+            tol = 1e-15 * max(1.0, norm / pumpsim._THETA13)
+            assert np.all(np.abs(got - want) <= tol * scale), (A, tol)
+
+    def test_block_is_the_same_in_any_batch(self, stack):
+        # a rerun rebuilds its table in whatever batches its lookups make
+        whole = pumpsim._stacked_expm(stack)
+        rng = np.random.default_rng(5)
+        order = rng.permutation(len(stack))
+        assert np.array_equal(pumpsim._stacked_expm(stack[order]),
+                              whole[order])
+        for size in (pumpsim._STACKED_MIN, 7, len(stack) - 1):
+            pick = rng.choice(len(stack), size, replace=False)
+            assert np.array_equal(pumpsim.expm(stack[pick]), whole[pick])
+
+    def test_batch_size_picks_the_kernel(self, params, monkeypatch):
+        calls = []
+
+        def counted(name, kernel):
+            def kernel_counted(A):
+                calls.append((name, len(A)))
+                return kernel(A)
+            return kernel_counted
+        monkeypatch.setattr(scipy.linalg, "expm",
+                            counted("scipy", scipy.linalg.expm))
+        monkeypatch.setattr(pumpsim, "_stacked_expm",
+                            counted("stacked", pumpsim._stacked_expm))
+        k = pumpsim._STACKED_MIN
+        for n in (1, k - 1, k, 80):
+            pumpsim._build_blocks(params, np.full(n, 0.1), np.arange(1.0, n + 1))
+        assert calls == [("scipy", 1), ("scipy", k - 1), ("stacked", k),
+                         ("stacked", 80)]
 
 
 @st.composite
