@@ -1,9 +1,10 @@
 """Command-line front end: trace | sweep | optimize | rabi.
 
 Every command reads one YAML config, writes CSV data plus JSON summaries
-into the output directory, and records a manifest with the config digest and
-the seed, so a run can be reproduced byte-for-byte (the manifest's wall-time
-field is the one value that varies between identical runs).
+into the output directory, and records a manifest with the config digest,
+the seed and the versions of Python and the libraries, so a run can be
+reproduced byte-for-byte (the manifest's wall-time field is the one value
+that varies between identical runs).
 
 Exit codes: 0 success, 2 configuration error, 3 runtime/model error.
 """
@@ -12,11 +13,14 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import platform
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
+import scipy
+import yaml
 
 from . import __version__
 from .config import (
@@ -222,6 +226,9 @@ def main(argv: list[str] | None = None) -> int:
             "seed": cfg["seed"],
             "stochastic": bool(getattr(args, "stochastic", False)),
             "version": __version__,
+            "versions": {"python": platform.python_version(),
+                         "numpy": np.__version__, "scipy": scipy.__version__,
+                         "pyyaml": yaml.__version__},
             "resolved_config": _json_safe(cfg),
             "wall_time_s": time.perf_counter() - t0,
         })

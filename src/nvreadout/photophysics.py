@@ -12,8 +12,8 @@ Populations are plain length-5 numpy vectors ordered by :class:`Level`.
 Rate matrices ``M`` are 5x5 generators with the convention ``dp/dt = M @ p``
 (columns sum to zero), so ``p(t) = expm(M t) @ p(0)`` for a constant drive.
 This module only states the model; time evolution is ``pumpsim``'s, whose
-``expm`` is the package's one exponential entry point: ``_build_blocks``
-calls it for every batch of blocks.
+``expm``, a stacked Padé exponential in numpy, is the package's only matrix
+exponential: ``_build_blocks`` calls it for every batch of blocks.
 
 All rates are in 1/ns and all times in ns.
 """

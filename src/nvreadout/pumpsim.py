@@ -7,10 +7,10 @@ with the matrix exponential of a 6x6 block matrix whose extra row
 accumulates the time integral of the detected emission rate (Van Loan
 1978).  A run keeps its blocks in one table, ``RateParams.propagators``:
 :func:`_segment_blocks` looks them up, and :func:`_build_blocks` builds the
-missing ones in one call of :func:`expm`: a batch of at least
-:data:`_STACKED_MIN` blocks goes through one stacked Padé exponential
-(:func:`_stacked_expm`), a smaller one through scipy's kernel, matrix by
-matrix.  No quadrature and no per-step error enter anywhere.
+missing ones in one call of :func:`expm`, the package's one matrix
+exponential: a stacked Padé scaling and squaring in numpy, which gives
+each block the same bits whatever batch builds it.  No quadrature and no
+per-step error enter anywhere.
 
 Every stage is a chain of (6, 5) blocks ``[E; c]``: ``E`` maps the
 populations and ``c`` counts the photons detected on the way.  Three
@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from numpy.random import SeedSequence, default_rng
 
 from .errors import ConfigurationError, ParameterError, SamplingRangeError
 from .photophysics import (
@@ -49,10 +49,6 @@ from .waveform import PiecewiseWaveform
 
 _REL_TOL = 1e-9
 
-#: Fewest matrices :func:`expm` sends through the stacked Padé kernel; a
-#: smaller stack is faster matrix by matrix in scipy's.
-_STACKED_MIN = 4
-
 #: Coefficients b_0..b_13 of the [13/13] Padé approximant of exp, and the
 #: 1-norm up to which it is accurate to double precision (Higham 2005).
 _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
@@ -62,7 +58,7 @@ _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
 _THETA13 = 5.371920351148152
 
 
-def _stacked_expm(A: np.ndarray) -> np.ndarray:
+def expm(A: np.ndarray) -> np.ndarray:
     """exp of every matrix of a (k, n, n) stack by [13/13] Padé scaling and
     squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 2005).
 
@@ -94,20 +90,11 @@ def _stacked_expm(A: np.ndarray) -> np.ndarray:
     return out
 
 
-def expm(A: np.ndarray) -> np.ndarray:
-    """exp of every matrix of a (k, n, n) stack: scipy's kernel, one matrix
-    at a time, below :data:`_STACKED_MIN` matrices, and the stacked Padé
-    kernel :func:`_stacked_expm` from there on."""
-    if len(A) < _STACKED_MIN:
-        return scipy.linalg.expm(A)
-    return _stacked_expm(A)
-
-
 def _build_blocks(params: RateParams, betas: np.ndarray,
                   dts: np.ndarray) -> np.ndarray:
     """The (k, 6, 5) blocks of k segments at rates ``betas`` lasting ``dts``,
-    from one :func:`expm` call: the stacked Padé kernel builds them when k
-    is at least :data:`_STACKED_MIN`, scipy's otherwise.
+    from one :func:`expm` call, which builds each block alone, so a block
+    has the same bits in a batch of one as in a batch of hundreds.
 
     Rows 0-4 of a block: populations after dt; row 5: detected photons in
     dt.  Only the population columns of the augmented exponential are kept;
@@ -123,8 +110,8 @@ def _build_blocks(params: RateParams, betas: np.ndarray,
     E = expm(A * dts[:, None, None])[:, :, :N_LEVELS]
     # A's off-diagonal entries are rates, so exp(At) is exactly nonnegative,
     # and exp(Mt) column-stochastic; restoring both removes the rounding of
-    # the computed exponential: entries of about -1e-19 where the exact one
-    # is 0, and a drift of about 1e-11 at 1e6 ns
+    # the computed exponential: any tiny negative entry where the exact one
+    # is 0, and a column-sum drift of about 1e-11 at 1e6 ns
     np.maximum(E, 0.0, out=E)
     E[:, :N_LEVELS] /= E[:, :N_LEVELS].sum(axis=1, keepdims=True)
     E.setflags(write=False)
@@ -461,7 +448,7 @@ def pair_window_counts(cfg: SequenceConfig, params: RateParams):
 OLO_STREAM, RABI_STREAM = 0, 1
 
 
-def sampling_seed(seed: int, stream: int, index: int = 0) -> np.random.SeedSequence:
+def sampling_seed(seed: int, stream: int, index: int = 0) -> SeedSequence:
     """The one seed rule: stream ``(stream, index)`` of a run seeded with
     ``seed``, keyed as in NEP 19.
 
@@ -469,7 +456,7 @@ def sampling_seed(seed: int, stream: int, index: int = 0) -> np.random.SeedSeque
     in a fixed order, so distinct keys of one seed give independent draws
     and a rerun with the same seed replays them exactly.
     """
-    return np.random.SeedSequence(seed, spawn_key=(stream, index))
+    return SeedSequence(seed, spawn_key=(stream, index))
 
 
 #: Largest mean ``numpy.random.Generator.poisson`` accepts.
@@ -495,5 +482,5 @@ def sample_counts(expected, seed):
         raise SamplingRangeError(
             f"Poisson mean {expected.max():.4g} is above the sampler's limit "
             f"{POISSON_MEAN_MAX:.4g}")
-    draws = np.random.default_rng(seed).poisson(expected)
+    draws = default_rng(seed).poisson(expected)
     return int(draws) if expected.ndim == 0 else draws

@@ -3,10 +3,13 @@ import hashlib
 import io
 import json
 import math
+import platform
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -476,6 +479,14 @@ class TestConfigHandling:
         assert main(["trace", "--out", str(out), "--seed", "99"]) == 0
         manifest = json.loads(read(out / "manifest.json"))
         assert manifest["seed"] == 99
+
+    def test_manifest_records_library_versions(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["trace", "--out", str(out)]) == 0
+        manifest = json.loads(read(out / "manifest.json"))
+        assert manifest["versions"] == {
+            "python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "pyyaml": yaml.__version__}
 
 
 class TestStochasticFlag:

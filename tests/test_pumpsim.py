@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import mpmath
 import numpy as np
 import pytest
@@ -319,8 +324,8 @@ class TestBuildBlocks:
 
 
 class TestStackedExpm:
-    """The stacked Padé kernel against a 40-digit exponential, and the
-    batch sizes that reach it."""
+    """The package's one matrix exponential, the stacked Padé kernel,
+    against a 40-digit exponential, in batches of any size."""
 
     FRACTIONS = np.array([0.0, 1e-3, 0.1, 0.5, 1.0])
     DTS = np.array([1e-3, 1.0, 46.0, 460.0, 1e4, 1e5, 1e6])
@@ -338,7 +343,7 @@ class TestStackedExpm:
         # doubles the rounding it carries, so the error, measured against
         # each row's largest entry, grows with the 1-norm from 1e-15 at
         # theta_13 (2.2e-11 at 1e6 ns, where scipy's kernel errs by 1.2e-11)
-        for A, got in zip(stack, pumpsim._stacked_expm(stack)):
+        for A, got in zip(stack, pumpsim.expm(stack)):
             with mpmath.workdps(40):
                 exact = mpmath.expm(mpmath.matrix(A.tolist()))
             want = np.array(exact.tolist(), dtype=float)
@@ -349,32 +354,20 @@ class TestStackedExpm:
 
     def test_block_is_the_same_in_any_batch(self, stack):
         # a rerun rebuilds its table in whatever batches its lookups make
-        whole = pumpsim._stacked_expm(stack)
+        whole = pumpsim.expm(stack)
         rng = np.random.default_rng(5)
         order = rng.permutation(len(stack))
-        assert np.array_equal(pumpsim._stacked_expm(stack[order]),
-                              whole[order])
-        for size in (pumpsim._STACKED_MIN, 7, len(stack) - 1):
+        assert np.array_equal(pumpsim.expm(stack[order]), whole[order])
+        for size in (1, 2, 3, 7, len(stack) - 1):
             pick = rng.choice(len(stack), size, replace=False)
             assert np.array_equal(pumpsim.expm(stack[pick]), whole[pick])
 
-    def test_batch_size_picks_the_kernel(self, params, monkeypatch):
-        calls = []
-
-        def counted(name, kernel):
-            def kernel_counted(A):
-                calls.append((name, len(A)))
-                return kernel(A)
-            return kernel_counted
-        monkeypatch.setattr(scipy.linalg, "expm",
-                            counted("scipy", scipy.linalg.expm))
-        monkeypatch.setattr(pumpsim, "_stacked_expm",
-                            counted("stacked", pumpsim._stacked_expm))
-        k = pumpsim._STACKED_MIN
-        for n in (1, k - 1, k, 80):
-            pumpsim._build_blocks(params, np.full(n, 0.1), np.arange(1.0, n + 1))
-        assert calls == [("scipy", 1), ("scipy", k - 1), ("stacked", k),
-                         ("stacked", 80)]
+    def test_import_leaves_scipy_linalg_out(self):
+        code = "import sys, nvreadout.cli; print('scipy.linalg' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(nv.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
 
 
 @st.composite
