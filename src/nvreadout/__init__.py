@@ -4,7 +4,6 @@ NV-center spin readout."""
 from .config import build_baseline_spec
 from .errors import (
     ConfigurationError,
-    DegenerateModelError,
     FitError,
     NumericError,
     NVReadoutError,
@@ -41,9 +40,6 @@ from .photophysics import (
     Level,
     RateParams,
     build_rate_matrix,
-    emission_rate,
-    pure_state,
-    steady_state,
     thermal_ground_state,
 )
 from .pumpsim import (

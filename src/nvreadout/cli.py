@@ -24,8 +24,6 @@ import yaml
 
 from . import __version__
 from .config import (
-    _number,
-    _path,
     build_baseline_spec,
     build_olo_init_pulse,
     build_olo_spec,
@@ -65,30 +63,6 @@ def _config_digest(path: str | None) -> str:
     if path is None:
         return "defaults"
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, np.generic):
-        return obj.item()
-    return obj
-
-
-def _prepare(args):
-    cfg = load_config(args.config, args.set)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    cfg["seed"] = _number(cfg, "seed", integer=True)
-    if cfg["seed"] < 0:
-        raise ConfigurationError(f"seed must be >= 0, got {cfg['seed']}")
-    if args.out is not None:
-        cfg["output_dir"] = args.out
-    out = Path(_path(cfg, "output_dir"))
-    out.mkdir(parents=True, exist_ok=True)
-    return cfg, out
 
 
 def cmd_trace(args, cfg: dict, out: Path, params) -> str:
@@ -140,11 +114,11 @@ def cmd_optimize(args, cfg: dict, out: Path, params) -> str:
 
 def _rabi_scheme_configs(cfg: dict, args, params) -> dict[str, RabiConfig]:
     seq = build_sequence(cfg)
-    if cfg["rabi"]["olo_waveform"] is None:
+    wf_path = cfg["rabi"]["olo_waveform"]
+    if wf_path is None:
         raise ConfigurationError(
             "rabi.olo_waveform is not set; run the optimize command first and "
             "point it at the written olo_waveform.csv")
-    wf_path = _path(cfg, "rabi.olo_waveform")
     if not Path(wf_path).exists():
         raise ConfigurationError(
             f"OLO waveform file {wf_path!r} not found; run the optimize "
@@ -152,7 +126,7 @@ def _rabi_scheme_configs(cfg: dict, args, params) -> dict[str, RabiConfig]:
     olo_wf = read_waveform_csv(wf_path)
     return make_scheme_configs(
         seq, rabi_omega(cfg), build_rabi_taus(cfg),
-        _number(cfg, "rabi.repetitions"), build_olo_init_pulse(cfg), olo_wf,
+        cfg["rabi"]["repetitions"], build_olo_init_pulse(cfg), olo_wf,
         sweep_snr=run_sweep(build_baseline_spec(cfg, seq, "snr"), params),
         sweep_contrast=run_sweep(build_baseline_spec(cfg, seq, "contrast"),
                                  params),
@@ -216,7 +190,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         t0 = time.perf_counter()
-        cfg, out = _prepare(args)
+        cfg = load_config(args.config, args.set, seed=args.seed,
+                          output_dir=args.out)
+        out = Path(cfg["output_dir"])
+        out.mkdir(parents=True, exist_ok=True)
         message = args.func(args, cfg, out, build_rate_params(cfg))
         write_json(out / "manifest.json", {
             "command": args.command,
@@ -229,7 +206,7 @@ def main(argv: list[str] | None = None) -> int:
             "versions": {"python": platform.python_version(),
                          "numpy": np.__version__, "scipy": scipy.__version__,
                          "pyyaml": yaml.__version__},
-            "resolved_config": _json_safe(cfg),
+            "resolved_config": cfg,
             "wall_time_s": time.perf_counter() - t0,
         })
         print(message)

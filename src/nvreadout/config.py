@@ -1,12 +1,17 @@
 """Run configuration: one YAML file with a section per subsystem.
 
-Unknown keys are rejected with the offending section named, so typos fail
-fast instead of silently falling back to defaults.  Individual keys can be
-overridden from the command line with ``--set section.key=value``.  The
-``build_*`` functions turn a value that is not a finite number (or not a
-whole one where a count is expected), any count above :data:`MAX_POINTS`,
-and any value a model constructor rejects, into a
-:class:`ConfigurationError`.
+:data:`SETTINGS` is the table of every setting: ``section -> key ->
+(default, check)``.  A check returns the value a run uses, or raises a
+:class:`ConfigurationError` naming the setting.  The kinds are a finite
+float, a whole number, a count in [1, :data:`MAX_POINTS`], one number or a
+list of them, a path, a text choice and an optional (``None``) value, some
+with a bound.  :func:`load_config` applies the file, the ``--set
+section.key=value`` overrides and the ``--seed`` and ``--out`` flags, and
+every setting is checked at load, whichever command runs; an unknown key
+fails with its section named.  The ``build_*`` functions read the checked
+values, check only what spans settings (the sweep grid's cells and the
+readout's bins against :data:`MAX_POINTS`), and turn a value a model
+constructor rejects into a :class:`ConfigurationError`.
 """
 
 from __future__ import annotations
@@ -21,83 +26,144 @@ import numpy as np
 import yaml
 
 from .errors import ConfigurationError, ParameterError
-from .harness import OloSpec, SweepSpec
+from .harness import SWEEP_METRICS, SWEEP_MODES, OloSpec, SweepSpec
 from .metrics import FIT_MIN_SAMPLES
 from .optimizer import OptimizerConfig
-from .photophysics import AmplitudeMap, RateParams
+from .photophysics import MAP_SHAPES, AmplitudeMap, RateParams
 from .pumpsim import SequenceConfig
 from .waveform import AmplitudeBounds, PiecewiseWaveform, make_constant
 
-#: Most points a configured count, the sweep's amplitude x duration grid and
-#: the readout's time bins may hold: far above any grid the model needs, and
-#: checked before any array of that size is built.
+#: Most points a configured count, the readout's piece list, the sweep's
+#: amplitude x duration grid and the readout's time bins may hold: far
+#: above any grid the model needs, and checked before any array of that
+#: size is built.
 MAX_POINTS = 10_000
 
-DEFAULT_CONFIG: dict = {
+
+def _number(kind, *bounds):
+    """The check of a finite number: a float, a whole number if ``kind`` is
+    ``int``, or one number or a list of at most MAX_POINTS if ``kind`` is
+    ``list``.  A single number must pass each ``(holds, words)`` bound."""
+    def check(name: str, raw):
+        try:
+            value = np.asarray(raw, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigurationError(f"{name} must be a number, got {raw!r}") from None
+        if not np.all(np.isfinite(value)):
+            raise ConfigurationError(f"{name} must be finite, got {raw!r}")
+        if kind is list:
+            if value.size > MAX_POINTS:
+                raise ConfigurationError(
+                    f"{name} must hold <= {MAX_POINTS} numbers, got {value.size}")
+            return value.tolist()
+        if value.ndim:
+            raise ConfigurationError(f"{name} must be a single number, got {raw!r}")
+        if kind is int and not float(value).is_integer():
+            raise ConfigurationError(f"{name} must be a whole number, got {raw!r}")
+        value = kind(value)
+        for holds, words in bounds:
+            if not holds(value):
+                raise ConfigurationError(f"{name} must {words}, got {value}")
+        return value
+    return check
+
+
+def _at_least(lo, why: str = ""):
+    return (lambda value: value >= lo), f"be >= {lo}{why}"
+
+
+_POSITIVE = (lambda value: value > 0), "be positive"
+_AT_MOST_MAX = (lambda value: value <= MAX_POINTS), f"be <= {MAX_POINTS}"
+_FLOAT = _number(float)
+_COUNT = _number(int, _at_least(1), _AT_MOST_MAX)
+
+
+def _path(name: str, raw) -> str:
+    if not isinstance(raw, str) or not raw:
+        raise ConfigurationError(f"{name} must be a path, got {raw!r}")
+    return raw
+
+
+def _choice(options: tuple[str, ...]):
+    def check(name: str, raw) -> str:
+        if raw not in options:
+            raise ConfigurationError(
+                f"{name} must be one of {', '.join(options)}, got {raw!r}")
+        return raw
+    return check
+
+
+def _optional(check):
+    return lambda name, raw: None if raw is None else check(name, raw)
+
+
+SETTINGS: dict = {
     "photophysics": {
-        "k_rad": 0.065,
-        "k_isc0": 0.011,
-        "k_isc1": 0.050,
-        "singlet_lifetime_ns": 250.0,
-        "singlet_branching_g0": 0.8,
-        "eta": 0.0025,
-        "beta_max": 0.5,
-        "map_shape": "linear",
-        "sat_amp": None,
+        "k_rad": (0.065, _FLOAT),
+        "k_isc0": (0.011, _FLOAT),
+        "k_isc1": (0.050, _FLOAT),
+        "singlet_lifetime_ns": (250.0, _number(float, _POSITIVE)),
+        "singlet_branching_g0": (0.8, _number(
+            float, ((lambda g: 0.5 < g < 1.0), "lie in (0.5, 1)"))),
+        "eta": (0.0025, _FLOAT),
+        "beta_max": (0.5, _FLOAT),
+        "map_shape": ("linear", _choice(MAP_SHAPES)),
+        "sat_amp": (None, _optional(_FLOAT)),
     },
     "sequence": {
-        "init_duration_ns": 1000.0,
-        "init_amplitude": 0.2,
-        "wait_ns": 2000.0,
-        "readout_duration_ns": 920.0,
-        "readout_amplitude": 0.2,       # or a list, one amplitude per piece
-        "bin_width_ns": 46.0,
-        "repetitions": 1e8,
-        "detection_offset_ns": 0.0,
-        "detection_width_ns": None,
+        "init_duration_ns": (1000.0, _FLOAT),
+        "init_amplitude": (0.2, _FLOAT),
+        "wait_ns": (2000.0, _FLOAT),
+        "readout_duration_ns": (920.0, _FLOAT),
+        "readout_amplitude": (0.2, _number(list)),    # or a list, one per piece
+        "bin_width_ns": (46.0, _FLOAT),
+        "repetitions": (1e8, _number(float, _at_least(1))),
+        "detection_offset_ns": (0.0, _FLOAT),
+        "detection_width_ns": (None, _optional(_FLOAT)),
     },
     "sweep": {
-        "amplitude_start": 0.02,
-        "amplitude_stop": 1.0,
-        "amplitude_points": 20,
-        "duration_start_ns": 400.0,
-        "duration_stop_ns": 2000.0,
-        "duration_points": 20,
-        "mode": "global",
-        "metric": "snr",
+        "amplitude_start": (0.02, _FLOAT),
+        "amplitude_stop": (1.0, _FLOAT),
+        "amplitude_points": (20, _COUNT),
+        "duration_start_ns": (400.0, _FLOAT),
+        "duration_stop_ns": (2000.0, _FLOAT),
+        "duration_points": (20, _COUNT),
+        "mode": ("global", _choice(SWEEP_MODES)),
+        "metric": ("snr", _choice(SWEEP_METRICS)),
     },
     "olo": {
-        "start_duration_ns": 920.0,
-        "start_amplitude": 0.02,
-        "n_read": 20,
-        "alpha0": 0.1,
-        "rho": 0.5,
-        "alpha_min": 1.0e-3,
-        "max_queries": 5000,
-        "bound_lo": 0.0,
-        "bound_hi": 1.0,
-        "init_scan_points": 25,
+        "start_duration_ns": (920.0, _FLOAT),
+        "start_amplitude": (0.02, _FLOAT),
+        "n_read": (20, _COUNT),
+        "alpha0": (0.1, _FLOAT),
+        "rho": (0.5, _FLOAT),
+        "alpha_min": (1.0e-3, _FLOAT),
+        "max_queries": (5000, _number(int, _at_least(1))),
+        "bound_lo": (0.0, _FLOAT),
+        "bound_hi": (1.0, _FLOAT),
+        "init_scan_points": (25, _COUNT),
     },
     "rabi": {
-        "rabi_period_ns": 200.0,
-        "tau_start_ns": 0.0,
-        "tau_stop_ns": 600.0,
-        "tau_points": 61,
-        "repetitions": 1.0e8,
-        "olo_waveform": None,           # CSV written by the optimize command
-        "olo_init_amplitude": None,     # from the optimize summary
+        "rabi_period_ns": (200.0, _number(float, _POSITIVE)),
+        "tau_start_ns": (0.0, _FLOAT),
+        "tau_stop_ns": (600.0, _FLOAT),
+        "tau_points": (61, _number(int, _at_least(FIT_MIN_SAMPLES,
+                                                  " for the sinusoid fit"),
+                                   _AT_MOST_MAX)),
+        "repetitions": (1.0e8, _number(float, _at_least(1))),
+        # the CSV the optimize command writes, and its summary's amplitude
+        "olo_waveform": (None, _optional(_path)),
+        "olo_init_amplitude": (None, _optional(_FLOAT)),
     },
-    "output_dir": "runs",
-    "seed": 0,
+    "output_dir": ("runs", _path),
+    "seed": (0, _number(int, _at_least(0))),
 }
 
-
-def _check_keys(section: str, given: dict, known: dict) -> None:
-    unknown = sorted(set(given) - set(known))
-    if unknown:
-        raise ConfigurationError(
-            f"unknown key(s) in section '{section}': {', '.join(unknown)}"
-        )
+#: The default of every setting, laid out as a config.
+DEFAULT_CONFIG: dict = {
+    name: ({key: default for key, (default, _) in entry.items()}
+           if isinstance(entry, dict) else entry[0])
+    for name, entry in SETTINGS.items()}
 
 
 class _Loader(yaml.SafeLoader):
@@ -115,34 +181,20 @@ _Loader.add_implicit_resolver(
 
 
 def _parse_yaml(text: str, where: str):
-    """``text`` parsed as YAML, which must hold only what the manifest's
-    JSON can: null, booleans, numbers, strings, lists and mappings."""
     try:
-        value = yaml.load(text, Loader=_Loader)
+        return yaml.load(text, Loader=_Loader)
     except (yaml.YAMLError, ValueError) as exc:   # ValueError: "!!float abc"
         raise ConfigurationError(f"cannot parse {where}: {exc}") from None
     except RecursionError:
         raise ConfigurationError(f"cannot parse {where}: nested too deeply") from None
-    # the parser takes more stack per level than this check, so a value it
-    # could nest, the check can walk
-    _check_plain(value, where)
-    return value
-
-
-def _check_plain(value, where: str) -> None:
-    if isinstance(value, dict):
-        value = [*value.keys(), *value.values()]
-    if isinstance(value, list):
-        for item in value:
-            _check_plain(item, where)
-    elif not isinstance(value, (type(None), bool, int, float, str)):
-        raise ConfigurationError(
-            f"{where}: {value!r} is not a number, string, list or mapping")
 
 
 def load_config(path: str | Path | None = None,
-                overrides: list[str] | None = None) -> dict:
-    """Merged config dict: defaults <- file <- --set overrides."""
+                overrides: list[str] | None = None,
+                seed: int | None = None, output_dir: str | None = None) -> dict:
+    """The checked config: defaults <- file <- --set overrides <- the
+    ``seed`` and ``output_dir`` flags, each setting as its check returns
+    it."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         try:
@@ -150,95 +202,43 @@ def load_config(path: str | Path | None = None,
         except OSError as exc:
             raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
         loaded = _parse_yaml(text, f"config file {path}")
-        if loaded is None:
-            loaded = {}
-        if not isinstance(loaded, dict):
-            raise ConfigurationError(f"{path}: top level must be a mapping")
-        _check_keys("<top level>", loaded, DEFAULT_CONFIG)
-        for section, value in loaded.items():
-            if isinstance(DEFAULT_CONFIG[section], dict):
-                if not isinstance(value, dict):
-                    raise ConfigurationError(f"section '{section}' must be a mapping")
-                _check_keys(section, value, DEFAULT_CONFIG[section])
-                cfg[section].update(value)
-            else:
-                cfg[section] = value
+        _merge(cfg, {} if loaded is None else loaded, f"config file {path}")
     for item in overrides or []:
-        _apply_override(cfg, item)
-    return cfg
+        if "=" not in item:
+            raise ConfigurationError(f"--set expects section.key=value, got {item!r}")
+        names, raw = item.split("=", 1)
+        value = _parse_yaml(raw, f"--set {item!r}")
+        for name in reversed(names.strip().split(".")):
+            value = {name: value}
+        _merge(cfg, value, f"--set {item!r}")
+    if seed is not None:
+        cfg["seed"] = seed
+    if output_dir is not None:
+        cfg["output_dir"] = output_dir
+    return _checked(SETTINGS, cfg)
 
 
-def _apply_override(cfg: dict, item: str) -> None:
-    if "=" not in item:
-        raise ConfigurationError(f"--set expects section.key=value, got {item!r}")
-    key_path, raw = item.split("=", 1)
-    value = _parse_yaml(raw, f"--set {item!r}")
-    parts = key_path.strip().split(".")
-    if len(parts) == 1:
-        section = parts[0]
-        if section not in cfg or isinstance(cfg[section], dict):
-            raise ConfigurationError(f"unknown top-level key {section!r}")
-        cfg[section] = value
-        return
-    if len(parts) != 2:
-        raise ConfigurationError(f"--set expects section.key=value, got {item!r}")
-    section, key = parts
-    if section not in cfg or not isinstance(cfg[section], dict):
-        raise ConfigurationError(f"unknown config section {section!r}")
-    if key not in cfg[section]:
-        raise ConfigurationError(f"unknown key '{key}' in section '{section}'")
-    cfg[section][key] = value
-
-
-def _setting(cfg: dict, name: str):
-    """The raw value of ``name`` ("section.key", or a top-level key)."""
-    return functools.reduce(dict.__getitem__, name.split("."), cfg)
-
-
-def _numbers(cfg: dict, name: str) -> np.ndarray:
-    """The value of ``name``, a number or a list of them, as a float array
-    of finite values."""
-    raw = _setting(cfg, name)
-    try:
-        value = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigurationError(f"{name} must be a number, got {raw!r}") from None
-    if not np.all(np.isfinite(value)):
-        raise ConfigurationError(f"{name} must be finite, got {raw!r}")
-    return value
-
-
-def _number(cfg: dict, name: str, integer: bool = False):
-    """The value of ``name`` as one finite float, or as an int if
-    ``integer``.  Only ``sequence.readout_amplitude`` may be a list, and it
-    is read with :func:`_numbers`."""
-    value = _numbers(cfg, name)
-    if value.ndim:
+def _merge(cfg: dict, given, where: str, table: dict = SETTINGS,
+           section: str = "<top level>") -> None:
+    """Write the mapping ``given`` into ``cfg``, whose sections and keys
+    are those of ``table``."""
+    if not isinstance(given, dict):
+        raise ConfigurationError(f"{where}: section '{section}' must be a mapping")
+    unknown = sorted(str(key) for key in given if key not in table)
+    if unknown:
         raise ConfigurationError(
-            f"{name} must be a single number, got {_setting(cfg, name)!r}")
-    if integer and not float(value).is_integer():
-        raise ConfigurationError(
-            f"{name} must be a whole number, got {_setting(cfg, name)!r}")
-    return int(value) if integer else float(value)
+            f"{where}: unknown key(s) in section '{section}': {', '.join(unknown)}")
+    for key, value in given.items():
+        if isinstance(table[key], dict):
+            _merge(cfg[key], value, where, table[key], key)
+        else:
+            cfg[key] = value
 
 
-def _path(cfg: dict, name: str) -> str:
-    """The value of ``name`` as a non-empty path string."""
-    value = _setting(cfg, name)
-    if not isinstance(value, str) or not value:
-        raise ConfigurationError(f"{name} must be a path, got {value!r}")
-    return value
-
-
-def _count(cfg: dict, name: str) -> int:
-    """The value of ``name`` as a whole number in [1, MAX_POINTS]."""
-    count = _number(cfg, name, integer=True)
-    if count < 1:
-        raise ConfigurationError(f"{name} must be >= 1, got {count}")
-    if count > MAX_POINTS:
-        raise ConfigurationError(
-            f"{name} must be <= {MAX_POINTS}, got {count}")
-    return count
+def _checked(table: dict, raw: dict, prefix: str = "") -> dict:
+    return {key: (_checked(entry, raw[key], f"{key}.") if isinstance(entry, dict)
+                  else entry[1](prefix + key, raw[key]))
+            for key, entry in table.items()}
 
 
 def _model_errors_as_config(build):
@@ -255,66 +255,53 @@ def _model_errors_as_config(build):
 
 @_model_errors_as_config
 def build_rate_params(cfg: dict) -> RateParams:
-    lifetime = _number(cfg, "photophysics.singlet_lifetime_ns")
-    if lifetime <= 0:
-        raise ConfigurationError(f"singlet lifetime must be positive, got {lifetime}")
-    branch = _number(cfg, "photophysics.singlet_branching_g0")
-    if not (0.5 < branch < 1.0):
-        raise ConfigurationError(
-            f"singlet_branching_g0 must lie in (0.5, 1), got {branch}")
-    sat_amp = cfg["photophysics"]["sat_amp"]
-    amp_map = AmplitudeMap(
-        beta_max=_number(cfg, "photophysics.beta_max"),
-        shape=cfg["photophysics"]["map_shape"],
-        sat_amp=None if sat_amp is None else _number(cfg, "photophysics.sat_amp"))
+    c = cfg["photophysics"]
+    lifetime = c["singlet_lifetime_ns"]
+    branch = c["singlet_branching_g0"]
     return RateParams(
-        k_rad=_number(cfg, "photophysics.k_rad"),
-        k_isc0=_number(cfg, "photophysics.k_isc0"),
-        k_isc1=_number(cfg, "photophysics.k_isc1"),
+        k_rad=c["k_rad"],
+        k_isc0=c["k_isc0"],
+        k_isc1=c["k_isc1"],
         k_s0=branch / lifetime,
         k_s1=(1.0 - branch) / lifetime,
-        eta=_number(cfg, "photophysics.eta"),
-        amp_map=amp_map,
+        eta=c["eta"],
+        amp_map=AmplitudeMap(c["beta_max"], c["map_shape"], c["sat_amp"]),
     )
 
 
 @_model_errors_as_config
 def build_sequence(cfg: dict) -> SequenceConfig:
-    init_wf = make_constant(_number(cfg, "sequence.init_duration_ns"),
-                            _number(cfg, "sequence.init_amplitude"))
-    readout_wf = PiecewiseWaveform(_number(cfg, "sequence.readout_duration_ns"),
-                                   _numbers(cfg, "sequence.readout_amplitude"))
-    bin_width = _number(cfg, "sequence.bin_width_ns")
+    c = cfg["sequence"]
+    readout_wf = PiecewiseWaveform(c["readout_duration_ns"],
+                                   c["readout_amplitude"])
+    bin_width = c["bin_width_ns"]
     if bin_width > 0 and readout_wf.duration_ns / bin_width > MAX_POINTS:
         raise ConfigurationError(
             f"sequence.bin_width_ns of {bin_width} ns cuts the readout into "
             f"more than {MAX_POINTS} bins")
-    width = cfg["sequence"]["detection_width_ns"]
     return SequenceConfig(
-        init_wf=init_wf,
-        wait_ns=_number(cfg, "sequence.wait_ns"),
+        init_wf=make_constant(c["init_duration_ns"], c["init_amplitude"]),
+        wait_ns=c["wait_ns"],
         readout_wf=readout_wf,
         bin_width_ns=bin_width,
-        repetitions=_number(cfg, "sequence.repetitions"),
-        detection_offset_ns=_number(cfg, "sequence.detection_offset_ns"),
-        detection_width_ns=(None if width is None
-                            else _number(cfg, "sequence.detection_width_ns")),
+        repetitions=c["repetitions"],
+        detection_offset_ns=c["detection_offset_ns"],
+        detection_width_ns=c["detection_width_ns"],
     )
 
 
 def build_sweep_spec(cfg: dict, base: SequenceConfig,
                      mode: str | None = None) -> SweepSpec:
     c = cfg["sweep"]
-    n_amp = _count(cfg, "sweep.amplitude_points")
-    n_dur = _count(cfg, "sweep.duration_points")
+    n_amp = c["amplitude_points"]
+    n_dur = c["duration_points"]
     if n_amp * n_dur > MAX_POINTS:
         raise ConfigurationError(
             f"sweep grid of {n_amp} x {n_dur} cells is above {MAX_POINTS}")
     return SweepSpec(
-        amplitudes=np.linspace(_number(cfg, "sweep.amplitude_start"),
-                               _number(cfg, "sweep.amplitude_stop"), n_amp),
-        durations_ns=np.linspace(_number(cfg, "sweep.duration_start_ns"),
-                                 _number(cfg, "sweep.duration_stop_ns"), n_dur),
+        amplitudes=np.linspace(c["amplitude_start"], c["amplitude_stop"], n_amp),
+        durations_ns=np.linspace(c["duration_start_ns"], c["duration_stop_ns"],
+                                 n_dur),
         base=base,
         mode=mode if mode is not None else c["mode"],
         metric=c["metric"],
@@ -338,23 +325,22 @@ def build_baseline_spec(cfg: dict, base: SequenceConfig,
 @_model_errors_as_config
 def build_olo_spec(cfg: dict, base: SequenceConfig, params: RateParams,
                    stochastic: bool = False, seed: int = 0) -> OloSpec:
+    c = cfg["olo"]
     opt = OptimizerConfig(
-        bounds=AmplitudeBounds(_number(cfg, "olo.bound_lo"),
-                               _number(cfg, "olo.bound_hi")),
-        alpha0=_number(cfg, "olo.alpha0"),
-        rho=_number(cfg, "olo.rho"),
-        alpha_min=_number(cfg, "olo.alpha_min"),
-        max_queries=_number(cfg, "olo.max_queries", integer=True),
+        bounds=AmplitudeBounds(c["bound_lo"], c["bound_hi"]),
+        alpha0=c["alpha0"],
+        rho=c["rho"],
+        alpha_min=c["alpha_min"],
+        max_queries=c["max_queries"],
     )
     return OloSpec(
         base=base,
         params=params,
         optimizer=opt,
-        start_duration_ns=_number(cfg, "olo.start_duration_ns"),
-        start_amplitude=_number(cfg, "olo.start_amplitude"),
-        n_read=_count(cfg, "olo.n_read"),
-        init_scan_amplitudes=np.linspace(
-            0.02, 1.0, _count(cfg, "olo.init_scan_points")),
+        start_duration_ns=c["start_duration_ns"],
+        start_amplitude=c["start_amplitude"],
+        n_read=c["n_read"],
+        init_scan_amplitudes=np.linspace(0.02, 1.0, c["init_scan_points"]),
         stochastic=stochastic,
         sample_seed=seed,
     )
@@ -365,26 +351,16 @@ def build_olo_init_pulse(cfg: dict) -> PiecewiseWaveform:
     """The OLO scheme's square init pulse for the Rabi comparison: the
     sequence's init duration at ``rabi.olo_init_amplitude`` (from the
     optimize summary), or at ``sequence.init_amplitude`` if that is unset."""
-    amplitude = ("rabi.olo_init_amplitude"
-                 if cfg["rabi"]["olo_init_amplitude"] is not None
-                 else "sequence.init_amplitude")
-    return make_constant(_number(cfg, "sequence.init_duration_ns"),
-                         _number(cfg, amplitude))
+    amplitude = cfg["rabi"]["olo_init_amplitude"]
+    return make_constant(cfg["sequence"]["init_duration_ns"],
+                         cfg["sequence"]["init_amplitude"] if amplitude is None
+                         else amplitude)
 
 
 def build_rabi_taus(cfg: dict) -> np.ndarray:
-    """The tau grid, with at least the samples a curve's fit needs."""
-    points = _count(cfg, "rabi.tau_points")
-    if points < FIT_MIN_SAMPLES:
-        raise ConfigurationError(
-            f"rabi.tau_points must be >= {FIT_MIN_SAMPLES} for the sinusoid "
-            f"fit, got {points}")
-    return np.linspace(_number(cfg, "rabi.tau_start_ns"),
-                       _number(cfg, "rabi.tau_stop_ns"), points)
+    c = cfg["rabi"]
+    return np.linspace(c["tau_start_ns"], c["tau_stop_ns"], c["tau_points"])
 
 
 def rabi_omega(cfg: dict) -> float:
-    period = _number(cfg, "rabi.rabi_period_ns")
-    if period <= 0:
-        raise ConfigurationError(f"Rabi period must be positive, got {period}")
-    return 2.0 * np.pi / period
+    return 2.0 * np.pi / cfg["rabi"]["rabi_period_ns"]

@@ -21,10 +21,6 @@ class SamplingRangeError(ConfigurationError):
     """A Poisson mean lies above the range numpy's sampler draws from."""
 
 
-class DegenerateModelError(NVReadoutError):
-    """The rate model has no unique stationary state (e.g. laser off)."""
-
-
 class UndefinedMetricError(NVReadoutError):
     """A figure of merit is undefined for the given photon counts."""
 

@@ -156,7 +156,7 @@ class OloSpec:
     the optimizer's bounds.  It is built and checked once, here, and every
     query, the scan and the result take its duration, piece count and
     bounds from it.  A run takes its values from the ``olo`` section of
-    ``config.DEFAULT_CONFIG`` (see ``config.build_olo_spec``); a stochastic
+    ``config.SETTINGS`` (see ``config.build_olo_spec``); a stochastic
     run samples with ``sample_seed``.
     """
 

@@ -35,7 +35,7 @@ from .waveform import AmplitudeBounds
 class OptimizerConfig:
     """Search hyperparameters.
 
-    A run takes them from the ``olo`` section of ``config.DEFAULT_CONFIG``
+    A run takes them from the ``olo`` section of ``config.SETTINGS``
     (see ``config.build_olo_spec``).  ``bounds`` defaults to the whole
     amplitude domain [0, 1].
     """

@@ -25,9 +25,10 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import DegenerateModelError, NumericError, ParameterError
+from .errors import NumericError, ParameterError
 
 N_LEVELS = 5
+MAP_SHAPES = ("linear", "saturating")
 
 
 class Level(IntEnum):
@@ -57,7 +58,7 @@ class AmplitudeMap:
     def __post_init__(self) -> None:
         if not np.isfinite(self.beta_max) or self.beta_max <= 0:
             raise ParameterError(f"beta_max must be positive, got {self.beta_max}")
-        if self.shape not in ("linear", "saturating"):
+        if self.shape not in MAP_SHAPES:
             raise ParameterError(f"unknown amplitude map shape {self.shape!r}")
         if self.shape == "saturating":
             if self.sat_amp is None or not (0.0 < self.sat_amp < 0.5):
@@ -86,7 +87,7 @@ class RateParams:
     """Transition rates, collection efficiency, and the drive-to-rate map.
 
     The values of a run come from the ``photophysics`` section of
-    ``config.DEFAULT_CONFIG`` (see ``config.build_rate_params``), which
+    ``config.SETTINGS`` (see ``config.build_rate_params``), which
     holds the usual room-temperature ordering of the NV⁻ kinetics: m_s=±1
     crosses into the singlet much faster than m_s=0, and the singlet
     returns preferentially to m_s=0.
@@ -143,13 +144,6 @@ class RateParams:
         return 1.0 / (self.k_s0 + self.k_s1)
 
 
-def pure_state(level: Level | int) -> np.ndarray:
-    """Population vector with all weight on one level."""
-    p = np.zeros(N_LEVELS)
-    p[int(level)] = 1.0
-    return p
-
-
 def thermal_ground_state() -> np.ndarray:
     """Unpolarized room-temperature ground doublet: G0 = G1 = 1/2."""
     p = np.zeros(N_LEVELS)
@@ -198,36 +192,3 @@ def build_rate_matrix(params: RateParams, beta: float) -> np.ndarray:
     np.fill_diagonal(M, 0.0)
     M[np.diag_indices(N_LEVELS)] = -M.sum(axis=0)
     return M
-
-
-def steady_state(M: np.ndarray) -> np.ndarray:
-    """Stationary population vector of an irreducible generator.
-
-    Solves ``M p = 0`` with the normalization Σp = 1 by replacing the last
-    (redundant) row of the singular generator with the normalization row.
-    Requires a positive pumping rate; with the laser off the chain splits
-    into absorbing ground states and has no unique stationary vector.
-    """
-    if M[Level.E0, Level.G0] <= 0.0 or M[Level.E1, Level.G1] <= 0.0:
-        raise DegenerateModelError(
-            "steady state undefined for beta = 0 (reducible chain)"
-        )
-    A = M.copy()
-    A[-1, :] = 1.0
-    b = np.zeros(N_LEVELS)
-    b[-1] = 1.0
-    p = np.linalg.solve(A, b)
-    if np.any(p < -1e-12):
-        raise NumericError(f"steady-state solve produced negative entries: {p}")
-    p = np.maximum(p, 0.0)
-    p /= p.sum()
-    residual = np.max(np.abs(M @ p))
-    if residual >= 1e-10:
-        raise NumericError(f"steady-state residual too large: {residual:.3e}")
-    return p
-
-
-def emission_rate(p: np.ndarray, params: RateParams) -> float:
-    """Detected-photon rate (1/ns) for the given populations."""
-    p = check_populations(p)
-    return params.eta * params.k_rad * (p[Level.E0] + p[Level.E1])

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import nvreadout as nv
+from conftest import pure_state
 from nvreadout.cli import main
 from nvreadout.config import build_olo_spec
 
@@ -52,7 +53,7 @@ def rabi_scheme_configs(inputs, base_seq, repetitions, stochastic, seed):
 def test_criterion_01_singlet_lifetime(params):
     t0 = time.perf_counter()
     dark = nv.make_constant(250.0, 0.0)
-    p = nv.propagate_waveform(nv.pure_state(nv.Level.S), dark, params)
+    p = nv.propagate_waveform(pure_state(nv.Level.S), dark, params)
     implied = -250.0 / np.log(p[nv.Level.S])
     elapsed = time.perf_counter() - t0
     ok = abs(implied - 250.0) <= 0.25 and elapsed < 1.0

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import nvreadout as nv
 from nvreadout import cli, pumpsim
 from nvreadout.cli import main
-from nvreadout.config import DEFAULT_CONFIG
+from nvreadout.config import DEFAULT_CONFIG, load_config
 from nvreadout.io import write_waveform_csv
 
 FAST_SWEEP = [
@@ -347,7 +347,7 @@ class TestPointCounts:
     def refuse_large_arrays(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the run started before the config check")
-        for name in ("run_sweep", "run_olo", "compare_schemes"):
+        for name in ("run_sweep", "run_olo", "compare_schemes", "simulate_pair"):
             monkeypatch.setattr(cli, name, refuse)
         linspace, full = np.linspace, np.full
 
@@ -372,7 +372,10 @@ class TestPointCounts:
          "olo.init_scan_points"),
         ("optimize", ["olo.n_read=100000000000"], "olo.n_read"),
         ("rabi", ["rabi.tau_points=100000000000"], "rabi.tau_points"),
-    ], ids=["amplitudes", "durations", "cells", "init-scan", "pieces", "taus"])
+        ("trace", [f"sequence.readout_amplitude={[0.2] * 10_001}"],
+         "sequence.readout_amplitude"),
+    ], ids=["amplitudes", "durations", "cells", "init-scan", "pieces", "taus",
+            "readout-pieces"])
     def test_rejected_before_any_array_is_built(
             self, tmp_path, capsys, refuse_large_arrays, command, overrides,
             named):
@@ -474,6 +477,39 @@ class TestConfigHandling:
                      "--out", str(tmp_path / "o")]) == 2
         assert "laser" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override", [
+        "rabi.tau_points=3", "olo.max_queries=1.5", "rabi.rabi_period_ns=0",
+        "olo.n_read=0", "sweep.mode=bogus"])
+    def test_setting_the_command_never_reads_is_checked(self, tmp_path,
+                                                         capsys, override):
+        # every setting is checked at load, whichever command runs
+        code = main(["trace", "--out", str(tmp_path / "o"), "--set", override])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:") and override.split("=")[0] in err
+
+    def test_key_that_is_not_text_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("1: 2\n")
+        assert main(["trace", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "unknown key(s) in section '<top level>': 1" in (
+            capsys.readouterr().err)
+
+    def test_manifest_records_the_loaded_config(self, tmp_path):
+        # the manifest echoes the checked values the run used: a whole
+        # number given for a float setting is recorded as that float
+        out = tmp_path / "run"
+        sets = ["sequence.readout_amplitude=[0.2, 0.4, 1, 0]",
+                "sequence.wait_ns=2000"]
+        assert main(["trace", "--out", str(out), "--seed", "5",
+                     *[arg for o in sets for arg in ("--set", o)]]) == 0
+        resolved = json.loads(read(out / "manifest.json"))["resolved_config"]
+        loaded = load_config(None, sets, seed=5, output_dir=str(out))
+        assert (json.dumps(resolved, sort_keys=True)
+                == json.dumps(loaded, sort_keys=True))
+        assert json.dumps(resolved["sequence"]["wait_ns"]) == "2000.0"
+
     def test_seed_flag_overrides_config(self, tmp_path):
         out = tmp_path / "run"
         assert main(["trace", "--out", str(out), "--seed", "99"]) == 0
@@ -500,11 +536,10 @@ class TestStochasticFlag:
         assert not (tmp_path / "o").exists()
 
 
-#: The sections each command reads, besides the top-level ``seed``.
-READS = {"trace": ("photophysics", "sequence"),
-         "sweep": ("photophysics", "sequence", "sweep"),
-         "optimize": ("photophysics", "sequence", "sweep", "olo"),
-         "rabi": ("photophysics", "sequence", "sweep", "rabi")}
+#: The sections each command checks, besides the top-level ``seed``: all of
+#: them, whichever sections the command reads.
+READS = dict.fromkeys(("trace", "sweep", "optimize", "rabi"),
+                      ("photophysics", "sequence", "sweep", "olo", "rabi"))
 TEXT_SETTINGS = ("photophysics.map_shape", "sweep.mode", "sweep.metric",
                  "rabi.olo_waveform")
 #: Counts and repetition numbers, with the least value each accepts.

