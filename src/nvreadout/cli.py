@@ -66,7 +66,8 @@ def _config_digest(path: str | None) -> str:
 
 
 def cmd_trace(args, cfg: dict, out: Path, params) -> str:
-    trace0, trace1 = simulate_pair(build_sequence(cfg), params)
+    trace0, trace1 = simulate_pair(build_sequence(cfg), params,
+                                   cfg["sequence"]["bin_width_ns"])
     write_pair_trace_csv(trace0, trace1, out / "trace.csv")
     return (f"trace: wrote {out / 'trace.csv'} "
             f"({trace0.expected_counts_per_rep.size} bins)")
@@ -119,10 +120,6 @@ def _rabi_scheme_configs(cfg: dict, args, params) -> dict[str, RabiConfig]:
         raise ConfigurationError(
             "rabi.olo_waveform is not set; run the optimize command first and "
             "point it at the written olo_waveform.csv")
-    if not Path(wf_path).exists():
-        raise ConfigurationError(
-            f"OLO waveform file {wf_path!r} not found; run the optimize "
-            "command first")
     olo_wf = read_waveform_csv(wf_path)
     return make_scheme_configs(
         seq, rabi_omega(cfg), build_rabi_taus(cfg),

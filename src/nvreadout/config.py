@@ -7,11 +7,11 @@ float, a whole number, a count in [1, :data:`MAX_POINTS`], one number or a
 list of them, a path, a text choice and an optional (``None``) value, some
 with a bound.  :func:`load_config` applies the file, the ``--set
 section.key=value`` overrides and the ``--seed`` and ``--out`` flags, and
-every setting is checked at load, whichever command runs; an unknown key
-fails with its section named.  The ``build_*`` functions read the checked
-values, check only what spans settings (the sweep grid's cells and the
-readout's bins against :data:`MAX_POINTS`), and turn a value a model
-constructor rejects into a :class:`ConfigurationError`.
+checks every setting at load, whichever command runs: each one alone, then
+what spans settings (:func:`_check_spans`: the readout's bins, the sweep's
+cells and the Rabi waveform file); an unknown key fails with its section
+named.  The ``build_*`` functions read the checked values and turn a value
+a model constructor rejects into a :class:`ConfigurationError`.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .harness import SWEEP_METRICS, SWEEP_MODES, OloSpec, SweepSpec
 from .metrics import FIT_MIN_SAMPLES
 from .optimizer import OptimizerConfig
 from .photophysics import MAP_SHAPES, AmplitudeMap, RateParams
-from .pumpsim import SequenceConfig
+from .pumpsim import SequenceConfig, bin_count
 from .waveform import AmplitudeBounds, PiecewiseWaveform, make_constant
 
 #: Most points a configured count, the readout's piece list, the sweep's
@@ -116,10 +116,8 @@ SETTINGS: dict = {
         "wait_ns": (2000.0, _FLOAT),
         "readout_duration_ns": (920.0, _FLOAT),
         "readout_amplitude": (0.2, _number(list)),    # or a list, one per piece
-        "bin_width_ns": (46.0, _FLOAT),
+        "bin_width_ns": (46.0, _number(float, _POSITIVE)),   # trace only
         "repetitions": (1e8, _number(float, _at_least(1))),
-        "detection_offset_ns": (0.0, _FLOAT),
-        "detection_width_ns": (None, _optional(_FLOAT)),
     },
     "sweep": {
         "amplitude_start": (0.02, _FLOAT),
@@ -215,7 +213,7 @@ def load_config(path: str | Path | None = None,
         cfg["seed"] = seed
     if output_dir is not None:
         cfg["output_dir"] = output_dir
-    return _checked(SETTINGS, cfg)
+    return _check_spans(_checked(SETTINGS, cfg))
 
 
 def _merge(cfg: dict, given, where: str, table: dict = SETTINGS,
@@ -239,6 +237,35 @@ def _checked(table: dict, raw: dict, prefix: str = "") -> dict:
     return {key: (_checked(entry, raw[key], f"{key}.") if isinstance(entry, dict)
                   else entry[1](prefix + key, raw[key]))
             for key, entry in table.items()}
+
+
+def _check_spans(cfg: dict) -> dict:
+    """``cfg``, once the checks that span settings pass: the trace's bins
+    divide the readout and number at most :data:`MAX_POINTS`, as do the
+    sweep's cells, and a set ``rabi.olo_waveform`` names a file."""
+    seq, sweep = cfg["sequence"], cfg["sweep"]
+    duration, width = seq["readout_duration_ns"], seq["bin_width_ns"]
+    if duration > 0:    # a readout of no duration is the waveform's error
+        if duration / width > MAX_POINTS:
+            raise ConfigurationError(
+                f"sequence.bin_width_ns of {width} ns cuts the readout into "
+                f"more than {MAX_POINTS} bins")
+        try:
+            bin_count(duration, width)
+        except ConfigurationError:
+            raise ConfigurationError(
+                f"sequence.bin_width_ns of {width} ns does not divide "
+                f"sequence.readout_duration_ns of {duration} ns") from None
+    n_amp, n_dur = sweep["amplitude_points"], sweep["duration_points"]
+    if n_amp * n_dur > MAX_POINTS:
+        raise ConfigurationError(
+            f"sweep grid of {n_amp} x {n_dur} cells is above {MAX_POINTS}")
+    path = cfg["rabi"]["olo_waveform"]
+    if path is not None and not Path(path).exists():
+        raise ConfigurationError(
+            f"OLO waveform file {path!r} not found; run the optimize "
+            "command first")
+    return cfg
 
 
 def _model_errors_as_config(build):
@@ -272,36 +299,23 @@ def build_rate_params(cfg: dict) -> RateParams:
 @_model_errors_as_config
 def build_sequence(cfg: dict) -> SequenceConfig:
     c = cfg["sequence"]
-    readout_wf = PiecewiseWaveform(c["readout_duration_ns"],
-                                   c["readout_amplitude"])
-    bin_width = c["bin_width_ns"]
-    if bin_width > 0 and readout_wf.duration_ns / bin_width > MAX_POINTS:
-        raise ConfigurationError(
-            f"sequence.bin_width_ns of {bin_width} ns cuts the readout into "
-            f"more than {MAX_POINTS} bins")
     return SequenceConfig(
         init_wf=make_constant(c["init_duration_ns"], c["init_amplitude"]),
         wait_ns=c["wait_ns"],
-        readout_wf=readout_wf,
-        bin_width_ns=bin_width,
+        readout_wf=PiecewiseWaveform(c["readout_duration_ns"],
+                                     c["readout_amplitude"]),
         repetitions=c["repetitions"],
-        detection_offset_ns=c["detection_offset_ns"],
-        detection_width_ns=c["detection_width_ns"],
     )
 
 
 def build_sweep_spec(cfg: dict, base: SequenceConfig,
                      mode: str | None = None) -> SweepSpec:
     c = cfg["sweep"]
-    n_amp = c["amplitude_points"]
-    n_dur = c["duration_points"]
-    if n_amp * n_dur > MAX_POINTS:
-        raise ConfigurationError(
-            f"sweep grid of {n_amp} x {n_dur} cells is above {MAX_POINTS}")
     return SweepSpec(
-        amplitudes=np.linspace(c["amplitude_start"], c["amplitude_stop"], n_amp),
+        amplitudes=np.linspace(c["amplitude_start"], c["amplitude_stop"],
+                               c["amplitude_points"]),
         durations_ns=np.linspace(c["duration_start_ns"], c["duration_stop_ns"],
-                                 n_dur),
+                                 c["duration_points"]),
         base=base,
         mode=mode if mode is not None else c["mode"],
         metric=c["metric"],

@@ -27,8 +27,8 @@ from .pumpsim import (
     forward,
     pair_window_counts,  # noqa: F401  (unused; perfbench/tracer.py patches it here)
     piece_block,
+    piece_durations,
     prepared_states,
-    readout_pieces,
     readout_rows,
     sample_counts,
     sampling_seed,
@@ -155,9 +155,10 @@ class OloSpec:
     over ``start_duration_ns``, every piece at ``start_amplitude``, inside
     the optimizer's bounds.  It is built and checked once, here, and every
     query, the scan and the result take its duration, piece count and
-    bounds from it.  A run takes its values from the ``olo`` section of
-    ``config.SETTINGS`` (see ``config.build_olo_spec``); a stochastic
-    run samples with ``sample_seed``.
+    bounds from it, and photons are counted over the whole of it.  A run
+    takes its values from the ``olo`` section of ``config.SETTINGS`` (see
+    ``config.build_olo_spec``); a stochastic run samples with
+    ``sample_seed``.
     """
 
     base: SequenceConfig
@@ -219,13 +220,12 @@ class _Anchor:
 
 
 def make_snr_objective(spec: OloSpec, init_wf: PiecewiseWaveform):
-    """SNR of the readout window as a function of the piece amplitudes.
+    """SNR of the photons detected over the readout pulse as a function of
+    the piece amplitudes of ``spec.start_readout``.
 
     The initialization and wait stages are fixed, so the two branch states
     are computed once.  The readout is a chain of piece blocks
-    (``pumpsim.piece_block``), memoised per piece and amplitude; the
-    detection window is the base sequence's, applied to
-    ``spec.start_readout``.
+    (``pumpsim.piece_block``), memoised per piece duration and amplitude.
 
     The objective keeps the chain at one anchor, the point of highest value
     it has returned so far, which under the strict-improvement rule of
@@ -236,9 +236,7 @@ def make_snr_objective(spec: OloSpec, init_wf: PiecewiseWaveform):
     anchor's row ``r_hi`` back to ``r_lo``, and returns
     ``pre_lo + r_lo P_lo`` with the anchor's photons ``pre_lo`` and
     populations ``P_lo`` before piece lo: one block product for a one-piece
-    trial, the full fold for a pattern move.  A change the window cannot
-    see, such as a piece after its end, leaves that row bit-identical to the
-    anchor's and returns the anchor's totals, so it ties exactly as well.
+    trial, the full fold for a pattern move.
 
     A strict improvement moves the anchor to the trial.  Its prefix up to
     piece lo and its rows from hi on stay; ``pumpsim.forward`` runs the
@@ -256,17 +254,16 @@ def make_snr_objective(spec: OloSpec, init_wf: PiecewiseWaveform):
     has no generator and scores the expected totals.
     """
     start, params = spec.start_readout, spec.params
-    cfg = replace(spec.base, init_wf=init_wf, readout_wf=start,
-                  bin_width_ns=start.duration_ns)
+    cfg = replace(spec.base, init_wf=init_wf, readout_wf=start)
     branches = np.column_stack(prepared_states(cfg, params))
-    pieces = readout_pieces(cfg)
+    dts = piece_durations(start).tolist()
     n, bounds = start.n, start.bounds
     memo = {}
 
     def block(i, a):
-        key = (pieces[i], a)
+        key = (dts[i], a)
         if key not in memo:
-            memo[key] = piece_block(params, params.amp_map.rate(a), pieces[i])
+            memo[key] = piece_block(params, params.amp_map.rate(a), dts[i])
         return memo[key]
 
     def totals(per_rep):
@@ -309,8 +306,6 @@ def make_snr_objective(spec: OloSpec, init_wf: PiecewiseWaveform):
         for i in range(hi - 1, lo - 1, -1):
             E = block(i, amplitudes[i])
             row = E[N_LEVELS] + row @ E[:N_LEVELS]
-        if row.tolist() == anchor.rows[lo].tolist():
-            return anchor.totals, lo, hi
         return totals(anchor.detected[lo] + row @ anchor.before[lo]), lo, hi
 
     def expected_counts(u):
@@ -337,13 +332,11 @@ def _scan_init_amplitude(spec: OloSpec) -> SweepResult:
     takes.
 
     Scores each candidate with the deterministic SNR of the starting
-    readout waveform over its whole window; amplitude modulation buys
-    nothing for initialization, which only needs to polarize the spin.
+    readout waveform, whose photons are counted over the whole pulse as the
+    objective counts them; amplitude modulation buys nothing for
+    initialization, which only needs to polarize the spin.
     """
-    start = spec.start_readout
-    readout = replace(spec.base, readout_wf=start,
-                      bin_width_ns=start.duration_ns,
-                      detection_offset_ns=0.0, detection_width_ns=None)
+    readout = replace(spec.base, readout_wf=spec.start_readout)
     scan = SweepSpec(amplitudes=spec.init_scan_amplitudes,
                      durations_ns=np.array([spec.base.init_wf.duration_ns]),
                      base=readout, mode="init-only", metric="snr")
@@ -358,7 +351,7 @@ def run_olo(spec: OloSpec, baseline: SweepResult | float) -> OloResult:
     be 0 (:class:`UndefinedMetricError`).  The reported final SNR is always
     the deterministic window expectation of the returned waveform, so
     stochastic runs are judged on what they found rather than on a lucky
-    draw.
+    draw.  Its traces are binned per piece.
     """
     baseline_snr = baseline.best_value if isinstance(baseline, SweepResult) else float(baseline)
     if baseline_snr == 0:
@@ -378,8 +371,8 @@ def run_olo(spec: OloSpec, baseline: SweepResult | float) -> OloResult:
     final_snr = snr_metric(*expected_counts(state.best))
 
     trace0, trace1 = simulate_pair(
-        replace(spec.base, init_wf=init_wf, readout_wf=waveform,
-                bin_width_ns=waveform.piece_width_ns), spec.params)
+        replace(spec.base, init_wf=init_wf, readout_wf=waveform), spec.params,
+        waveform.piece_width_ns)
 
     return OloResult(
         state=state,

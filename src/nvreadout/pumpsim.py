@@ -2,7 +2,7 @@
 
 Expected photon counts are computed exactly for the piecewise-constant
 drive.  :func:`_split` cuts a waveform's pieces at the times a caller
-needs (bin edges, window ends), and every constant segment is propagated
+needs (a trace's bin edges), and every constant segment is propagated
 with the matrix exponential of a 6x6 block matrix whose extra row
 accumulates the time integral of the detected emission rate (Van Loan
 1978).  A run keeps its blocks in one table, ``RateParams.propagators``:
@@ -16,10 +16,10 @@ Every stage is a chain of (6, 5) blocks ``[E; c]``: ``E`` maps the
 populations and ``c`` counts the photons detected on the way.  Three
 operations move populations and blocks: :func:`compose` joins two blocks,
 :func:`forward` runs populations through a chain (init pulse, wait, binned
-traces), and :func:`readout_rows` folds a chain backward.  Each piece of
-the readout pulse is one block, with the detection window's cuts folded
-into the piece they fall in (:func:`readout_pieces`, :func:`piece_block`).
-The model is linear, so the photons detected in the window are ``r @ p``
+traces), and :func:`readout_rows` folds a chain backward.  Photons are
+counted over the whole readout pulse, so each of its pieces is one
+constant-rate segment and one block of the table (:func:`piece_block`).
+The model is linear, so the photons detected during readout are ``r @ p``
 for the populations ``p`` before readout, and the row ``r`` is the
 backward fold ``r_i = c_i + r_{i+1} E_i[:5]`` over the piece blocks
 (:func:`window_expectation`).  A change to one piece changes one block,
@@ -208,6 +208,11 @@ def _split(wf: PiecewiseWaveform, cuts):
     return edges, np.minimum((_midpoints(edges) / width).astype(int), wf.n - 1)
 
 
+def piece_durations(wf: PiecewiseWaveform) -> np.ndarray:
+    """The duration of each piece of ``wf``, as :func:`_split` cuts it."""
+    return np.diff(_split(wf, [])[0])
+
+
 def _population_vector(p: np.ndarray) -> np.ndarray:
     """``p`` checked as one (5,) population vector."""
     if np.ndim(p) != 1:
@@ -218,9 +223,8 @@ def _population_vector(p: np.ndarray) -> np.ndarray:
 def propagate_waveform(p0: np.ndarray, wf: PiecewiseWaveform,
                        params: RateParams) -> np.ndarray:
     """Populations at the end of a waveform, ignoring photon counting."""
-    edges, pieces = _split(wf, [])
-    betas = params.amp_map.rate(wf.amplitudes)[pieces]
-    blocks = _segment_blocks(params, betas, np.diff(edges))
+    blocks = _segment_blocks(params, params.amp_map.rate(wf.amplitudes),
+                             piece_durations(wf))
     return forward(blocks, _population_vector(p0))[0][-1]
 
 
@@ -239,6 +243,20 @@ class PumpTrace:
     final_populations: np.ndarray
 
 
+def bin_count(duration_ns: float, bin_width_ns: float) -> int:
+    """The number of bins of ``bin_width_ns`` in ``duration_ns``, which the
+    width must divide to within a relative ``_REL_TOL``."""
+    if not bin_width_ns > 0:
+        raise ConfigurationError(f"bin width must be positive, got {bin_width_ns}")
+    n_bins_f = duration_ns / bin_width_ns
+    n_bins = int(round(n_bins_f))
+    if n_bins < 1 or abs(n_bins_f - n_bins) > _REL_TOL * n_bins_f:
+        raise ConfigurationError(
+            f"bin width {bin_width_ns} ns does not divide duration {duration_ns} ns"
+        )
+    return n_bins
+
+
 def simulate_pump(p0: np.ndarray, wf: PiecewiseWaveform, params: RateParams,
                   bin_width_ns: float) -> PumpTrace:
     """Run one pumping waveform and bin the expected detected photons.
@@ -247,14 +265,7 @@ def simulate_pump(p0: np.ndarray, wf: PiecewiseWaveform, params: RateParams,
     interval has a constant pumping rate and lies inside exactly one bin.
     ``bin_width_ns`` must divide the waveform duration.
     """
-    if bin_width_ns <= 0:
-        raise ConfigurationError(f"bin width must be positive, got {bin_width_ns}")
-    n_bins_f = wf.duration_ns / bin_width_ns
-    n_bins = int(round(n_bins_f))
-    if n_bins < 1 or abs(n_bins_f - n_bins) > _REL_TOL * n_bins_f:
-        raise ConfigurationError(
-            f"bin width {bin_width_ns} ns does not divide duration {wf.duration_ns} ns"
-        )
+    n_bins = bin_count(wf.duration_ns, bin_width_ns)
     edges, pieces = _split(wf, np.arange(1, n_bins) * bin_width_ns)
     betas = params.amp_map.rate(wf.amplitudes)[pieces]
     blocks = _segment_blocks(params, betas, np.diff(edges))
@@ -272,20 +283,13 @@ def simulate_pump(p0: np.ndarray, wf: PiecewiseWaveform, params: RateParams,
 
 @dataclass(frozen=True)
 class SequenceConfig:
-    """One initialization→wait→(MW)→readout sequence.
-
-    ``detection_width_ns=None`` selects the default convention where the
-    detection window covers the whole readout pulse; a shorter window with a
-    nonzero offset supports offset-scan style analyses.
-    """
+    """One initialization→wait→(MW)→readout sequence: photons are counted
+    over the whole readout pulse, in each of ``repetitions`` runs."""
 
     init_wf: PiecewiseWaveform
     wait_ns: float
     readout_wf: PiecewiseWaveform
-    bin_width_ns: float
     repetitions: float
-    detection_offset_ns: float = 0.0
-    detection_width_ns: float | None = None
 
     def __post_init__(self) -> None:
         if self.wait_ns < 0 or not np.isfinite(self.wait_ns):
@@ -293,64 +297,12 @@ class SequenceConfig:
         if not self.repetitions >= 1 or not np.isfinite(self.repetitions):
             raise ConfigurationError(
                 f"repetitions must be finite and >= 1, got {self.repetitions}")
-        if not self.bin_width_ns > 0 or not np.isfinite(self.bin_width_ns):
-            raise ConfigurationError(
-                f"bin width must be finite and > 0 ns, got {self.bin_width_ns}")
-        n_bins_f = self.readout_wf.duration_ns / self.bin_width_ns
-        if abs(n_bins_f - round(n_bins_f)) > _REL_TOL * n_bins_f:
-            raise ConfigurationError(
-                f"bin width {self.bin_width_ns} ns does not divide readout duration "
-                f"{self.readout_wf.duration_ns} ns"
-            )
-        width = self.effective_detection_width_ns
-        if self.detection_offset_ns < 0 or width < 0:
-            raise ConfigurationError("detection offset and width must be >= 0")
-        if self.detection_offset_ns + width > self.readout_wf.duration_ns * (1 + _REL_TOL):
-            raise ConfigurationError(
-                "detection window extends past the readout waveform"
-            )
-
-    @property
-    def effective_detection_width_ns(self) -> float:
-        if self.detection_width_ns is None:
-            return self.readout_wf.duration_ns - self.detection_offset_ns
-        return self.detection_width_ns
 
 
-def readout_pieces(cfg: SequenceConfig) -> list[tuple]:
-    """The pieces of ``cfg``'s readout pulse, cut where its detection window
-    starts and ends: for each piece, its constant-rate segments as
-    ``(duration_ns, in_window)`` pairs.
-
-    The window is the one ``SequenceConfig`` has validated.  Pieces with
-    the same segments read out alike at the same amplitude.
-    """
-    wf, offset = cfg.readout_wf, cfg.detection_offset_ns
-    end = offset + cfg.effective_detection_width_ns
-    edges, pieces = _split(wf, [offset, min(end, wf.duration_ns)])
-    mids = _midpoints(edges)
-    inside = (mids >= offset - _REL_TOL) & (mids <= end + _REL_TOL)
-    segments = [[] for _ in range(wf.n)]
-    for i, dt, hit in zip(pieces.tolist(), np.diff(edges).tolist(),
-                          inside.tolist()):
-        segments[i].append((dt, hit))
-    return [tuple(s) for s in segments]
-
-
-def piece_block(params: RateParams, beta: float, segments) -> np.ndarray:
-    """The (6, 5) block of one readout piece at pumping rate ``beta``.
-
-    Rows 0-4 map the populations at the start of the piece to those at its
-    end; row 5 gives the photons detected in the piece's ``in_window``
-    segments (see :func:`readout_pieces`).
-    """
-    dts, inside = zip(*segments)
-    steps = _segment_blocks(params, beta, dts)
-    steps[:, N_LEVELS] *= np.array(inside, dtype=float)[:, None]
-    block = np.eye(N_LEVELS + 1, N_LEVELS)
-    for step in steps:
-        block = compose(step, block)
-    return block
+def piece_block(params: RateParams, beta: float, dt: float) -> np.ndarray:
+    """The (6, 5) block of one readout piece lasting ``dt`` at pumping rate
+    ``beta``: its table entry, read-only."""
+    return _segment_blocks(params, beta, [dt])[0]
 
 
 def readout_rows(blocks, tail=0.0) -> np.ndarray:
@@ -371,15 +323,15 @@ def readout_rows(blocks, tail=0.0) -> np.ndarray:
 
 def window_expectation(cfg: SequenceConfig, params: RateParams) -> np.ndarray:
     """The readout functional of ``cfg``: the (5,) row ``r`` such that
-    ``r @ p`` is the expected detected photons per repetition in the
-    detection window when the readout pulse starts from populations ``p``.
+    ``r @ p`` is the expected detected photons per repetition over the
+    readout pulse when it starts from populations ``p``.
 
     The row is the fold of the readout's piece blocks, so every entry is
     exact.
     """
-    betas = params.amp_map.rate(cfg.readout_wf.amplitudes).tolist()
-    return readout_rows([piece_block(params, beta, segments) for beta, segments
-                         in zip(betas, readout_pieces(cfg))])[0]
+    wf = cfg.readout_wf
+    return readout_rows(_segment_blocks(
+        params, params.amp_map.rate(wf.amplitudes), piece_durations(wf)))[0]
 
 
 def _swap_ground(p: np.ndarray) -> np.ndarray:
@@ -427,16 +379,18 @@ def square_pulse_states(cfg: SequenceConfig, params: RateParams,
     return states, rows
 
 
-def simulate_pair(cfg: SequenceConfig, params: RateParams):
-    """Readout photon traces of the m_s=0 and m_s=±1 preparations."""
+def simulate_pair(cfg: SequenceConfig, params: RateParams,
+                  bin_width_ns: float):
+    """Readout photon traces of the m_s=0 and m_s=±1 preparations, in bins
+    of ``bin_width_ns``."""
     p0, p1 = prepared_states(cfg, params)
-    trace0 = simulate_pump(p0, cfg.readout_wf, params, cfg.bin_width_ns)
-    trace1 = simulate_pump(p1, cfg.readout_wf, params, cfg.bin_width_ns)
+    trace0 = simulate_pump(p0, cfg.readout_wf, params, bin_width_ns)
+    trace1 = simulate_pump(p1, cfg.readout_wf, params, bin_width_ns)
     return trace0, trace1
 
 
 def pair_window_counts(cfg: SequenceConfig, params: RateParams):
-    """Expected (L0, L1) window totals for the two spin preparations."""
+    """Expected (L0, L1) readout totals for the two spin preparations."""
     branches = np.column_stack(prepared_states(cfg, params))
     L0, L1 = cfg.repetitions * (window_expectation(cfg, params) @ branches)
     return float(L0), float(L1)

@@ -170,8 +170,6 @@ def make_scheme_configs(base: SequenceConfig, omega_rad_per_ns: float,
     cfgs = {}
     for k, (name, (init_wf, readout_wf)) in enumerate(zip(SCHEMES, pulses)):
         scheme_base = replace(base, init_wf=init_wf, readout_wf=readout_wf,
-                              bin_width_ns=readout_wf.duration_ns,
-                              detection_offset_ns=0.0, detection_width_ns=None,
                               repetitions=repetitions)
         cfgs[name] = RabiConfig(
             omega_rad_per_ns=omega_rad_per_ns, taus_ns=taus_ns,

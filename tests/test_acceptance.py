@@ -78,9 +78,8 @@ def test_criterion_02_projection_interior_maximum(cfg, params, base_seq):
 
 def test_criterion_03_trace_difference_decay(params, base_seq):
     t0 = time.perf_counter()
-    cfg = replace(base_seq, readout_wf=nv.make_constant(3000.0, 0.3),
-                  bin_width_ns=100.0)
-    tr0, tr1 = nv.simulate_pair(cfg, params)
+    cfg = replace(base_seq, readout_wf=nv.make_constant(3000.0, 0.3))
+    tr0, tr1 = nv.simulate_pair(cfg, params, 100.0)
     diff = tr0.expected_counts_per_rep - tr1.expected_counts_per_rep
     elapsed = time.perf_counter() - t0
     starts_positive = diff[0] > 0
@@ -146,8 +145,7 @@ def test_criterion_07_order_of_magnitude_anchor(cfg, params, base_seq):
     t0 = time.perf_counter()
     sweep = nv.run_sweep(nv.build_baseline_spec(cfg, base_seq, "snr"), params)
     wf = nv.make_constant(sweep.best_duration_ns, sweep.best_amplitude)
-    cfg = replace(base_seq, init_wf=wf, readout_wf=wf,
-                  bin_width_ns=wf.duration_ns)
+    cfg = replace(base_seq, init_wf=wf, readout_wf=wf)
     L0, L1 = nv.pair_window_counts(cfg, params)
     per_rep = L0 / cfg.repetitions
     value = nv.snr(L0, L1)

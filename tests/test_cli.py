@@ -525,6 +525,51 @@ class TestConfigHandling:
             "scipy": scipy.__version__, "pyyaml": yaml.__version__}
 
 
+class TestChecksAcrossSettings:
+    """What spans several settings is checked at load too, whichever command
+    runs, before the run starts."""
+
+    @pytest.mark.parametrize("overrides, named", [
+        (["sequence.bin_width_ns=47"], "does not divide"),
+        (["sequence.bin_width_ns=0.0092"], "more than 10000 bins"),
+        (["sweep.amplitude_points=10000", "sweep.duration_points=10000"],
+         "sweep grid"),
+        (["rabi.olo_waveform=/nonexistent.csv"], "not found"),
+    ], ids=["bins-divide", "bins-count", "sweep-cells", "rabi-waveform"])
+    @pytest.mark.parametrize("command", ["optimize", "rabi", "sweep", "trace"])
+    def test_exits_2_before_the_run(self, tmp_path, capsys, monkeypatch,
+                                    command, overrides, named):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the run started before the config check")
+        for name in ("run_sweep", "run_olo", "compare_schemes",
+                     "simulate_pair"):
+            monkeypatch.setattr(cli, name, refuse)
+        wf = tmp_path / "olo_waveform.csv"
+        write_waveform_csv(nv.make_constant(920.0, 1.0), wf)
+        sets = [arg for o in [f"rabi.olo_waveform={wf}", *overrides]
+                for arg in ("--set", o)]
+        assert main([command, "--out", str(tmp_path / "o"), *sets]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err
+
+    @pytest.mark.parametrize("given", ["file", "--set"])
+    @pytest.mark.parametrize("key", ["detection_offset_ns",
+                                     "detection_width_ns"])
+    def test_removed_window_keys_are_unknown(self, tmp_path, capsys, key,
+                                             given):
+        # photons are counted over the whole readout pulse
+        args = ["trace", "--out", str(tmp_path / "o")]
+        if given == "file":
+            cfg = tmp_path / "cfg.yaml"
+            cfg.write_text(f"sequence:\n  {key}: 0.0\n")
+            args += ["--config", str(cfg)]
+        else:
+            args += ["--set", f"sequence.{key}=0.0"]
+        assert main(args) == 2
+        assert (f"unknown key(s) in section 'sequence': {key}"
+                in capsys.readouterr().err)
+
+
 class TestStochasticFlag:
     @pytest.mark.parametrize("command", ["trace", "sweep"])
     def test_commands_that_never_sample_reject_it(self, tmp_path, capsys,

@@ -107,9 +107,7 @@ def sweep_cell(spec, amplitude, duration_ns):
     """One grid cell's sequence, built cell by cell from its square pulse."""
     pulse = nv.make_constant(duration_ns, amplitude)
     if spec.mode == "global":
-        return replace(spec.base, init_wf=pulse, readout_wf=pulse,
-                       bin_width_ns=duration_ns, detection_offset_ns=0.0,
-                       detection_width_ns=None)
+        return replace(spec.base, init_wf=pulse, readout_wf=pulse)
     return replace(spec.base, init_wf=pulse)
 
 
@@ -122,9 +120,10 @@ class TestSweepOracle:
 
     @pytest.fixture(scope="class")
     def base(self, base_seq):
-        # a window that global mode must ignore and init-only mode must use
-        return replace(base_seq, detection_offset_ns=92.0,
-                       detection_width_ns=460.0)
+        # a shaped readout that global mode must ignore and init-only mode
+        # must use
+        return replace(base_seq, readout_wf=nv.PiecewiseWaveform(
+            920.0, np.array([0.9, 0.2, 0.5, 0.05])))
 
     def spec(self, base, mode, metric):
         return nv.SweepSpec(amplitudes=self.AMPLITUDES,
@@ -160,8 +159,7 @@ class TestSweepOracle:
                            [cfg.init_wf.duration_ns])[-1, :5]
         p = reference_walk(p, nv.make_constant(cfg.wait_ns, 0.0), params,
                            [cfg.wait_ns])[-1, :5]
-        offset = cfg.detection_offset_ns
-        window = [offset, offset + cfg.effective_detection_width_ns]
+        window = [0.0, cfg.readout_wf.duration_ns]
         L0, L1 = (cfg.repetitions * np.diff(
             reference_walk(q, cfg.readout_wf, params, window)[:, 5])[0]
             for q in (p, p[[1, 0, 2, 3, 4]]))
@@ -169,95 +167,57 @@ class TestSweepOracle:
         assert grid[i, j] == pytest.approx(nv.snr(L0, L1), rel=1e-8)
 
 
-class TestSnrObjective:
-    def test_open_width_reads_from_the_offset_to_the_end(self, olo_spec,
-                                                         base_seq):
-        # width None means "from the offset to the end of the readout", as
-        # in SequenceConfig and pair_window_counts
-        def objective(start_duration_ns=920.0, **window):
-            spec = replace(olo_spec, base=replace(base_seq, **window),
-                           start_duration_ns=start_duration_ns)
-            return nv.make_snr_objective(spec, nv.make_constant(1000.0, 0.2))[0]
-
-        u = np.full(20, 0.3)
-        open_width = objective(detection_offset_ns=460.0)(u)
-        assert open_width == objective(detection_offset_ns=460.0,
-                                       detection_width_ns=460.0)(u)
-        assert open_width != objective()(u)
-        with pytest.raises(ConfigurationError):
-            objective(start_duration_ns=600.0, detection_offset_ns=460.0,
-                      detection_width_ns=460.0)
-
-
-def window_segments(cfg, params):
-    """The reference block of each constant-rate segment of ``cfg``'s
-    readout, in order, and whether the segment lies in the window."""
-    wf, offset = cfg.readout_wf, cfg.detection_offset_ns
-    end = offset + cfg.effective_detection_width_ns
-    edges, pieces = pumpsim._split(wf, [offset, min(end, wf.duration_ns)])
-    betas = params.amp_map.rate(wf.amplitudes)[pieces]
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    inside = (mids >= offset - 1e-9) & (mids <= end + 1e-9)
-    return [(reference_block(params, beta, dt), hit)
-            for beta, dt, hit in zip(betas, np.diff(edges), inside)]
+def piece_references(cfg, params):
+    """The reference block of each piece of ``cfg``'s readout, in order."""
+    wf = cfg.readout_wf
+    return [reference_block(params, beta, wf.piece_width_ns)
+            for beta in params.amp_map.rate(wf.amplitudes)]
 
 
 def walked_row(cfg, params):
     """The readout row of ``cfg`` from one forward walk of the identity
-    through the window's segments, summing the in-window photons: the
-    readout before it became a fold over piece blocks."""
+    through the readout's pieces, summing their photons: the readout
+    before it became a fold over piece blocks."""
     p, row = np.eye(5), np.zeros(5)
-    for block, hit in window_segments(cfg, params):
+    for block in piece_references(cfg, params):
         q = block @ p
         p = q[:5]
-        if hit:
-            row += q[5]
+        row += q[5]
     return row
 
 
 def rounding_scale(cfg, params):
-    """Sum over the window's segments of the largest entry of each one's
+    """Sum over the readout's pieces of the largest entry of each one's
     photon row: each exponential rounds at about 1e-16 of that, and a
     population vector carries it into the total unamplified."""
-    return sum(block[5].max() for block, hit in window_segments(cfg, params)
-               if hit)
+    return sum(block[5].max() for block in piece_references(cfg, params))
 
 
-def objective_case(base_seq, params, n, duration_ns, offset_ns, width_ns,
-                   start_amplitude=0.3):
-    """An OLO objective over ``n`` pieces of ``duration_ns`` read out in the
-    window at ``offset_ns`` of width ``width_ns``, and the readout-ready
-    branches and sequence a reference needs."""
-    base = replace(base_seq, readout_wf=nv.make_constant(duration_ns, 0.5),
-                   bin_width_ns=duration_ns, detection_offset_ns=offset_ns,
-                   detection_width_ns=width_ns)
+def objective_case(base_seq, params, n, duration_ns, start_amplitude=0.3):
+    """An OLO objective over ``n`` pieces of ``duration_ns``, and the
+    readout-ready branches and the sequence of its starting point, which a
+    reference needs."""
     spec = nv.OloSpec(
-        base=base, params=params,
+        base=base_seq, params=params,
         optimizer=nv.OptimizerConfig(alpha0=0.1, rho=0.5, alpha_min=1e-3,
                                      max_queries=100),
         init_scan_amplitudes=np.array([0.2]), start_duration_ns=duration_ns,
         start_amplitude=start_amplitude, n_read=n)
     init_wf = nv.make_constant(1000.0, 0.2)
     objective, expected_counts = nv.make_snr_objective(spec, init_wf)
-    cfg = replace(base, init_wf=init_wf)
+    cfg = replace(base_seq, init_wf=init_wf, readout_wf=spec.start_readout)
     branches = np.column_stack(nv.prepared_states(cfg, params))
     return objective, expected_counts, cfg, branches
 
 
-def olo_pieces(cfg, n, duration_ns):
-    """The readout pieces of an OLO objective over ``n`` pieces of
-    ``duration_ns`` in ``cfg``'s detection window."""
-    return pumpsim.readout_pieces(replace(
-        cfg, readout_wf=nv.PiecewiseWaveform(duration_ns, np.zeros(n)),
-        bin_width_ns=duration_ns))
-
-
-def assert_anchor_is_a_full_rebuild(objective, params, pieces, branches):
+def assert_anchor_is_a_full_rebuild(objective, params, readout, branches):
     """The objective's anchor holds, bit for bit, what one forward pass and
-    one backward fold over freshly looked-up blocks of its point give."""
+    one backward fold over freshly looked-up blocks of its point on the
+    ``readout`` pieces give."""
     anchor = inspect.getclosurevars(objective).nonlocals["anchor"]
-    blocks = [pumpsim.piece_block(params, params.amp_map.rate(a), segments)
-              for a, segments in zip(anchor.u.tolist(), pieces)]
+    blocks = [pumpsim.piece_block(params, params.amp_map.rate(a), dt)
+              for a, dt in zip(anchor.u.tolist(),
+                               pumpsim.piece_durations(readout))]
     before, photons = pumpsim.forward(blocks, branches)
     detected = np.cumsum(np.concatenate([np.zeros((1, 2)), photons]), axis=0)
     rows = pumpsim.readout_rows(blocks)
@@ -270,19 +230,16 @@ def assert_anchor_is_a_full_rebuild(objective, params, pieces, branches):
 
 @st.composite
 def readout_edits(draw):
-    """A rate set, a readout of 1 to 24 pieces whose detection window may
-    cut pieces anywhere, and a run of one-piece and multi-piece edits."""
+    """A rate set, a readout of 1 to 24 pieces, and a run of one-piece and
+    multi-piece edits."""
     params = draw(rate_rows())[0]
     n = draw(st.integers(1, 24))
     duration = draw(st.floats(50.0, 3000.0))
-    offset = duration * draw(st.just(0.0) | st.floats(0.0, 1.0))
-    width = draw(st.none() | st.floats(0.0, 1.0).map(
-        lambda share: share * (duration - offset)))
     amplitude = st.just(0.0) | st.floats(0.0, 1.0)
     edits = draw(st.lists(st.lists(st.tuples(st.integers(0, n - 1), amplitude),
                                    min_size=1, max_size=4),
                           min_size=1, max_size=8))
-    return params, n, duration, offset, width, edits
+    return params, n, duration, edits
 
 
 class TestIncrementalObjective:
@@ -291,9 +248,9 @@ class TestIncrementalObjective:
     @given(readout_edits())
     @settings(max_examples=80, deadline=None)
     def test_matches_full_walk_and_ties_bit_exactly(self, base_seq, case):
-        params, n, duration, offset, width, edits = case
+        params, n, duration, edits = case
         objective, expected_counts, cfg, branches = objective_case(
-            base_seq, params, n, duration, offset, width)
+            base_seq, params, n, duration)
         best = np.full(n, 0.3)
         for edit in edits:
             trial = best.copy()
@@ -314,7 +271,7 @@ class TestIncrementalObjective:
                 assert expected_counts(trial) == got
                 best = trial
                 anchor = assert_anchor_is_a_full_rebuild(
-                    objective, params, olo_pieces(cfg, n, duration), branches)
+                    objective, params, cfg.readout_wf, branches)
                 assert np.array_equal(anchor.u, best)
 
     @pytest.mark.parametrize("seed", [2, 11, 23])
@@ -322,27 +279,23 @@ class TestIncrementalObjective:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(3, 9))
         duration = rng.uniform(300.0, 1500.0)
-        offset = rng.uniform(0.1, 0.4) * duration
-        width = rng.uniform(0.2, 0.5) * duration
         objective, expected_counts, cfg, branches = objective_case(
-            base_seq, params, n, duration, offset, width)
+            base_seq, params, n, duration)
         anchor = rng.uniform(0.0, 1.0, n)
         objective(anchor)
         trial = anchor.copy()
         trial[int(rng.integers(n))] = rng.uniform(0.0, 1.0)
         wf = replace(cfg.readout_wf, amplitudes=trial)
         want = [cfg.repetitions * np.diff(reference_walk(
-            p, wf, params, [offset, offset + width])[:, 5])[0]
+            p, wf, params, [0.0, duration])[:, 5])[0]
             for p in branches.T]
         np.testing.assert_allclose(expected_counts(trial), want, rtol=1e-8)
 
     def test_same_point_returns_the_same_bits_across_reanchoring(self,
                                                                  base_seq,
                                                                  params):
-        # six 100 ns pieces read out from 130 to 380 ns: pieces 4 and 5
-        # come after the window
         objective, expected_counts, _, _ = objective_case(
-            base_seq, params, 6, 600.0, 130.0, 250.0)
+            base_seq, params, 6, 600.0)
         u0 = np.full(6, 0.3)
         first = objective(u0)
         better = u0.copy()
@@ -351,20 +304,16 @@ class TestIncrementalObjective:
         assert objective(better) > first       # re-anchors at ``better``
         assert expected_counts(better) == before
         worse = better.copy()
-        worse[[0, 3]] = 1.0, 0.0
+        worse[[4, 5]] = 1.0
         assert objective(worse) < objective(better)
         assert expected_counts(better) == before
-        # edits the window cannot see tie with the anchor exactly
-        for unseen in ([5], [4, 5]):
-            trial = better.copy()
-            trial[unseen] = 0.9
-            assert expected_counts(trial) == before
 
     def test_search_takes_the_path_of_full_walks(self, base_seq, params):
-        # the window ends in piece 13 of 20: edits after it must tie exactly,
-        # or Hooke-Jeeves accepts a rounding difference as an improvement
+        # the anchored chain and a full walk of each trial must agree on
+        # every comparison, or Hooke-Jeeves would take a rounding difference
+        # for an improvement
         objective, _, cfg, branches = objective_case(
-            base_seq, params, 20, 920.0, 230.0, 400.0, start_amplitude=0.02)
+            base_seq, params, 20, 920.0, start_amplitude=0.02)
 
         def walked(u):
             trial = replace(cfg, readout_wf=replace(cfg.readout_wf,
@@ -387,7 +336,6 @@ class TestIncrementalObjective:
         objective, _ = nv.make_snr_objective(olo_spec, init_wf)
         start = olo_spec.start_readout
         cfg = replace(olo_spec.base, init_wf=init_wf)
-        pieces = olo_pieces(cfg, start.n, start.duration_ns)
         branches = np.column_stack(nv.prepared_states(cfg, params))
         moves = []
 
@@ -396,7 +344,7 @@ class TestIncrementalObjective:
             anchor = inspect.getclosurevars(objective).nonlocals["anchor"]
             if not moves or anchor is not moves[-1]:
                 moves.append(assert_anchor_is_a_full_rebuild(
-                    objective, params, pieces, branches))
+                    objective, params, start, branches))
             return value
 
         state = nv.hj_optimize(checked, start.amplitudes, olo_spec.optimizer)
@@ -408,8 +356,7 @@ class TestIncrementalObjective:
                                      [0.3] * 5 + [-np.inf]])
     def test_trials_outside_the_bounds_are_rejected(self, base_seq, params,
                                                     bad):
-        objective, _, _, _ = objective_case(base_seq, params, 6, 600.0, 0.0,
-                                            None)
+        objective, _, _, _ = objective_case(base_seq, params, 6, 600.0)
         with pytest.raises(ParameterError):
             objective(np.array(bad))
 
@@ -462,7 +409,7 @@ class TestRunOlo:
         # amplitude a and dark pieces after them; scored by the sequence's
         # own window sum, not by the objective's anchored chain
         start = olo_spec.start_readout
-        cfg = replace(olo_spec.base, bin_width_ns=start.duration_ns,
+        cfg = replace(olo_spec.base,
                       init_wf=nv.make_constant(olo_spec.base.init_wf.duration_ns,
                                                olo_result.init_amplitude))
         best = -np.inf

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import nvreadout as nv
-from nvreadout import pumpsim
+from nvreadout import config, pumpsim
 
 SOURCES = sorted(Path(nv.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
@@ -128,3 +128,18 @@ def test_lstsq_only_behind_the_ill_conditioned_branches():
         ("metrics", "_fit_at"), ("metrics", "_grid_residuals")}
     assert all(branches and "_ILL_CONDITIONED" in branches[0]
                for _, _, branches in fallbacks)
+
+
+def test_every_setting_is_read():
+    # a setting of config.SETTINGS that no code reads would be checked and
+    # recorded in every manifest, yet change nothing; the table itself
+    # names its keys as dict keys, not as subscripts
+    read = {node.slice.value for path in SOURCES
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Subscript)
+            and isinstance(node.slice, ast.Constant)
+            and isinstance(node.slice.value, str)}
+    unread = [(section, key) for section, entry in config.SETTINGS.items()
+              for key in (entry if isinstance(entry, dict) else [section])
+              if not {section, key} <= read]
+    assert unread == []

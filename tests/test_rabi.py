@@ -12,8 +12,7 @@ OMEGA = 2 * np.pi / 200.0
 
 @pytest.fixture(scope="module")
 def rabi_base(base_seq):
-    # single-bin readout: Rabi evaluation only needs window totals
-    return replace(base_seq, bin_width_ns=920.0)
+    return base_seq
 
 
 def make_cfg(rabi_base, taus=None, **kw):
@@ -49,8 +48,7 @@ class TestRabiExpectations:
                            [init.duration_ns])[-1, :5]
         p = reference_walk(p, nv.make_constant(wait, 0.0), params,
                            [wait])[-1, :5]
-        offset = rabi_base.detection_offset_ns
-        window = [offset, offset + rabi_base.effective_detection_width_ns]
+        window = [0.0, rabi_base.readout_wf.duration_ns]
         for tau, got in zip(taus, L):
             c2 = np.cos(0.5 * OMEGA * tau) ** 2
             q = p.copy()
