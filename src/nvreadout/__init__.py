@@ -60,8 +60,8 @@ from .rabi import (
     SCHEMES,
     SchemeComparison,
     compare_schemes,
-    make_scheme_configs,
     rabi_expectations,
+    scheme_sequences,
     simulate_rabi,
 )
 from .waveform import AmplitudeBounds, PiecewiseWaveform, make_constant

@@ -16,6 +16,7 @@ import hashlib
 import platform
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,12 +28,11 @@ from .config import (
     build_baseline_spec,
     build_olo_init_pulse,
     build_olo_spec,
-    build_rabi_taus,
+    build_rabi_config,
     build_rate_params,
     build_sequence,
     build_sweep_spec,
     load_config,
-    rabi_omega,
 )
 from .errors import ConfigurationError, NVReadoutError, SamplingRangeError
 from .harness import run_olo, run_sweep
@@ -48,7 +48,7 @@ from .io import (
     write_waveform_csv,
 )
 from .pumpsim import simulate_pair
-from .rabi import RabiConfig, compare_schemes, make_scheme_configs
+from .rabi import compare_schemes, scheme_sequences
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -113,26 +113,21 @@ def cmd_optimize(args, cfg: dict, out: Path, params) -> str:
             f"{result.state.queries} queries)")
 
 
-def _rabi_scheme_configs(cfg: dict, args, params) -> dict[str, RabiConfig]:
+def cmd_rabi(args, cfg: dict, out: Path, params) -> str:
     seq = build_sequence(cfg)
     wf_path = cfg["rabi"]["olo_waveform"]
     if wf_path is None:
         raise ConfigurationError(
             "rabi.olo_waveform is not set; run the optimize command first and "
             "point it at the written olo_waveform.csv")
-    olo_wf = read_waveform_csv(wf_path)
-    return make_scheme_configs(
-        seq, rabi_omega(cfg), build_rabi_taus(cfg),
-        cfg["rabi"]["repetitions"], build_olo_init_pulse(cfg), olo_wf,
+    sequences = scheme_sequences(
+        replace(seq, repetitions=cfg["rabi"]["repetitions"]),
+        build_olo_init_pulse(cfg), read_waveform_csv(wf_path),
         sweep_snr=run_sweep(build_baseline_spec(cfg, seq, "snr"), params),
         sweep_contrast=run_sweep(build_baseline_spec(cfg, seq, "contrast"),
-                                 params),
-        stochastic=bool(args.stochastic), seed=cfg["seed"])
-
-
-def cmd_rabi(args, cfg: dict, out: Path, params) -> str:
-    cfgs = _rabi_scheme_configs(cfg, args, params)
-    comparison = compare_schemes(cfgs, params)
+                                 params))
+    comparison = compare_schemes(build_rabi_config(cfg, args.stochastic),
+                                 sequences, params)
     for name, curve in comparison.curves.items():
         write_rabi_curve_csv(curve, out / f"rabi_{name}.csv")
     write_json(out / "rabi_summary.json", {
@@ -163,8 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
     # only the commands in REPETITIONS_KEY draw samples
     sampling = argparse.ArgumentParser(add_help=False)
     sampling.add_argument("--stochastic", action="store_true",
-                          help="Poisson-sample window counts instead of "
-                               "expectations")
+                          help="Poisson-sample the readout totals instead "
+                               "of using their expectations")
 
     p = sub.add_parser("trace", parents=[common],
                        help="paired photon time traces of both spin preparations")

@@ -9,7 +9,9 @@ with a bound.  :func:`load_config` applies the file, the ``--set
 section.key=value`` overrides and the ``--seed`` and ``--out`` flags, and
 checks every setting at load, whichever command runs: each one alone, then
 what spans settings (:func:`_check_spans`: the readout's bins, the sweep's
-cells and the Rabi waveform file); an unknown key fails with its section
+cells and the Rabi waveform file), then the model objects they configure
+(:func:`_check_models` runs each ``build_*`` once, so a bound that only a
+constructor states is checked too); an unknown key fails with its section
 named.  The ``build_*`` functions read the checked values and turn a value
 a model constructor rejects into a :class:`ConfigurationError`.
 """
@@ -31,6 +33,7 @@ from .metrics import FIT_MIN_SAMPLES
 from .optimizer import OptimizerConfig
 from .photophysics import MAP_SHAPES, AmplitudeMap, RateParams
 from .pumpsim import SequenceConfig, bin_count
+from .rabi import RabiConfig
 from .waveform import AmplitudeBounds, PiecewiseWaveform, make_constant
 
 #: Most points a configured count, the readout's piece list, the sweep's
@@ -213,7 +216,7 @@ def load_config(path: str | Path | None = None,
         cfg["seed"] = seed
     if output_dir is not None:
         cfg["output_dir"] = output_dir
-    return _check_spans(_checked(SETTINGS, cfg))
+    return _check_models(_check_spans(_checked(SETTINGS, cfg)))
 
 
 def _merge(cfg: dict, given, where: str, table: dict = SETTINGS,
@@ -265,6 +268,17 @@ def _check_spans(cfg: dict) -> dict:
         raise ConfigurationError(
             f"OLO waveform file {path!r} not found; run the optimize "
             "command first")
+    return cfg
+
+
+def _check_models(cfg: dict) -> dict:
+    """``cfg``, once every model object it configures builds, so that the
+    checks only a model's constructor makes run at load too."""
+    params, seq = build_rate_params(cfg), build_sequence(cfg)
+    build_sweep_spec(cfg, seq)
+    build_olo_spec(cfg, seq, params)
+    build_olo_init_pulse(cfg)
+    build_rabi_config(cfg)
     return cfg
 
 
@@ -327,10 +341,10 @@ def build_baseline_spec(cfg: dict, base: SequenceConfig,
     """The constant-scheme baseline: the configured grid in global mode,
     scored by ``metric`` whatever ``sweep.mode`` and ``sweep.metric`` say.
 
-    The default duration axis starts at 400 ns: windows shorter than that
+    The default duration axis starts at 400 ns: pulses shorter than that
     are not practical settings for the constant scheme here, and the floor
     is what exposes the readout-noise penalty of strong pumping (at high
-    power the spin polarizes well before the window closes, so the
+    power the spin polarizes well before the readout pulse ends, so the
     remaining illumination only adds shot noise).
     """
     return replace(build_sweep_spec(cfg, base, mode="global"), metric=metric)
@@ -371,10 +385,12 @@ def build_olo_init_pulse(cfg: dict) -> PiecewiseWaveform:
                          else amplitude)
 
 
-def build_rabi_taus(cfg: dict) -> np.ndarray:
+def build_rabi_config(cfg: dict, stochastic: bool = False) -> RabiConfig:
+    """The Rabi sweep all three schemes share, drawn from the run seed."""
     c = cfg["rabi"]
-    return np.linspace(c["tau_start_ns"], c["tau_stop_ns"], c["tau_points"])
-
-
-def rabi_omega(cfg: dict) -> float:
-    return 2.0 * np.pi / cfg["rabi"]["rabi_period_ns"]
+    return RabiConfig(
+        omega_rad_per_ns=2.0 * np.pi / c["rabi_period_ns"],
+        taus_ns=np.linspace(c["tau_start_ns"], c["tau_stop_ns"], c["tau_points"]),
+        stochastic=stochastic,
+        seed=cfg["seed"],
+    )

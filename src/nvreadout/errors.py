@@ -14,7 +14,7 @@ class NumericError(NVReadoutError, ArithmeticError):
 
 
 class ConfigurationError(NVReadoutError, ValueError):
-    """Inconsistent sequence, binning, window, or run configuration."""
+    """Inconsistent sequence, binning, or run configuration."""
 
 
 class SamplingRangeError(ConfigurationError):

@@ -106,9 +106,9 @@ def run_sweep(spec: SweepSpec, params: RateParams) -> SweepResult:
     """Evaluate the metric on the full grid and project onto the power axis.
 
     :func:`square_pulse_states` prepares both branches for every cell at
-    once, and a cell's window totals are a readout row applied to them: in
+    once, and a cell's readout totals are a readout row applied to them: in
     global mode the pulse's own count row, in init-only mode the row of
-    ``base``'s readout window, built once.  The metric scores the whole grid
+    ``base``'s readout pulse, built once.  The metric scores the whole grid
     in one call; cells without photons (for the contrast, without m_s=0
     photons) stay NaN.
     """
@@ -203,7 +203,7 @@ class OloResult:
 
 @dataclass(frozen=True)
 class _Anchor:
-    """The readout chain of one queried point ``u``: its window totals as
+    """The readout chain of one queried point ``u``: its readout totals as
     the objective returned them, its value, the block ``blocks[i]`` of each
     piece, and per piece i the branch populations ``before[i]`` at its start
     (5, 2), the photons ``detected[i]`` before it (2,) and the readout row
@@ -249,7 +249,7 @@ def make_snr_objective(spec: OloSpec, init_wf: PiecewiseWaveform):
 
     A stochastic objective, mimicking single experimental queries, owns one
     generator, keyed ``(OLO_STREAM, 0)`` of ``spec.sample_seed``, and
-    scores each query on both window totals drawn from it in one Poisson
+    scores each query on both readout totals drawn from it in one Poisson
     call; the anchor still keeps the expected totals.  A deterministic one
     has no generator and scores the expected totals.
     """
@@ -271,7 +271,7 @@ def make_snr_objective(spec: OloSpec, init_wf: PiecewiseWaveform):
 
     def moved(u, value, counts, lo, hi):
         """The anchor moved to ``u``, which differs from it at most in
-        pieces lo..hi-1, with ``value`` and the window totals ``counts``
+        pieces lo..hi-1, with ``value`` and the readout totals ``counts``
         (those of its rows if None)."""
         blocks = anchor.blocks.copy()
         blocks[lo:hi] = [block(i, a)
@@ -293,7 +293,7 @@ def make_snr_objective(spec: OloSpec, init_wf: PiecewiseWaveform):
     anchor = moved(start.amplitudes, -np.inf, None, 0, n)
 
     def query(u):
-        """The window totals at ``u``, and the span lo..hi-1 of the pieces
+        """The readout totals at ``u``, and the span lo..hi-1 of the pieces
         where ``u`` differs from the anchor (lo = n, hi = 0 if nowhere)."""
         if u.shape != (n,) or not bounds.contains(u):
             raise ParameterError(f"trial amplitudes must be {n} values in "
@@ -349,7 +349,7 @@ def run_olo(spec: OloSpec, baseline: SweepResult | float) -> OloResult:
     ``baseline`` is the constant-scheme reference the improvement ratio is
     measured against: a sweep result or a plain SNR value, which must not
     be 0 (:class:`UndefinedMetricError`).  The reported final SNR is always
-    the deterministic window expectation of the returned waveform, so
+    the deterministic readout expectation of the returned waveform, so
     stochastic runs are judged on what they found rather than on a lucky
     draw.  Its traces are binned per piece.
     """

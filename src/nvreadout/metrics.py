@@ -1,6 +1,6 @@
 """Scalar figures of merit for spin readout.
 
-``snr`` and ``contrast`` operate on window photon totals of the two spin
+``snr`` and ``contrast`` operate on readout photon totals of the two spin
 preparations; the sinusoid fit, a coarse-to-fine scan over frequency,
 quantifies how cleanly Rabi data sit on the expected oscillation.  Each
 stage of the scan scores an arithmetic progression of frequencies, and the
@@ -24,7 +24,7 @@ from .errors import FitError, UndefinedMetricError
 def snr(L0, L1):
     """Readout signal-to-noise ratio (L0 - L1) / sqrt(L0 + L1).
 
-    L0 and L1 are total detected photons in the detection window, summed
+    L0 and L1 are total detected photons over the readout pulse, summed
     over the same number of repetitions for each spin preparation.  Scalars
     or equal-shape arrays; arrays give the scalar values elementwise.  A
     pair of floats, as each OLO query scores, skips numpy's dispatch.
@@ -315,7 +315,7 @@ SINUSOID_FIT_PARAMS = 4   # offset, cos and sin coefficients, omega
 def expected_mean_deviation(expected) -> float:
     """Expected ``mean_deviation`` of Poisson counts about their sinusoid fit.
 
-    ``expected`` holds the Poisson means mu_k of the window totals on an
+    ``expected`` holds the Poisson means mu_k of the readout totals on an
     exact sinusoid; the data are the counts normalized to their maximum.
     To leading order in 1/sqrt(mu) each normalized residual is Gaussian
     with standard deviation sqrt(mu_k) / max(mu), its absolute value has

@@ -26,7 +26,7 @@ backward fold ``r_i = c_i + r_{i+1} E_i[:5]`` over the piece blocks
 which is what the OLO objective exploits.  A grid of square pulses composes
 each pulse from the previous one and one more segment, along the sorted
 durations, for all amplitudes at a time (:func:`square_pulse_states`).
-Poisson shot noise is applied only on demand, on window totals, with
+Poisson shot noise is applied only on demand, on readout totals, with
 generators keyed by :func:`sampling_seed`.
 """
 
@@ -249,6 +249,9 @@ def bin_count(duration_ns: float, bin_width_ns: float) -> int:
     if not bin_width_ns > 0:
         raise ConfigurationError(f"bin width must be positive, got {bin_width_ns}")
     n_bins_f = duration_ns / bin_width_ns
+    if not np.isfinite(n_bins_f):
+        raise ConfigurationError(
+            f"bin width {bin_width_ns} ns cuts {duration_ns} ns into too many bins")
     n_bins = int(round(n_bins_f))
     if n_bins < 1 or abs(n_bins_f - n_bins) > _REL_TOL * n_bins_f:
         raise ConfigurationError(
@@ -419,7 +422,7 @@ POISSON_MEAN_MAX = (np.iinfo(np.int64).max
 
 
 def sample_counts(expected, seed):
-    """Poisson draws of window totals, one per element of ``expected``, all
+    """Poisson draws of readout totals, one per element of ``expected``, all
     in one call.
 
     ``seed`` is anything ``numpy.random.default_rng`` takes: an int, a key

@@ -48,18 +48,14 @@ SCHEMES = ("olo-snr", "constant-snr", "constant-contrast")
 
 @dataclass(frozen=True)
 class RabiConfig:
-    """One Rabi sweep using the readout/init pulses carried by ``base``.
-
-    A stochastic sweep draws its counts from ``sample_seed``: an int, or the
-    :func:`pumpsim.sampling_seed` key that :func:`make_scheme_configs` gives
-    each scheme.
-    """
+    """The Rabi sweep every readout scheme shares: drive, tau grid and
+    sampling.  A stochastic sweep draws its counts from ``seed``, an int or
+    a :func:`pumpsim.sampling_seed` key."""
 
     omega_rad_per_ns: float
     taus_ns: np.ndarray
-    base: SequenceConfig
     stochastic: bool = False
-    sample_seed: int | np.random.SeedSequence = 0
+    seed: int | np.random.SeedSequence = 0
 
     def __post_init__(self) -> None:
         taus = np.asarray(self.taus_ns, dtype=float).ravel()
@@ -84,98 +80,85 @@ class RabiCurve:
 
     taus_ns: np.ndarray
     signals: np.ndarray            # normalized to the maximal-count point
-    counts: np.ndarray             # raw window totals per tau
+    counts: np.ndarray             # raw readout totals per tau
     fit: SinusoidFit
     contrast: float                # from fitted extrema, (max-min)/max
     mean_dev: float                # sampled, or its Poisson expectation
 
 
-def rabi_expectations(cfg: RabiConfig, params: RateParams) -> np.ndarray:
-    """Expected window totals L(tau) over all repetitions, no sampling.
+def rabi_expectations(cfg: RabiConfig, seq: SequenceConfig,
+                      params: RateParams) -> np.ndarray:
+    """Expected readout totals L(tau) of the sequence ``seq`` over all its
+    repetitions, no sampling.
 
     The pulse mixes the two branch states with weights cos² and sin² of
     half its angle, so the totals mix the branch totals of
     :func:`pumpsim.pair_window_counts` with the same weights.
     """
-    L0, L1 = pair_window_counts(cfg.base, params)
+    L0, L1 = pair_window_counts(seq, params)
     c2 = np.cos(0.5 * cfg.omega_rad_per_ns * cfg.taus_ns) ** 2
     return L0 * c2 + L1 * (1.0 - c2)
 
 
-def _signals(cfg: RabiConfig, expected: np.ndarray):
-    """The window totals of one sweep, drawn if it is stochastic, and the
-    signals: those totals normalized to their maximum."""
-    counts = (sample_counts(expected, cfg.sample_seed) if cfg.stochastic
-              else expected).astype(float)
-    ref = counts.max()
-    if ref <= 0:
+def _curves(cfg: RabiConfig, expected: np.ndarray, seeds) -> list[RabiCurve]:
+    """The fitted curves of the (k, n) expected totals ``expected``: row i
+    drawn from ``seeds[i]`` if the sweep is stochastic, normalized to its
+    maximum, and all k fitted in one :func:`metrics.fit_sinusoid` call
+    (a fit that fails raises its ``FitError``).
+
+    Stochastic curves report the mean deviation of their sampled signals
+    from the fit; noiseless ones its leading-order expectation under
+    Poisson sampling, which assumes the expected totals lie on an exact
+    sinusoid, as the linear model makes them.
+    """
+    counts = (np.stack([sample_counts(row, seed)
+                        for row, seed in zip(expected, seeds)])
+              if cfg.stochastic else expected).astype(float)
+    ref = counts.max(axis=1, keepdims=True)
+    if np.any(ref <= 0):
         raise ConfigurationError("no photons detected at any tau")
-    return counts, counts / ref
-
-
-def _fitted_curve(cfg: RabiConfig, expected: np.ndarray, counts: np.ndarray,
-                  signals: np.ndarray, fit: SinusoidFit) -> RabiCurve:
-    """The curve of :func:`_signals`' output with its sinusoid fit."""
-    y_max = fit.offset + fit.amplitude
-    y_min = fit.offset - fit.amplitude
-    curve_contrast = (y_max - y_min) / y_max
-    if cfg.stochastic:
-        dev = mean_deviation(signals, fit, cfg.taus_ns)
-    else:
-        dev = expected_mean_deviation(expected)
-    return RabiCurve(taus_ns=cfg.taus_ns, signals=signals, counts=counts,
-                     fit=fit, contrast=float(curve_contrast), mean_dev=dev)
+    signals = counts / ref
+    curves = []
+    for mean, count, signal, fit in zip(expected, counts, signals,
+                                        fit_sinusoid(cfg.taus_ns, signals)):
+        y_max = fit.offset + fit.amplitude
+        y_min = fit.offset - fit.amplitude
+        dev = (mean_deviation(signal, fit, cfg.taus_ns) if cfg.stochastic
+               else expected_mean_deviation(mean))
+        curves.append(RabiCurve(
+            taus_ns=cfg.taus_ns, signals=signal, counts=count, fit=fit,
+            contrast=float((y_max - y_min) / y_max), mean_dev=dev))
+    return curves
 
 
 def realize_curve(cfg: RabiConfig, expected: np.ndarray) -> RabiCurve:
-    """Turn expected totals into a (possibly sampled) fitted Rabi curve.
-
-    Stochastic curves report the mean deviation of their sampled signals
-    from the fit.  Noiseless curves report its leading-order expectation
-    under Poisson sampling at ``base.repetitions``, which assumes the
-    expected totals lie on an exact sinusoid, as the linear model makes them.
-
-    A fit that fails raises its ``FitError``; ``config.build_rabi_taus``
-    keeps configured grids at or above the fit's minimum sample count.
-    """
-    counts, signals = _signals(cfg, expected)
-    return _fitted_curve(cfg, expected, counts, signals,
-                         fit_sinusoid(cfg.taus_ns, signals))
+    """Turn expected totals into a (possibly sampled) fitted Rabi curve,
+    drawn from ``cfg.seed`` if the sweep is stochastic."""
+    return _curves(cfg, np.reshape(expected, (1, -1)), [cfg.seed])[0]
 
 
-def simulate_rabi(cfg: RabiConfig, params: RateParams) -> RabiCurve:
-    """Full Rabi sweep: expectations, optional shot noise, fit, metrics."""
-    return realize_curve(cfg, rabi_expectations(cfg, params))
+def simulate_rabi(cfg: RabiConfig, seq: SequenceConfig,
+                  params: RateParams) -> RabiCurve:
+    """Full Rabi sweep of ``seq``: expectations, optional shot noise, fit."""
+    return realize_curve(cfg, rabi_expectations(cfg, seq, params))
 
 
-def make_scheme_configs(base: SequenceConfig, omega_rad_per_ns: float,
-                        taus_ns: np.ndarray, repetitions: float,
-                        olo_init_wf: PiecewiseWaveform,
-                        olo_readout_wf: PiecewiseWaveform,
-                        sweep_snr, sweep_contrast, stochastic: bool,
-                        seed: int) -> dict[str, RabiConfig]:
-    """Rabi configs of the three readout schemes, keyed by scheme name.
+def scheme_sequences(base: SequenceConfig, olo_init_wf: PiecewiseWaveform,
+                     olo_readout_wf: PiecewiseWaveform, sweep_snr,
+                     sweep_contrast) -> dict[str, SequenceConfig]:
+    """The sequences of the three readout schemes, keyed by scheme name.
 
     The OLO scheme uses the optimized init and readout waveforms; each
     constant scheme uses the best square pulse of its sweep (``sweep_snr``
     and ``sweep_contrast`` are sweep results) for both init and readout.
-    Every scheme detects over its whole readout pulse.  A stochastic scheme
-    k of :data:`SCHEMES` draws all its taus in one call from the generator
-    keyed ``(RABI_STREAM, k)`` of ``seed`` (``pumpsim.sampling_seed``).
+    The rest, the wait and the repetitions, is ``base``'s.
     """
     wf_cs = make_constant(sweep_snr.best_duration_ns, sweep_snr.best_amplitude)
     wf_cc = make_constant(sweep_contrast.best_duration_ns,
                           sweep_contrast.best_amplitude)
     pulses = ((olo_init_wf, olo_readout_wf), (wf_cs, wf_cs), (wf_cc, wf_cc))
-    cfgs = {}
-    for k, (name, (init_wf, readout_wf)) in enumerate(zip(SCHEMES, pulses)):
-        scheme_base = replace(base, init_wf=init_wf, readout_wf=readout_wf,
-                              repetitions=repetitions)
-        cfgs[name] = RabiConfig(
-            omega_rad_per_ns=omega_rad_per_ns, taus_ns=taus_ns,
-            base=scheme_base, stochastic=stochastic,
-            sample_seed=sampling_seed(seed, RABI_STREAM, k))
-    return cfgs
+    return {name: replace(base, init_wf=init_wf, readout_wf=readout_wf)
+            for name, (init_wf, readout_wf) in zip(SCHEMES, pulses)}
 
 
 @dataclass(frozen=True)
@@ -188,31 +171,25 @@ class SchemeComparison:
     orderings: dict[str, bool]
 
 
-def compare_schemes(cfgs: dict[str, RabiConfig], params: RateParams) -> SchemeComparison:
-    """Run one Rabi sweep per readout scheme and compare the outcomes.
+def compare_schemes(cfg: RabiConfig, sequences: dict[str, SequenceConfig],
+                    params: RateParams) -> SchemeComparison:
+    """Run the Rabi sweep ``cfg`` once per readout scheme and compare the
+    outcomes.
 
-    ``cfgs`` maps each name in :data:`SCHEMES` to a config whose ``base``
-    carries that scheme's init and readout waveforms, as built by
-    :func:`make_scheme_configs`, all on one tau grid.  Every curve is
-    drawn first and one :func:`metrics.fit_sinusoid` call fits them all,
-    so its frequency tables are built once; each curve then gets the fit
-    :func:`realize_curve` would give it.  A fit that fails stops the
-    comparison with its ``FitError``.
+    ``sequences`` maps each name in :data:`SCHEMES` to that scheme's
+    sequence, as built by :func:`scheme_sequences`.  A stochastic scheme k
+    draws all its taus in one call from the generator keyed
+    ``(RABI_STREAM, k)`` of the run seed ``cfg.seed``.  The curves are
+    those :func:`realize_curve` gives, fitted in one call; a fit that fails
+    stops the comparison with its ``FitError``.
     """
-    missing = [s for s in SCHEMES if s not in cfgs]
+    missing = [s for s in SCHEMES if s not in sequences]
     if missing:
-        raise ConfigurationError(f"missing scheme configs: {missing}")
-    taus = cfgs[SCHEMES[0]].taus_ns
-    if not all(np.array_equal(cfg.taus_ns, taus) for cfg in cfgs.values()):
-        raise ConfigurationError("the schemes must share one tau grid")
-    drawn = {}
-    for name, cfg in cfgs.items():
-        expected = rabi_expectations(cfg, params)
-        drawn[name] = (cfg, expected, *_signals(cfg, expected))
-    fits = fit_sinusoid(taus, np.stack([signals for *_, signals
-                                        in drawn.values()]))
-    curves = {name: _fitted_curve(*curve, fit)
-              for (name, curve), fit in zip(drawn.items(), fits)}
+        raise ConfigurationError(f"missing scheme sequences: {missing}")
+    expected = np.stack([rabi_expectations(cfg, sequences[name], params)
+                         for name in SCHEMES])
+    seeds = [sampling_seed(cfg.seed, RABI_STREAM, k) for k in range(len(SCHEMES))]
+    curves = dict(zip(SCHEMES, _curves(cfg, expected, seeds)))
     contrasts = {name: curve.contrast for name, curve in curves.items()}
     mean_devs = {name: curve.mean_dev for name, curve in curves.items()}
     orderings = {

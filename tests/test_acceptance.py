@@ -40,14 +40,17 @@ def scheme_inputs(cfg, params, base_seq):
 
 
 def rabi_scheme_configs(inputs, base_seq, repetitions, stochastic, seed):
-    """The three scheme configs of the Fig.-4-style comparison."""
+    """The shared Rabi sweep and the three scheme sequences of the
+    Fig.-4-style comparison."""
     sweep_snr, sweep_con, olo = inputs
     olo_init = nv.make_constant(base_seq.init_wf.duration_ns,
                                 olo.init_amplitude)
-    return nv.make_scheme_configs(
-        base_seq, 2 * np.pi / 200.0, np.linspace(0.0, 600.0, 241),
-        repetitions, olo_init, olo.waveform, sweep_snr, sweep_con,
-        stochastic=stochastic, seed=seed)
+    cfg = nv.RabiConfig(omega_rad_per_ns=2 * np.pi / 200.0,
+                        taus_ns=np.linspace(0.0, 600.0, 241),
+                        stochastic=stochastic, seed=seed)
+    return cfg, nv.scheme_sequences(
+        replace(base_seq, repetitions=repetitions), olo_init, olo.waveform,
+        sweep_snr, sweep_con)
 
 
 def test_criterion_01_singlet_lifetime(params):
@@ -159,9 +162,10 @@ def test_criterion_07_order_of_magnitude_anchor(cfg, params, base_seq):
 
 def test_criterion_08_rabi_orderings_deterministic(cfg, params, base_seq):
     t0 = time.perf_counter()
-    cfgs = rabi_scheme_configs(scheme_inputs(cfg, params, base_seq), base_seq,
-                               repetitions=1e8, stochastic=False, seed=0)
-    comp = nv.compare_schemes(cfgs, params)
+    rabi_cfg, sequences = rabi_scheme_configs(
+        scheme_inputs(cfg, params, base_seq), base_seq, repetitions=1e8,
+        stochastic=False, seed=0)
+    comp = nv.compare_schemes(rabi_cfg, sequences, params)
     elapsed = time.perf_counter() - t0
     contrast_ok = comp.orderings["olo_contrast_above_constant_snr"]
     meandev_ok = comp.orderings["olo_meandev_below_constant_contrast"]
@@ -182,9 +186,9 @@ def test_criterion_08_rabi_orderings_stochastic(cfg, params, base_seq):
     inputs = scheme_inputs(cfg, params, base_seq)
     hold = 0
     for seed in range(20):
-        cfgs = rabi_scheme_configs(inputs, base_seq, repetitions=1e6,
-                                   stochastic=True, seed=seed)
-        comp = nv.compare_schemes(cfgs, params)
+        rabi_cfg, sequences = rabi_scheme_configs(
+            inputs, base_seq, repetitions=1e6, stochastic=True, seed=seed)
+        comp = nv.compare_schemes(rabi_cfg, sequences, params)
         if (comp.orderings["olo_contrast_above_constant_snr"]
                 and comp.orderings["olo_meandev_below_constant_contrast"]):
             hold += 1

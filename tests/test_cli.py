@@ -30,6 +30,15 @@ def read(path: Path) -> str:
     return path.read_text()
 
 
+@pytest.fixture()
+def refuse_runs(monkeypatch):
+    """Fail the test if a command starts its run."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run started before the config check")
+    for name in ("run_sweep", "run_olo", "compare_schemes", "simulate_pair"):
+        monkeypatch.setattr(cli, name, refuse)
+
+
 def run_twice_and_compare(argv, out: Path, skip=("manifest.json",)):
     assert main(argv) == 0
     first = {p.name: p.read_bytes() for p in out.iterdir()}
@@ -344,11 +353,7 @@ class TestPointCounts:
     LARGE = 10**6   # elements no configured array may ask for
 
     @pytest.fixture()
-    def refuse_large_arrays(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the run started before the config check")
-        for name in ("run_sweep", "run_olo", "compare_schemes", "simulate_pair"):
-            monkeypatch.setattr(cli, name, refuse)
+    def refuse_large_arrays(self, monkeypatch, refuse_runs):
         linspace, full = np.linspace, np.full
 
         def guarded_linspace(start, stop, num=50, **kwargs):
@@ -526,8 +531,9 @@ class TestConfigHandling:
 
 
 class TestChecksAcrossSettings:
-    """What spans several settings is checked at load too, whichever command
-    runs, before the run starts."""
+    """What spans several settings, and what only a model object's
+    constructor checks, is checked at load too, whichever command runs,
+    before the run starts."""
 
     @pytest.mark.parametrize("overrides, named", [
         (["sequence.bin_width_ns=47"], "does not divide"),
@@ -535,15 +541,22 @@ class TestChecksAcrossSettings:
         (["sweep.amplitude_points=10000", "sweep.duration_points=10000"],
          "sweep grid"),
         (["rabi.olo_waveform=/nonexistent.csv"], "not found"),
-    ], ids=["bins-divide", "bins-count", "sweep-cells", "rabi-waveform"])
+        # bounds that only a model object's constructor states
+        (["rabi.olo_init_amplitude=2.0"], "amplitudes outside [0.0, 1.0]"),
+        (["olo.start_amplitude=1.2"], "amplitudes outside [0.0, 1.0]"),
+        (["olo.bound_hi=3"], "need 0 <= lo < hi <= 1"),
+        (["olo.alpha0=-1"], "need 0 < alpha_min < alpha0"),
+        (["sweep.amplitude_stop=2"], "sweep amplitudes must lie in [0, 1]"),
+        (["sweep.duration_start_ns=-5"], "sweep durations must be finite"),
+        (["rabi.tau_stop_ns=100"], "less than one Rabi period"),
+        (["rabi.tau_start_ns=-5"], "tau grid must be non-empty and non-neg"),
+    ], ids=["bins-divide", "bins-count", "sweep-cells", "rabi-waveform",
+            "olo-init-amplitude", "olo-start-amplitude", "olo-bounds",
+            "olo-alpha0", "sweep-amplitudes", "sweep-durations",
+            "tau-span", "tau-start"])
     @pytest.mark.parametrize("command", ["optimize", "rabi", "sweep", "trace"])
-    def test_exits_2_before_the_run(self, tmp_path, capsys, monkeypatch,
+    def test_exits_2_before_the_run(self, tmp_path, capsys, refuse_runs,
                                     command, overrides, named):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the run started before the config check")
-        for name in ("run_sweep", "run_olo", "compare_schemes",
-                     "simulate_pair"):
-            monkeypatch.setattr(cli, name, refuse)
         wf = tmp_path / "olo_waveform.csv"
         write_waveform_csv(nv.make_constant(920.0, 1.0), wf)
         sets = [arg for o in [f"rabi.olo_waveform={wf}", *overrides]
@@ -551,6 +564,7 @@ class TestChecksAcrossSettings:
         assert main([command, "--out", str(tmp_path / "o"), *sets]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and named in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("given", ["file", "--set"])
     @pytest.mark.parametrize("key", ["detection_offset_ns",

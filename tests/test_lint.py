@@ -130,6 +130,21 @@ def test_lstsq_only_behind_the_ill_conditioned_branches():
                for _, _, branches in fallbacks)
 
 
+def test_each_stream_is_keyed_in_one_place():
+    # the seed rule has one home per sampling stream: the OLO objective
+    # keys OLO_STREAM and the scheme comparison RABI_STREAM, so no two
+    # draws of a run can share a key by accident
+    sites = [(path.stem, top) for path in SOURCES
+             for top, _ in calls_with_branches(path, "sampling_seed")]
+    assert sites == [("harness", "make_snr_objective"),
+                     ("rabi", "compare_schemes")]
+    streams = [(path.stem, ast.unparse(node.args[1])) for path in SOURCES
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "id", None) == "sampling_seed"]
+    assert streams == [("harness", "OLO_STREAM"), ("rabi", "RABI_STREAM")]
+
+
 def test_every_setting_is_read():
     # a setting of config.SETTINGS that no code reads would be checked and
     # recorded in every manifest, yet change nothing; the table itself

@@ -80,6 +80,13 @@ class TestSimulatePump:
         with pytest.raises(ConfigurationError):
             nv.simulate_pump(nv.thermal_ground_state(), wf, params, 33.0)
 
+    @pytest.mark.parametrize("width", [5e-324, 1e-320])
+    def test_bin_count_that_overflows_rejected(self, params, width):
+        # 920 / width is infinite: a config error, not an OverflowError
+        wf = nv.make_constant(920.0, 0.2)
+        with pytest.raises(ConfigurationError, match="too many bins"):
+            nv.simulate_pump(nv.thermal_ground_state(), wf, params, width)
+
     def test_window_expectation_matches_binned_sum(self, params, base_seq):
         wf = nv.PiecewiseWaveform(600.0, np.array([0.9, 0.2, 0.05]))
         tr = nv.simulate_pump(nv.thermal_ground_state(), wf, params, 50.0)
