@@ -1,7 +1,7 @@
 """Rate-equation simulation and online laser-waveform optimization for
 NV-center spin readout."""
 
-from .config import build_baseline_spec
+from .config import load_config
 from .errors import (
     ConfigurationError,
     FitError,

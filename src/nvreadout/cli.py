@@ -1,10 +1,14 @@
 """Command-line front end: trace | sweep | optimize | rabi.
 
-Every command reads one YAML config, writes CSV data plus JSON summaries
-into the output directory, and records a manifest with the config digest,
-the seed and the versions of Python and the libraries, so a run can be
-reproduced byte-for-byte (the manifest's wall-time field is the one value
-that varies between identical runs).
+Every command reads one YAML config, which :func:`config.load_config`
+checks and builds into a :class:`config.Run` before the output directory
+is made: a bad setting exits with one error line that names it.  The
+command runs the model objects the run holds, writes CSV data plus JSON
+summaries into the output directory, and records a manifest with the
+config digest, the checked settings, the seed and the versions of Python
+and the libraries, so a run can be reproduced byte-for-byte (the
+manifest's wall-time field is the one value that varies between identical
+runs).
 
 Exit codes: 0 success, 2 configuration error, 3 runtime/model error.
 """
@@ -16,7 +20,6 @@ import hashlib
 import platform
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,16 +27,7 @@ import scipy
 import yaml
 
 from . import __version__
-from .config import (
-    build_baseline_spec,
-    build_olo_init_pulse,
-    build_olo_spec,
-    build_rabi_config,
-    build_rate_params,
-    build_sequence,
-    build_sweep_spec,
-    load_config,
-)
+from .config import load_config
 from .errors import ConfigurationError, NVReadoutError, SamplingRangeError
 from .harness import run_olo, run_sweep
 from .io import (
@@ -65,17 +59,17 @@ def _config_digest(path: str | None) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def cmd_trace(args, cfg: dict, out: Path, params) -> str:
-    trace0, trace1 = simulate_pair(build_sequence(cfg), params,
-                                   cfg["sequence"]["bin_width_ns"])
+def cmd_trace(run, out: Path) -> str:
+    trace0, trace1 = simulate_pair(run.sequence, run.params,
+                                   run.settings["sequence"]["bin_width_ns"])
     write_pair_trace_csv(trace0, trace1, out / "trace.csv")
     return (f"trace: wrote {out / 'trace.csv'} "
             f"({trace0.expected_counts_per_rep.size} bins)")
 
 
-def cmd_sweep(args, cfg: dict, out: Path, params) -> str:
-    spec = build_sweep_spec(cfg, build_sequence(cfg))
-    result = run_sweep(spec, params)
+def cmd_sweep(run, out: Path) -> str:
+    spec = run.sweep
+    result = run_sweep(spec, run.params)
     write_sweep_grid_csv(result, out / "sweep_grid.csv")
     write_sweep_projection_csv(result, out / "sweep_projection.csv")
     write_json(out / "sweep_summary.json", {
@@ -85,19 +79,16 @@ def cmd_sweep(args, cfg: dict, out: Path, params) -> str:
         "best_duration_ns": result.best_duration_ns,
         "best_value": result.best_value,
         "best_at_grid_edge": result.best_at_grid_edge,
-        "propagators_built": len(params.propagators),
+        "propagators_built": len(run.params.propagators),
     })
     return (f"sweep: best {spec.metric} = {result.best_value:.4g} at "
             f"(amplitude {result.best_amplitude:.4g}, "
             f"{result.best_duration_ns:.4g} ns)")
 
 
-def cmd_optimize(args, cfg: dict, out: Path, params) -> str:
-    seq = build_sequence(cfg)
-    spec = build_olo_spec(cfg, seq, params, stochastic=args.stochastic,
-                          seed=cfg["seed"])
-    baseline = run_sweep(build_baseline_spec(cfg, seq, "snr"), params)
-    result = run_olo(spec, baseline=baseline)
+def cmd_optimize(run, out: Path) -> str:
+    baseline = run_sweep(run.baseline_snr, run.params)
+    result = run_olo(run.olo, baseline=baseline)
     write_optimizer_log(result.state, out / "olo_log.jsonl")
     write_waveform_csv(result.waveform, out / "olo_waveform.csv")
     write_pair_trace_csv(result.trace0, result.trace1, out / "olo_traces.csv")
@@ -106,35 +97,31 @@ def cmd_optimize(args, cfg: dict, out: Path, params) -> str:
         **olo_summary_dict(result),
         "baseline_at_grid_edge_amplitude": edge["amplitude"],
         "baseline_at_grid_edge_duration": edge["duration"],
-        "propagators_built": len(params.propagators)})
+        "propagators_built": len(run.params.propagators)})
     return (f"optimize: SNR {result.start_snr:.4g} -> {result.final_snr:.4g} "
             f"(baseline {result.baseline_snr:.4g}, "
             f"improvement {100 * result.improvement_ratio:+.1f}%, "
             f"{result.state.queries} queries)")
 
 
-def cmd_rabi(args, cfg: dict, out: Path, params) -> str:
-    seq = build_sequence(cfg)
-    wf_path = cfg["rabi"]["olo_waveform"]
+def cmd_rabi(run, out: Path) -> str:
+    wf_path = run.settings["rabi"]["olo_waveform"]
     if wf_path is None:
         raise ConfigurationError(
             "rabi.olo_waveform is not set; run the optimize command first and "
             "point it at the written olo_waveform.csv")
     sequences = scheme_sequences(
-        replace(seq, repetitions=cfg["rabi"]["repetitions"]),
-        build_olo_init_pulse(cfg), read_waveform_csv(wf_path),
-        sweep_snr=run_sweep(build_baseline_spec(cfg, seq, "snr"), params),
-        sweep_contrast=run_sweep(build_baseline_spec(cfg, seq, "contrast"),
-                                 params))
-    comparison = compare_schemes(build_rabi_config(cfg, args.stochastic),
-                                 sequences, params)
+        run.rabi_base, run.olo_init, read_waveform_csv(wf_path),
+        sweep_snr=run_sweep(run.baseline_snr, run.params),
+        sweep_contrast=run_sweep(run.baseline_contrast, run.params))
+    comparison = compare_schemes(run.rabi, sequences, run.params)
     for name, curve in comparison.curves.items():
         write_rabi_curve_csv(curve, out / f"rabi_{name}.csv")
     write_json(out / "rabi_summary.json", {
         "contrasts": comparison.contrasts,
         "mean_deviations": comparison.mean_devs,
         "orderings": comparison.orderings,
-        "propagators_built": len(params.propagators),
+        "propagators_built": len(run.params.propagators),
     })
     return "\n".join(
         f"rabi {name}: contrast {100 * comparison.contrasts[name]:.2f}% "
@@ -177,23 +164,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Load the config and rate parameters, run the command, which writes its
-    outputs and returns its report line, and write the manifest."""
+    """Load the run, run the command, which writes its outputs and returns
+    its report line, and write the manifest."""
     args = build_parser().parse_args(argv)
+    stochastic = getattr(args, "stochastic", False)
     try:
         t0 = time.perf_counter()
-        cfg = load_config(args.config, args.set, seed=args.seed,
-                          output_dir=args.out)
+        run = load_config(args.config, args.set, seed=args.seed,
+                          output_dir=args.out, stochastic=stochastic)
+        cfg = run.settings
         out = Path(cfg["output_dir"])
         out.mkdir(parents=True, exist_ok=True)
-        message = args.func(args, cfg, out, build_rate_params(cfg))
+        message = args.func(run, out)
         write_json(out / "manifest.json", {
             "command": args.command,
             "config_path": args.config,
             "config_sha256": _config_digest(args.config),
             "overrides": list(args.set or []),
             "seed": cfg["seed"],
-            "stochastic": bool(getattr(args, "stochastic", False)),
+            "stochastic": stochastic,
             "version": __version__,
             "versions": {"python": platform.python_version(),
                          "numpy": np.__version__, "scipy": scipy.__version__,

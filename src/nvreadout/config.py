@@ -1,4 +1,5 @@
-"""Run configuration: one YAML file with a section per subsystem.
+"""Run configuration: one YAML file with a section per subsystem, and the
+run it configures.
 
 :data:`SETTINGS` is the table of every setting: ``section -> key ->
 (default, check)``.  A check returns the value a run uses, or raises a
@@ -9,20 +10,19 @@ with a bound.  :func:`load_config` applies the file, the ``--set
 section.key=value`` overrides and the ``--seed`` and ``--out`` flags, and
 checks every setting at load, whichever command runs: each one alone, then
 what spans settings (:func:`_check_spans`: the readout's bins, the sweep's
-cells and the Rabi waveform file), then the model objects they configure
-(:func:`_check_models` runs each ``build_*`` once, so a bound that only a
-constructor states is checked too); an unknown key fails with its section
-named.  The ``build_*`` functions read the checked values and turn a value
-a model constructor rejects into a :class:`ConfigurationError`.
+cells and the Rabi waveform file); an unknown key fails with its section
+named.  It returns the :class:`Run`, whose model objects it builds once
+each, and that is the last check: every constructor call goes through
+:func:`_built`, which turns a value the constructor rejects into a
+:class:`ConfigurationError` that starts with the settings the call read.
 """
 
 from __future__ import annotations
 
-import copy
-import functools
+import json
 import re
-from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -52,7 +52,7 @@ def _number(kind, *bounds):
             value = np.asarray(raw, dtype=float)
         except (TypeError, ValueError, OverflowError):
             raise ConfigurationError(f"{name} must be a number, got {raw!r}") from None
-        if not np.all(np.isfinite(value)):
+        if not np.isfinite(value).all():
             raise ConfigurationError(f"{name} must be finite, got {raw!r}")
         if kind is list:
             if value.size > MAX_POINTS:
@@ -120,7 +120,7 @@ SETTINGS: dict = {
         "readout_duration_ns": (920.0, _FLOAT),
         "readout_amplitude": (0.2, _number(list)),    # or a list, one per piece
         "bin_width_ns": (46.0, _number(float, _POSITIVE)),   # trace only
-        "repetitions": (1e8, _number(float, _at_least(1))),
+        "repetitions": (1e8, _FLOAT),
     },
     "sweep": {
         "amplitude_start": (0.02, _FLOAT),
@@ -139,7 +139,7 @@ SETTINGS: dict = {
         "alpha0": (0.1, _FLOAT),
         "rho": (0.5, _FLOAT),
         "alpha_min": (1.0e-3, _FLOAT),
-        "max_queries": (5000, _number(int, _at_least(1))),
+        "max_queries": (5000, _number(int)),
         "bound_lo": (0.0, _FLOAT),
         "bound_hi": (1.0, _FLOAT),
         "init_scan_points": (25, _COUNT),
@@ -151,8 +151,9 @@ SETTINGS: dict = {
         "tau_points": (61, _number(int, _at_least(FIT_MIN_SAMPLES,
                                                   " for the sinusoid fit"),
                                    _AT_MOST_MAX)),
-        "repetitions": (1.0e8, _number(float, _at_least(1))),
-        # the CSV the optimize command writes, and its summary's amplitude
+        "repetitions": (1.0e8, _FLOAT),
+        # the CSV the optimize command writes; the amplitude, if unset, is
+        # the init_amplitude of the olo_summary.json beside it
         "olo_waveform": (None, _optional(_path)),
         "olo_init_amplitude": (None, _optional(_FLOAT)),
     },
@@ -184,19 +185,43 @@ _Loader.add_implicit_resolver(
 def _parse_yaml(text: str, where: str):
     try:
         return yaml.load(text, Loader=_Loader)
+    except yaml.MarkedYAMLError as exc:   # its text quotes the source
+        mark = exc.problem_mark or exc.context_mark
+        at = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        raise ConfigurationError(
+            f"cannot parse {where}: {exc.problem or exc.context}{at}") from None
     except (yaml.YAMLError, ValueError) as exc:   # ValueError: "!!float abc"
-        raise ConfigurationError(f"cannot parse {where}: {exc}") from None
+        raise ConfigurationError(
+            f"cannot parse {where}: {' '.join(str(exc).split())}") from None
     except RecursionError:
         raise ConfigurationError(f"cannot parse {where}: nested too deeply") from None
 
 
+class Run(NamedTuple):
+    """The run a config configures: the checked settings, which the
+    manifest records, and the model objects built from them."""
+
+    settings: dict                  # with the rabi.olo_init_amplitude used
+    params: RateParams              # with the run's propagator table
+    sequence: SequenceConfig
+    sweep: SweepSpec                # the sweep command's mode and metric
+    baseline_snr: SweepSpec         # the constant schemes: the grid in
+    baseline_contrast: SweepSpec    # global mode, by SNR and by contrast
+    olo: OloSpec
+    olo_init: PiecewiseWaveform | None  # the OLO scheme's init pulse, if set
+    rabi: RabiConfig                # the Rabi sweep all three schemes share
+    rabi_base: SequenceConfig       # the sequence at rabi.repetitions
+
+
 def load_config(path: str | Path | None = None,
                 overrides: list[str] | None = None,
-                seed: int | None = None, output_dir: str | None = None) -> dict:
-    """The checked config: defaults <- file <- --set overrides <- the
-    ``seed`` and ``output_dir`` flags, each setting as its check returns
-    it."""
-    cfg = copy.deepcopy(DEFAULT_CONFIG)
+                seed: int | None = None, output_dir: str | None = None,
+                stochastic: bool = False) -> Run:
+    """The run of the checked config: defaults <- file <- --set overrides
+    <- the ``seed`` and ``output_dir`` flags.  ``stochastic`` makes the OLO
+    run and the Rabi sweep sample their counts from the run seed."""
+    cfg = {name: dict(entry) if isinstance(entry, dict) else entry
+           for name, entry in DEFAULT_CONFIG.items()}
     if path is not None:
         try:
             text = Path(path).read_text()
@@ -216,7 +241,7 @@ def load_config(path: str | Path | None = None,
         cfg["seed"] = seed
     if output_dir is not None:
         cfg["output_dir"] = output_dir
-    return _check_models(_check_spans(_checked(SETTINGS, cfg)))
+    return _build_run(_check_spans(_checked(SETTINGS, cfg)), stochastic)
 
 
 def _merge(cfg: dict, given, where: str, table: dict = SETTINGS,
@@ -262,135 +287,115 @@ def _check_spans(cfg: dict) -> dict:
     n_amp, n_dur = sweep["amplitude_points"], sweep["duration_points"]
     if n_amp * n_dur > MAX_POINTS:
         raise ConfigurationError(
-            f"sweep grid of {n_amp} x {n_dur} cells is above {MAX_POINTS}")
+            "sweep.amplitude_points, sweep.duration_points: sweep grid of "
+            f"{n_amp} x {n_dur} cells is above {MAX_POINTS}")
     path = cfg["rabi"]["olo_waveform"]
     if path is not None and not Path(path).exists():
         raise ConfigurationError(
-            f"OLO waveform file {path!r} not found; run the optimize "
+            f"rabi.olo_waveform: file {path!r} not found; run the optimize "
             "command first")
     return cfg
 
 
-def _check_models(cfg: dict) -> dict:
-    """``cfg``, once every model object it configures builds, so that the
-    checks only a model's constructor makes run at load too."""
-    params, seq = build_rate_params(cfg), build_sequence(cfg)
-    build_sweep_spec(cfg, seq)
-    build_olo_spec(cfg, seq, params)
-    build_olo_init_pulse(cfg)
-    build_rabi_config(cfg)
-    return cfg
+def _built(keys: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``: a model object built from the settings
+    ``keys``.  A value its constructor rejects is a ConfigurationError that
+    starts with those keys."""
+    try:
+        return make(*args, **kwargs)
+    except (ParameterError, ConfigurationError) as exc:
+        raise ConfigurationError(f"{keys}: {exc}") from exc
 
 
-def _model_errors_as_config(build):
-    """Re-raise a model constructor's ParameterError as a ConfigurationError:
-    here a rejected value came from the config."""
-    @functools.wraps(build)
-    def wrapped(*args, **kwargs):
-        try:
-            return build(*args, **kwargs)
-        except ParameterError as exc:
-            raise ConfigurationError(str(exc)) from exc
-    return wrapped
+def _olo_init_amplitude(rabi: dict) -> float | None:
+    """``rabi.olo_init_amplitude``, or if it is unset, the init amplitude
+    of the optimize run that wrote ``rabi.olo_waveform``: the
+    ``init_amplitude`` of the ``olo_summary.json`` beside it."""
+    path = rabi["olo_waveform"]
+    if rabi["olo_init_amplitude"] is not None or path is None:
+        return rabi["olo_init_amplitude"]
+    summary = Path(path).parent / "olo_summary.json"
+    try:
+        amplitude = json.loads(summary.read_text())["init_amplitude"]
+    except (OSError, ValueError, KeyError, TypeError):
+        raise ConfigurationError(
+            f"rabi.olo_init_amplitude is not set, and no init_amplitude can "
+            f"be read from {summary}, beside rabi.olo_waveform; set it, or "
+            "point rabi.olo_waveform at the olo_waveform.csv of an optimize "
+            "run") from None
+    return _FLOAT(f"rabi.olo_init_amplitude, read from {summary},", amplitude)
 
 
-@_model_errors_as_config
-def build_rate_params(cfg: dict) -> RateParams:
-    c = cfg["photophysics"]
-    lifetime = c["singlet_lifetime_ns"]
-    branch = c["singlet_branching_g0"]
-    return RateParams(
-        k_rad=c["k_rad"],
-        k_isc0=c["k_isc0"],
-        k_isc1=c["k_isc1"],
-        k_s0=branch / lifetime,
-        k_s1=(1.0 - branch) / lifetime,
-        eta=c["eta"],
-        amp_map=AmplitudeMap(c["beta_max"], c["map_shape"], c["sat_amp"]),
-    )
+def _build_run(cfg: dict, stochastic: bool) -> Run:
+    """The run that the checked settings ``cfg`` configure, each model
+    object built once by :func:`_built`."""
+    c, s, w = cfg["photophysics"], cfg["sequence"], cfg["sweep"]
+    o, r = cfg["olo"], cfg["rabi"]
+    lifetime, branch = c["singlet_lifetime_ns"], c["singlet_branching_g0"]
+    params = _built(
+        "photophysics.k_rad, photophysics.k_isc0, photophysics.k_isc1, "
+        "photophysics.singlet_lifetime_ns, photophysics.singlet_branching_g0, "
+        "photophysics.eta", RateParams,
+        k_rad=c["k_rad"], k_isc0=c["k_isc0"], k_isc1=c["k_isc1"],
+        k_s0=branch / lifetime, k_s1=(1.0 - branch) / lifetime, eta=c["eta"],
+        amp_map=_built("photophysics.beta_max, photophysics.map_shape, "
+                       "photophysics.sat_amp", AmplitudeMap,
+                       c["beta_max"], c["map_shape"], c["sat_amp"]))
+    init_wf = _built("sequence.init_duration_ns, sequence.init_amplitude",
+                     make_constant, s["init_duration_ns"], s["init_amplitude"])
+    readout_wf = _built(
+        "sequence.readout_duration_ns, sequence.readout_amplitude",
+        PiecewiseWaveform, s["readout_duration_ns"], s["readout_amplitude"])
+    sequence = _built("sequence.wait_ns, sequence.repetitions", SequenceConfig,
+                      init_wf, s["wait_ns"], readout_wf, s["repetitions"])
 
+    grid_keys = ("sweep.amplitude_start, sweep.amplitude_stop, "
+                 "sweep.amplitude_points, sweep.duration_start_ns, "
+                 "sweep.duration_stop_ns, sweep.duration_points")
+    grid = {"amplitudes": np.linspace(w["amplitude_start"], w["amplitude_stop"],
+                                      w["amplitude_points"]),
+            "durations_ns": np.linspace(w["duration_start_ns"],
+                                        w["duration_stop_ns"],
+                                        w["duration_points"]),
+            "base": sequence}
+    baseline_snr, baseline_contrast = (
+        _built(grid_keys, SweepSpec, **grid, mode="global", metric=metric)
+        for metric in ("snr", "contrast"))
 
-@_model_errors_as_config
-def build_sequence(cfg: dict) -> SequenceConfig:
-    c = cfg["sequence"]
-    return SequenceConfig(
-        init_wf=make_constant(c["init_duration_ns"], c["init_amplitude"]),
-        wait_ns=c["wait_ns"],
-        readout_wf=PiecewiseWaveform(c["readout_duration_ns"],
-                                     c["readout_amplitude"]),
-        repetitions=c["repetitions"],
-    )
+    bounds = _built("olo.bound_lo, olo.bound_hi", AmplitudeBounds,
+                    o["bound_lo"], o["bound_hi"])
+    optimizer = _built(
+        "olo.alpha0, olo.rho, olo.alpha_min, olo.max_queries", OptimizerConfig,
+        bounds=bounds, alpha0=o["alpha0"], rho=o["rho"],
+        alpha_min=o["alpha_min"], max_queries=o["max_queries"])
 
-
-def build_sweep_spec(cfg: dict, base: SequenceConfig,
-                     mode: str | None = None) -> SweepSpec:
-    c = cfg["sweep"]
-    return SweepSpec(
-        amplitudes=np.linspace(c["amplitude_start"], c["amplitude_stop"],
-                               c["amplitude_points"]),
-        durations_ns=np.linspace(c["duration_start_ns"], c["duration_stop_ns"],
-                                 c["duration_points"]),
-        base=base,
-        mode=mode if mode is not None else c["mode"],
-        metric=c["metric"],
-    )
-
-
-def build_baseline_spec(cfg: dict, base: SequenceConfig,
-                        metric: str) -> SweepSpec:
-    """The constant-scheme baseline: the configured grid in global mode,
-    scored by ``metric`` whatever ``sweep.mode`` and ``sweep.metric`` say.
-
-    The default duration axis starts at 400 ns: pulses shorter than that
-    are not practical settings for the constant scheme here, and the floor
-    is what exposes the readout-noise penalty of strong pumping (at high
-    power the spin polarizes well before the readout pulse ends, so the
-    remaining illumination only adds shot noise).
-    """
-    return replace(build_sweep_spec(cfg, base, mode="global"), metric=metric)
-
-
-@_model_errors_as_config
-def build_olo_spec(cfg: dict, base: SequenceConfig, params: RateParams,
-                   stochastic: bool = False, seed: int = 0) -> OloSpec:
-    c = cfg["olo"]
-    opt = OptimizerConfig(
-        bounds=AmplitudeBounds(c["bound_lo"], c["bound_hi"]),
-        alpha0=c["alpha0"],
-        rho=c["rho"],
-        alpha_min=c["alpha_min"],
-        max_queries=c["max_queries"],
-    )
-    return OloSpec(
-        base=base,
+    amplitude = r["olo_init_amplitude"] = _olo_init_amplitude(r)
+    return Run(
+        settings=cfg,
         params=params,
-        optimizer=opt,
-        start_duration_ns=c["start_duration_ns"],
-        start_amplitude=c["start_amplitude"],
-        n_read=c["n_read"],
-        init_scan_amplitudes=np.linspace(0.02, 1.0, c["init_scan_points"]),
-        stochastic=stochastic,
-        sample_seed=seed,
-    )
-
-
-@_model_errors_as_config
-def build_olo_init_pulse(cfg: dict) -> PiecewiseWaveform:
-    """The OLO scheme's square init pulse for the Rabi comparison: the
-    sequence's init duration at ``rabi.olo_init_amplitude`` (from the
-    optimize summary), or at ``sequence.init_amplitude`` if that is unset."""
-    amplitude = cfg["rabi"]["olo_init_amplitude"]
-    return make_constant(cfg["sequence"]["init_duration_ns"],
-                         cfg["sequence"]["init_amplitude"] if amplitude is None
-                         else amplitude)
-
-
-def build_rabi_config(cfg: dict, stochastic: bool = False) -> RabiConfig:
-    """The Rabi sweep all three schemes share, drawn from the run seed."""
-    c = cfg["rabi"]
-    return RabiConfig(
-        omega_rad_per_ns=2.0 * np.pi / c["rabi_period_ns"],
-        taus_ns=np.linspace(c["tau_start_ns"], c["tau_stop_ns"], c["tau_points"]),
-        stochastic=stochastic,
-        seed=cfg["seed"],
+        sequence=sequence,
+        sweep=_built(f"{grid_keys}, sweep.mode, sweep.metric", SweepSpec,
+                     **grid, mode=w["mode"], metric=w["metric"]),
+        baseline_snr=baseline_snr,
+        baseline_contrast=baseline_contrast,
+        olo=_built(
+            "olo.start_duration_ns, olo.start_amplitude, olo.n_read, "
+            "olo.init_scan_points", OloSpec,
+            base=sequence, params=params, optimizer=optimizer,
+            start_duration_ns=o["start_duration_ns"],
+            start_amplitude=o["start_amplitude"], n_read=o["n_read"],
+            init_scan_amplitudes=np.linspace(0.02, 1.0, o["init_scan_points"]),
+            stochastic=stochastic, sample_seed=cfg["seed"]),
+        olo_init=None if amplitude is None else _built(
+            "sequence.init_duration_ns, rabi.olo_init_amplitude", make_constant,
+            s["init_duration_ns"], amplitude),
+        rabi=_built(
+            "rabi.rabi_period_ns, rabi.tau_start_ns, rabi.tau_stop_ns, "
+            "rabi.tau_points", RabiConfig,
+            omega_rad_per_ns=2.0 * np.pi / r["rabi_period_ns"],
+            taus_ns=np.linspace(r["tau_start_ns"], r["tau_stop_ns"],
+                                r["tau_points"]),
+            stochastic=stochastic, seed=cfg["seed"]),
+        rabi_base=_built("rabi.repetitions", SequenceConfig,
+                         init_wf, s["wait_ns"], readout_wf, r["repetitions"]),
     )

@@ -64,13 +64,13 @@ class SweepSpec:
             arr = np.asarray(grid, dtype=float).ravel()
             if arr.size == 0:
                 raise ConfigurationError(f"{name} grid must be non-empty")
-            if arr.size > 1 and not np.all(np.diff(arr) > 0):
+            if not (arr[1:] > arr[:-1]).all():
                 raise ConfigurationError(f"{name} grid must be strictly increasing")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if not np.all(np.isfinite(self.durations_ns) & (self.durations_ns > 0)):
+        if not (np.isfinite(self.durations_ns) & (self.durations_ns > 0)).all():
             raise ConfigurationError("sweep durations must be finite and > 0 ns")
-        if not np.all((self.amplitudes >= 0) & (self.amplitudes <= 1)):
+        if not ((self.amplitudes >= 0) & (self.amplitudes <= 1)).all():
             raise ConfigurationError("sweep amplitudes must lie in [0, 1]")
         if self.mode not in SWEEP_MODES:
             raise ConfigurationError(f"unknown sweep mode {self.mode!r}")
@@ -156,9 +156,8 @@ class OloSpec:
     the optimizer's bounds.  It is built and checked once, here, and every
     query, the scan and the result take its duration, piece count and
     bounds from it, and photons are counted over the whole of it.  A run
-    takes its values from the ``olo`` section of ``config.SETTINGS`` (see
-    ``config.build_olo_spec``); a stochastic run samples with
-    ``sample_seed``.
+    takes its values from the ``olo`` section of ``config.SETTINGS`` (its
+    ``config.Run.olo``); a stochastic run samples with ``sample_seed``.
     """
 
     base: SequenceConfig

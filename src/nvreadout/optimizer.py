@@ -36,7 +36,7 @@ class OptimizerConfig:
     """Search hyperparameters.
 
     A run takes them from the ``olo`` section of ``config.SETTINGS``
-    (see ``config.build_olo_spec``).  ``bounds`` defaults to the whole
+    (see ``config.Run.olo``).  ``bounds`` defaults to the whole
     amplitude domain [0, 1].
     """
 

@@ -87,7 +87,7 @@ class RateParams:
     """Transition rates, collection efficiency, and the drive-to-rate map.
 
     The values of a run come from the ``photophysics`` section of
-    ``config.SETTINGS`` (see ``config.build_rate_params``), which
+    ``config.SETTINGS`` (see ``config.Run.params``), which
     holds the usual room-temperature ordering of the NV⁻ kinetics: m_s=±1
     crosses into the singlet much faster than m_s=0, and the singlet
     returns preferentially to m_s=0.

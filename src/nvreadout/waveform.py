@@ -64,9 +64,10 @@ class PiecewiseWaveform:
                 f"duration must be positive, and its {amps.size} piece(s) "
                 f"wider than 0 ns, got {self.duration_ns}")
         if not self.bounds.contains(amps):
+            lo, hi = self.bounds.lo, self.bounds.hi
+            i = np.flatnonzero((amps < lo) | (amps > hi))[0]
             raise ParameterError(
-                f"amplitudes outside [{self.bounds.lo}, {self.bounds.hi}]: {amps}"
-            )
+                f"amplitude {amps[i]} of piece {i} outside [{lo}, {hi}]")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 

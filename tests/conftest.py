@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 import nvreadout as nv
-from nvreadout.config import (
-    build_olo_spec,
-    build_rate_params,
-    build_sequence,
-    load_config,
-)
+from nvreadout.config import load_config
 from nvreadout.errors import NumericError, NVReadoutError
 from nvreadout.photophysics import N_LEVELS, Level, RateParams, check_populations
 
@@ -59,36 +54,35 @@ def emission_rate(p: np.ndarray, params: RateParams) -> float:
 
 
 @pytest.fixture(scope="session")
-def cfg():
-    """The default run configuration, as every CLI command loads it."""
+def run():
+    """The default run, as every CLI command loads it."""
     return load_config()
 
 
 @pytest.fixture(scope="session")
-def params(cfg):
-    return build_rate_params(cfg)
+def params(run):
+    return run.params
 
 
 @pytest.fixture(scope="session")
-def base_seq(cfg):
-    return build_sequence(cfg)
+def base_seq(run):
+    return run.sequence
 
 
 @pytest.fixture(scope="session")
-def sweep_snr(cfg, params, base_seq):
+def sweep_snr(run, params):
     """Default 20x20 traversal grid, SNR metric (the constant-scheme baseline)."""
-    return nv.run_sweep(nv.build_baseline_spec(cfg, base_seq, "snr"), params)
+    return nv.run_sweep(run.baseline_snr, params)
 
 
 @pytest.fixture(scope="session")
-def sweep_contrast(cfg, params, base_seq):
-    return nv.run_sweep(nv.build_baseline_spec(cfg, base_seq, "contrast"),
-                        params)
+def sweep_contrast(run, params):
+    return nv.run_sweep(run.baseline_contrast, params)
 
 
 @pytest.fixture(scope="session")
-def olo_spec(cfg, params, base_seq):
-    return build_olo_spec(cfg, base_seq, params)
+def olo_spec(run):
+    return run.olo
 
 
 @pytest.fixture(scope="session")

@@ -21,7 +21,6 @@ import pytest
 import nvreadout as nv
 from conftest import pure_state
 from nvreadout.cli import main
-from nvreadout.config import build_olo_spec
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -29,13 +28,11 @@ def report(num: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num}: {detail}"
 
 
-def scheme_inputs(cfg, params, base_seq):
+def scheme_inputs(run, params):
     """Sweep optima and OLO run behind the Fig.-4-style comparison."""
-    sweep_snr = nv.run_sweep(nv.build_baseline_spec(cfg, base_seq, "snr"),
-                             params)
-    sweep_con = nv.run_sweep(nv.build_baseline_spec(cfg, base_seq, "contrast"),
-                             params)
-    olo = nv.run_olo(build_olo_spec(cfg, base_seq, params), baseline=sweep_snr)
+    sweep_snr = nv.run_sweep(run.baseline_snr, params)
+    sweep_con = nv.run_sweep(run.baseline_contrast, params)
+    olo = nv.run_olo(run.olo, baseline=sweep_snr)
     return sweep_snr, sweep_con, olo
 
 
@@ -64,9 +61,9 @@ def test_criterion_01_singlet_lifetime(params):
                   f"{elapsed:.2f}s")
 
 
-def test_criterion_02_projection_interior_maximum(cfg, params, base_seq):
+def test_criterion_02_projection_interior_maximum(run, params):
     t0 = time.perf_counter()
-    result = nv.run_sweep(nv.build_baseline_spec(cfg, base_seq, "snr"), params)
+    result = nv.run_sweep(run.baseline_snr, params)
     proj = result.best_per_amplitude
     i = int(np.nanargmax(proj))
     elapsed = time.perf_counter() - t0
@@ -94,11 +91,10 @@ def test_criterion_03_trace_difference_decay(params, base_seq):
                   f"{diff[-1] / diff[0]:.2e} (< 0.05), {elapsed:.2f}s")
 
 
-def test_criterion_04_olo_improvement(cfg, params, base_seq):
+def test_criterion_04_olo_improvement(run, params):
     t0 = time.perf_counter()
-    baseline = nv.run_sweep(nv.build_baseline_spec(cfg, base_seq, "snr"),
-                            params)
-    res = nv.run_olo(build_olo_spec(cfg, base_seq, params), baseline=baseline)
+    baseline = nv.run_sweep(run.baseline_snr, params)
+    res = nv.run_olo(run.olo, baseline=baseline)
     elapsed = time.perf_counter() - t0
     ok = (res.improvement_ratio >= 0.15 and res.state.queries <= 5000
           and elapsed < 300.0)
@@ -144,9 +140,9 @@ def test_criterion_06_snr_sqrt_n_scaling(params, base_seq):
                   f"error {worst:.1e} (< 1e-9), {elapsed:.2f}s")
 
 
-def test_criterion_07_order_of_magnitude_anchor(cfg, params, base_seq):
+def test_criterion_07_order_of_magnitude_anchor(run, params, base_seq):
     t0 = time.perf_counter()
-    sweep = nv.run_sweep(nv.build_baseline_spec(cfg, base_seq, "snr"), params)
+    sweep = nv.run_sweep(run.baseline_snr, params)
     wf = nv.make_constant(sweep.best_duration_ns, sweep.best_amplitude)
     cfg = replace(base_seq, init_wf=wf, readout_wf=wf)
     L0, L1 = nv.pair_window_counts(cfg, params)
@@ -160,10 +156,10 @@ def test_criterion_07_order_of_magnitude_anchor(cfg, params, base_seq):
                   f"(~0.02 target), {elapsed:.2f}s")
 
 
-def test_criterion_08_rabi_orderings_deterministic(cfg, params, base_seq):
+def test_criterion_08_rabi_orderings_deterministic(run, params, base_seq):
     t0 = time.perf_counter()
     rabi_cfg, sequences = rabi_scheme_configs(
-        scheme_inputs(cfg, params, base_seq), base_seq, repetitions=1e8,
+        scheme_inputs(run, params), base_seq, repetitions=1e8,
         stochastic=False, seed=0)
     comp = nv.compare_schemes(rabi_cfg, sequences, params)
     elapsed = time.perf_counter() - t0
@@ -181,9 +177,9 @@ def test_criterion_08_rabi_orderings_deterministic(cfg, params, base_seq):
     report(8, contrast_ok and meandev_ok and elapsed < 300.0, detail)
 
 
-def test_criterion_08_rabi_orderings_stochastic(cfg, params, base_seq):
+def test_criterion_08_rabi_orderings_stochastic(run, params, base_seq):
     t0 = time.perf_counter()
-    inputs = scheme_inputs(cfg, params, base_seq)
+    inputs = scheme_inputs(run, params)
     hold = 0
     for seed in range(20):
         rabi_cfg, sequences = rabi_scheme_configs(
@@ -221,6 +217,8 @@ def test_criterion_10_cli_determinism(tmp_path):
     wf_path = tmp_path / "wf.csv"
     write_waveform_csv(nv.PiecewiseWaveform(
         920.0, np.concatenate([np.full(4, 1.0), np.zeros(16)])), wf_path)
+    # rabi reads the OLO init amplitude from the summary beside the waveform
+    (tmp_path / "olo_summary.json").write_text('{"init_amplitude": 0.02}')
     fast_sweep = ["--set", "sweep.amplitude_points=4",
                   "--set", "sweep.duration_points=3"]
     commands = {

@@ -280,6 +280,48 @@ class TestRabi:
         assert default["constant-snr"] != default["constant-contrast"]
         assert contrasts("--set", "sweep.metric=contrast") == default
 
+    def test_init_amplitude_is_read_from_the_optimize_summary(
+            self, tmp_path, olo_waveform_file):
+        # given only the waveform, rabi takes the init amplitude of the
+        # optimize run that wrote it, and records it
+        (olo_waveform_file.parent / "olo_summary.json").write_text(
+            '{"init_amplitude": 0.02}')
+        both, only = tmp_path / "both", tmp_path / "only"
+        assert main(self.rabi_args(both, olo_waveform_file)) == 0
+        args = self.rabi_args(only, olo_waveform_file)
+        i = args.index("rabi.olo_init_amplitude=0.02")
+        assert main(args[:i - 1] + args[i + 1:]) == 0
+        files = {p.name for p in both.iterdir()} - {"manifest.json"}
+        assert files == {p.name for p in only.iterdir()} - {"manifest.json"}
+        for name in files:
+            assert (both / name).read_bytes() == (only / name).read_bytes()
+        for out in (both, only):
+            resolved = json.loads(read(out / "manifest.json"))["resolved_config"]
+            assert resolved["rabi"]["olo_init_amplitude"] == 0.02
+
+    def test_set_init_amplitude_wins_over_the_summary(self, olo_waveform_file):
+        (olo_waveform_file.parent / "olo_summary.json").write_text(
+            '{"init_amplitude": 0.5}')
+        sets = [f"rabi.olo_waveform={olo_waveform_file}"]
+        assert load_config(None, sets).olo_init.amplitudes.tolist() == [0.5]
+        given = load_config(None, [*sets, "rabi.olo_init_amplitude=0.02"])
+        assert given.olo_init.amplitudes.tolist() == [0.02]
+        assert given.settings["rabi"]["olo_init_amplitude"] == 0.02
+
+    @pytest.mark.parametrize("summary", [
+        "{}", "not json", "[0.02]", '{"init_amplitude": "abc"}',
+        '{"init_amplitude": 2.0}'])
+    def test_summary_without_an_init_amplitude_exits_2(
+            self, tmp_path, capsys, refuse_runs, olo_waveform_file, summary):
+        (olo_waveform_file.parent / "olo_summary.json").write_text(summary)
+        assert main(["rabi", "--out", str(tmp_path / "o"),
+                     "--set", f"rabi.olo_waveform={olo_waveform_file}"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("config error:")
+        assert "rabi.olo_init_amplitude" in err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_waveform_exits_2_with_hint(self, tmp_path, capsys):
         code = main(["rabi", "--out", str(tmp_path / "o"), *FAST_SWEEP,
                      "--set", "rabi.olo_waveform=/nonexistent/wf.csv"])
@@ -301,7 +343,7 @@ class TestRabi:
         ("width_ns,amplitude\n46.0,abc\n", "must be numbers"),
         ("start_ns,amplitude\n0.0,0.5\n", "not a waveform CSV"),
         ("width_ns,amplitude\n46.0,0.5\n46.0\n", "must be numbers"),
-        ("width_ns,amplitude\n46.0,1.5\n", "amplitudes outside"),
+        ("width_ns,amplitude\n46.0,1.5\n", "amplitude 1.5 of piece 0 outside"),
         ("width_ns,amplitude\n46.0,nan\n", "amplitudes must be finite"),
         ("width_ns,amplitude\nnan,0.5\n", "finite and > 0"),
         ("width_ns,amplitude\n-46.0,0.5\n", "finite and > 0"),
@@ -492,6 +534,7 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("config error:") and override.split("=")[0] in err
+        assert len(err.splitlines()) == 1
 
     def test_key_that_is_not_text_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.yaml"
@@ -510,7 +553,7 @@ class TestConfigHandling:
         assert main(["trace", "--out", str(out), "--seed", "5",
                      *[arg for o in sets for arg in ("--set", o)]]) == 0
         resolved = json.loads(read(out / "manifest.json"))["resolved_config"]
-        loaded = load_config(None, sets, seed=5, output_dir=str(out))
+        loaded = load_config(None, sets, seed=5, output_dir=str(out)).settings
         assert (json.dumps(resolved, sort_keys=True)
                 == json.dumps(loaded, sort_keys=True))
         assert json.dumps(resolved["sequence"]["wait_ns"]) == "2000.0"
@@ -533,7 +576,7 @@ class TestConfigHandling:
 class TestChecksAcrossSettings:
     """What spans several settings, and what only a model object's
     constructor checks, is checked at load too, whichever command runs,
-    before the run starts."""
+    before the run starts, and the one error line names the setting."""
 
     @pytest.mark.parametrize("overrides, named", [
         (["sequence.bin_width_ns=47"], "does not divide"),
@@ -542,28 +585,41 @@ class TestChecksAcrossSettings:
          "sweep grid"),
         (["rabi.olo_waveform=/nonexistent.csv"], "not found"),
         # bounds that only a model object's constructor states
-        (["rabi.olo_init_amplitude=2.0"], "amplitudes outside [0.0, 1.0]"),
-        (["olo.start_amplitude=1.2"], "amplitudes outside [0.0, 1.0]"),
+        (["rabi.olo_init_amplitude=2.0"],
+         "amplitude 2.0 of piece 0 outside [0.0, 1.0]"),
+        (["olo.start_amplitude=1.2"],
+         "amplitude 1.2 of piece 0 outside [0.0, 1.0]"),
         (["olo.bound_hi=3"], "need 0 <= lo < hi <= 1"),
         (["olo.alpha0=-1"], "need 0 < alpha_min < alpha0"),
+        (["olo.rho=1"], "rho must lie in (0, 1)"),
         (["sweep.amplitude_stop=2"], "sweep amplitudes must lie in [0, 1]"),
         (["sweep.duration_start_ns=-5"], "sweep durations must be finite"),
         (["rabi.tau_stop_ns=100"], "less than one Rabi period"),
         (["rabi.tau_start_ns=-5"], "tau grid must be non-empty and non-neg"),
+        (["sequence.wait_ns=-1"], "wait must be >= 0 ns"),
+        (["sequence.repetitions=0"], "repetitions must be finite and >= 1"),
+        (["photophysics.eta=2"], "eta must lie in (0, 1]"),
+        (["photophysics.k_isc1=0.001"], "k_isc1 must exceed k_isc0"),
+        # no olo_summary.json beside the waveform to read the amplitude from
+        (["rabi.olo_init_amplitude=null"], "rabi.olo_waveform"),
     ], ids=["bins-divide", "bins-count", "sweep-cells", "rabi-waveform",
             "olo-init-amplitude", "olo-start-amplitude", "olo-bounds",
-            "olo-alpha0", "sweep-amplitudes", "sweep-durations",
-            "tau-span", "tau-start"])
+            "olo-alpha0", "olo-rho", "sweep-amplitudes", "sweep-durations",
+            "tau-span", "tau-start", "wait", "repetitions", "eta", "k-isc1",
+            "olo-init-summary"])
     @pytest.mark.parametrize("command", ["optimize", "rabi", "sweep", "trace"])
     def test_exits_2_before_the_run(self, tmp_path, capsys, refuse_runs,
                                     command, overrides, named):
         wf = tmp_path / "olo_waveform.csv"
         write_waveform_csv(nv.make_constant(920.0, 1.0), wf)
-        sets = [arg for o in [f"rabi.olo_waveform={wf}", *overrides]
+        sets = [arg for o in [f"rabi.olo_waveform={wf}",
+                              "rabi.olo_init_amplitude=0.02", *overrides]
                 for arg in ("--set", o)]
         assert main([command, "--out", str(tmp_path / "o"), *sets]) == 2
         err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
         assert err.startswith("config error:") and named in err
+        assert all(o.split("=")[0] in err for o in overrides)
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("given", ["file", "--set"])
@@ -685,14 +741,16 @@ class TestSetFuzz:
         assert code in (2, 3), (command, override)
         assert "Traceback" not in err.getvalue()
         assert err.getvalue().startswith(("config error:", "error:"))
+        assert len(err.getvalue().splitlines()) == 1, (command, override)
 
     def test_malformed_value_names_the_override(self, tmp_path, capsys):
         code = main(["sweep", "--out", str(tmp_path / "o"),
                      "--set", "sequence.repetitions=[1"])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("config error:")
-        assert "sequence.repetitions=[1" in err
+        assert err == ("config error: cannot parse --set "
+                       "'sequence.repetitions=[1': expected ',' or ']', but "
+                       "got '<stream end>' at line 1, column 3\n")
 
     @pytest.mark.parametrize("override", ["olo.alpha0=[0.1]",
                                           "olo.max_queries=[5]",

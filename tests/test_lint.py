@@ -158,3 +158,17 @@ def test_every_setting_is_read():
               for key in (entry if isinstance(entry, dict) else [section])
               if not {section, key} <= read]
     assert unread == []
+
+
+def test_cli_builds_no_model_object():
+    # the run's model objects have one home, config.load_config, which
+    # checks a setting by building what it configures: the CLI takes
+    # nothing else from config and replaces no field of what it gets
+    cli = Path(nv.__file__).parent / "cli.py"
+    from_config = [alias.name for node in ast.walk(ast.parse(cli.read_text()))
+                   if isinstance(node, ast.ImportFrom)
+                   and node.module in ("config", "nvreadout.config")
+                   for alias in node.names]
+    assert from_config == ["load_config"]
+    assert calls_with_branches(cli, "replace") == []
+    assert "replace" not in {name for name, _, _ in imported_names(cli)}
