@@ -31,6 +31,7 @@ from .config import load_config
 from .errors import ConfigurationError, NVReadoutError, SamplingRangeError
 from .harness import run_olo, run_sweep
 from .io import (
+    OLO_SUMMARY,
     olo_summary_dict,
     read_waveform_csv,
     write_json,
@@ -93,7 +94,7 @@ def cmd_optimize(run, out: Path) -> str:
     write_waveform_csv(result.waveform, out / "olo_waveform.csv")
     write_pair_trace_csv(result.trace0, result.trace1, out / "olo_traces.csv")
     edge = baseline.best_at_grid_edge
-    write_json(out / "olo_summary.json", {
+    write_json(out / OLO_SUMMARY, {
         **olo_summary_dict(result),
         "baseline_at_grid_edge_amplitude": edge["amplitude"],
         "baseline_at_grid_edge_duration": edge["duration"],
@@ -105,13 +106,9 @@ def cmd_optimize(run, out: Path) -> str:
 
 
 def cmd_rabi(run, out: Path) -> str:
-    wf_path = run.settings["rabi"]["olo_waveform"]
-    if wf_path is None:
-        raise ConfigurationError(
-            "rabi.olo_waveform is not set; run the optimize command first and "
-            "point it at the written olo_waveform.csv")
     sequences = scheme_sequences(
-        run.rabi_base, run.olo_init, read_waveform_csv(wf_path),
+        run.rabi_base, run.olo_init,
+        read_waveform_csv(run.settings["rabi"]["olo_waveform"]),
         sweep_snr=run_sweep(run.baseline_snr, run.params),
         sweep_contrast=run_sweep(run.baseline_contrast, run.params))
     comparison = compare_schemes(run.rabi, sequences, run.params)
@@ -173,6 +170,11 @@ def main(argv: list[str] | None = None) -> int:
         run = load_config(args.config, args.set, seed=args.seed,
                           output_dir=args.out, stochastic=stochastic)
         cfg = run.settings
+        # load_config, which does not know the command, lets this be unset
+        if args.command == "rabi" and cfg["rabi"]["olo_waveform"] is None:
+            raise ConfigurationError(
+                "rabi.olo_waveform is not set; run the optimize command first "
+                "and point it at the written olo_waveform.csv")
         out = Path(cfg["output_dir"])
         out.mkdir(parents=True, exist_ok=True)
         message = args.func(run, out)

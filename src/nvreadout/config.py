@@ -29,6 +29,7 @@ import yaml
 
 from .errors import ConfigurationError, ParameterError
 from .harness import SWEEP_METRICS, SWEEP_MODES, OloSpec, SweepSpec
+from .io import OLO_SUMMARY
 from .metrics import FIT_MIN_SAMPLES
 from .optimizer import OptimizerConfig
 from .photophysics import MAP_SHAPES, AmplitudeMap, RateParams
@@ -314,7 +315,7 @@ def _olo_init_amplitude(rabi: dict) -> float | None:
     path = rabi["olo_waveform"]
     if rabi["olo_init_amplitude"] is not None or path is None:
         return rabi["olo_init_amplitude"]
-    summary = Path(path).parent / "olo_summary.json"
+    summary = Path(path).parent / OLO_SUMMARY
     try:
         amplitude = json.loads(summary.read_text())["init_amplitude"]
     except (OSError, ValueError, KeyError, TypeError):

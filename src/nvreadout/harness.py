@@ -24,12 +24,10 @@ from .pumpsim import (
     OLO_STREAM,
     PumpTrace,
     SequenceConfig,
-    forward,
     pair_window_counts,  # noqa: F401  (unused; perfbench/tracer.py patches it here)
     piece_block,
     piece_durations,
     prepared_states,
-    readout_rows,
     sample_counts,
     sampling_seed,
     simulate_pair,
@@ -200,22 +198,41 @@ class OloResult:
     trace1: PumpTrace
 
 
-@dataclass(frozen=True)
 class _Anchor:
-    """The readout chain of one queried point ``u``: its readout totals as
-    the objective returned them, its value, the block ``blocks[i]`` of each
-    piece, and per piece i the branch populations ``before[i]`` at its start
-    (5, 2), the photons ``detected[i]`` before it (2,) and the readout row
-    ``rows[i]`` of the pieces from i on (5,).  ``before[n]``,
-    ``detected[n]`` and ``rows[n]`` are those after the last piece."""
+    """The readout chain at the point ``u``, with its readout totals as the
+    objective returned them and its value.  ``blocks[i]`` is the block of
+    piece i.  ``before[i]``, the branch populations (5, 2), and
+    ``detected[i]``, the photons (2,), before piece i are current up to
+    i = ``ahead``; ``rows[i]``, the readout row (5,) of the pieces from i
+    on, from i = ``behind``.  Index n is after the last piece, so
+    ``reach(n, 0)`` makes the whole chain current."""
 
-    u: np.ndarray
-    totals: tuple[float, float]
-    value: float
-    blocks: list
-    before: np.ndarray
-    detected: np.ndarray
-    rows: np.ndarray
+    def __init__(self, branches: np.ndarray, n: int) -> None:
+        self.u, self.totals, self.value = np.full(n, np.nan), None, -np.inf
+        self.blocks = [None] * n
+        self.before = np.empty((n + 1,) + branches.shape)
+        self.before[0] = branches
+        self.detected = np.zeros((n + 1, 2))
+        self.rows = np.zeros((n + 1, N_LEVELS))
+        self.ahead, self.behind = 0, n
+
+    def reach(self, lo: int, hi: int) -> None:
+        """Make ``before`` and ``detected`` current up to lo, ``rows`` from hi."""
+        for i in range(self.ahead, lo):
+            q = self.blocks[i] @ self.before[i]
+            self.before[i + 1] = q[:N_LEVELS]
+            self.detected[i + 1] = self.detected[i] + q[N_LEVELS]
+        for i in range(self.behind - 1, hi - 1, -1):
+            E = self.blocks[i]
+            self.rows[i] = E[N_LEVELS] + self.rows[i + 1] @ E[:N_LEVELS]
+        self.ahead, self.behind = max(self.ahead, lo), min(self.behind, hi)
+
+    def move(self, u, totals, value, lo: int, hi: int, blocks: list) -> None:
+        """Move to ``u``, which differs at most in pieces lo..hi-1, whose
+        blocks are ``blocks``: what is current before lo and from hi stays."""
+        self.u, self.totals, self.value = u.copy(), totals, value
+        self.blocks[lo:hi] = blocks
+        self.ahead, self.behind = min(self.ahead, lo), max(self.behind, hi)
 
 
 def make_snr_objective(spec: OloSpec, init_wf: PiecewiseWaveform):
@@ -226,25 +243,29 @@ def make_snr_objective(spec: OloSpec, init_wf: PiecewiseWaveform):
     are computed once.  The readout is a chain of piece blocks
     (``pumpsim.piece_block``), memoised per piece duration and amplitude.
 
-    The objective keeps the chain at one anchor, the point of highest value
-    it has returned so far, which under the strict-improvement rule of
-    ``hj_optimize`` is the incumbent.  A query at the anchor returns the
-    totals the anchor got when it was queried, so ties are bit-exact.  A
-    query that differs from the anchor in pieces lo..hi-1 folds the row
-    ``r_i = c'_i + r_{i+1} E'_i[:5]`` as one running (5,) vector from the
-    anchor's row ``r_hi`` back to ``r_lo``, and returns
+    The objective keeps the chain at one anchor (:class:`_Anchor`), the
+    point of highest value it has returned so far, which under the
+    strict-improvement rule of ``hj_optimize`` is the incumbent.  A query at
+    the anchor returns the totals the anchor got when it was queried, so
+    ties are bit-exact.  A query that differs from the anchor in pieces
+    lo..hi-1 folds the row ``r_i = c'_i + r_{i+1} E'_i[:5]`` as one running
+    (5,) vector from the anchor's row ``r_hi`` back to ``r_lo``, and returns
     ``pre_lo + r_lo P_lo`` with the anchor's photons ``pre_lo`` and
     populations ``P_lo`` before piece lo: one block product for a one-piece
-    trial, the full fold for a pattern move.
+    trial, the full fold for a pattern move.  Only pieces lo..hi-1 are
+    checked against the bounds, since the others equal the anchor's; the
+    first anchor is an empty chain at NaN, which equals nothing.
 
-    A strict improvement moves the anchor to the trial.  Its prefix up to
-    piece lo and its rows from hi on stay; ``pumpsim.forward`` runs the
-    branches on from ``P_lo`` through the new pieces, whose photons add up
-    from ``pre_lo`` on, and ``pumpsim.readout_rows`` folds back from piece
-    hi - 1 to 0.  These are the operations a full rebuild runs, in the same
-    order, so the moved anchor is bit-identical to one built from scratch;
-    the first anchor is that move from an empty chain with lo = 0, hi = n.
-    Every trial must be a finite amplitude vector inside the bounds.
+    The anchor is extended only as far as a query reads it: forward to
+    ``P_lo`` and ``pre_lo`` from its last current piece, and back to
+    ``r_hi`` from its first current row.  A strict improvement moves it to
+    the trial by swapping in the trial's blocks; what lies before piece lo
+    and from hi on stays current.  So each value is made at most once per
+    anchor, from the same operands, by the block products that a full
+    rebuild (``pumpsim.forward``, a running sum of the photons and
+    ``pumpsim.readout_rows``) runs in the same order: it is bit-identical
+    to a rebuild from scratch, however far and whenever the chain was
+    extended.
 
     A stochastic objective, mimicking single experimental queries, owns one
     generator, keyed ``(OLO_STREAM, 0)`` of ``spec.sample_seed``, and
@@ -254,9 +275,9 @@ def make_snr_objective(spec: OloSpec, init_wf: PiecewiseWaveform):
     """
     start, params = spec.start_readout, spec.params
     cfg = replace(spec.base, init_wf=init_wf, readout_wf=start)
-    branches = np.column_stack(prepared_states(cfg, params))
     dts = piece_durations(start).tolist()
-    n, bounds = start.n, start.bounds
+    n, bounds, reps = start.n, start.bounds, cfg.repetitions
+    anchor = _Anchor(np.column_stack(prepared_states(cfg, params)), n)
     memo = {}
 
     def block(i, a):
@@ -265,47 +286,27 @@ def make_snr_objective(spec: OloSpec, init_wf: PiecewiseWaveform):
             memo[key] = piece_block(params, params.amp_map.rate(a), dts[i])
         return memo[key]
 
-    def totals(per_rep):
-        return tuple((cfg.repetitions * per_rep).tolist())
-
-    def moved(u, value, counts, lo, hi):
-        """The anchor moved to ``u``, which differs from it at most in
-        pieces lo..hi-1, with ``value`` and the readout totals ``counts``
-        (those of its rows if None)."""
-        blocks = anchor.blocks.copy()
-        blocks[lo:hi] = [block(i, a)
-                         for i, a in enumerate(u[lo:hi].tolist(), lo)]
-        before, photons = forward(blocks[lo:], anchor.before[lo])
-        detected = np.cumsum(
-            np.concatenate([anchor.detected[lo:lo + 1], photons]), axis=0)
-        rows = readout_rows(blocks[:hi], anchor.rows[hi])
-        if counts is None:
-            counts = totals(rows[0] @ branches)
-        return _Anchor(u.copy(), counts, value, blocks,
-                       np.concatenate([anchor.before[:lo], before]),
-                       np.concatenate([anchor.detected[:lo], detected]),
-                       np.concatenate([rows, anchor.rows[hi + 1:]]))
-
-    anchor = _Anchor(np.full(n, np.nan), None, -np.inf, [None] * n,
-                     branches[None], np.zeros((1, 2)),
-                     np.zeros((n + 1, N_LEVELS)))
-    anchor = moved(start.amplitudes, -np.inf, None, 0, n)
-
     def query(u):
         """The readout totals at ``u``, and the span lo..hi-1 of the pieces
         where ``u`` differs from the anchor (lo = n, hi = 0 if nowhere)."""
-        if u.shape != (n,) or not bounds.contains(u):
-            raise ParameterError(f"trial amplitudes must be {n} values in "
-                                 f"[{bounds.lo}, {bounds.hi}], got {u}")
-        changed = (u != anchor.u).nonzero()[0]
-        if changed.size == 0:
+        if u.shape != (n,):
+            raise ParameterError(f"trial must be {n} amplitudes, got {u}")
+        changed = (u != anchor.u).nonzero()[0].tolist()
+        if not changed:
             return anchor.totals, n, 0
-        lo, hi = int(changed[0]), int(changed[-1]) + 1
-        amplitudes, row = u.tolist(), anchor.rows[hi]
+        lo, hi = changed[0], changed[-1] + 1
+        amplitudes = u.tolist()
+        if not all(bounds.lo <= a <= bounds.hi for a in amplitudes[lo:hi]):
+            raise ParameterError(f"trial amplitudes must lie in "
+                                 f"[{bounds.lo}, {bounds.hi}], got {u}")
+        anchor.reach(lo, hi)
+        row = anchor.rows[hi]
         for i in range(hi - 1, lo - 1, -1):
             E = block(i, amplitudes[i])
             row = E[N_LEVELS] + row @ E[:N_LEVELS]
-        return totals(anchor.detected[lo] + row @ anchor.before[lo]), lo, hi
+        a, b = (anchor.detected[lo] + row @ anchor.before[lo]).tolist()
+        # as Python floats, these products round as numpy's do
+        return (reps * a, reps * b), lo, hi
 
     def expected_counts(u):
         return query(np.asarray(u, dtype=float))[0]
@@ -314,13 +315,13 @@ def make_snr_objective(spec: OloSpec, init_wf: PiecewiseWaveform):
            if spec.stochastic else None)
 
     def objective(u):
-        nonlocal anchor
         u = np.asarray(u, dtype=float)
         counts, lo, hi = query(u)
         seen = counts if rng is None else sample_counts(counts, rng).tolist()
         value = snr_metric(*seen)
         if value > anchor.value:
-            anchor = moved(u, value, counts, lo, hi)
+            anchor.move(u, counts, value, lo, hi, [
+                block(i, a) for i, a in enumerate(u[lo:hi].tolist(), lo)])
         return value
     return objective, expected_counts
 

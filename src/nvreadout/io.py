@@ -23,6 +23,9 @@ from .pumpsim import PumpTrace
 from .rabi import RabiCurve
 from .waveform import PiecewiseWaveform
 
+#: The optimize command's summary, which rabi reads its OLO init amplitude from.
+OLO_SUMMARY = "olo_summary.json"
+
 
 def _texts(values) -> list[str]:
     """``repr`` of every value of a 1-D array, as a float: one conversion

@@ -332,6 +332,7 @@ class TestRabi:
         code = main(["rabi", "--out", str(tmp_path / "o"), *FAST_SWEEP])
         assert code == 2
         assert "optimize" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_corrupt_waveform_exits_2(self, tmp_path):
         bad = tmp_path / "wf.csv"

@@ -210,11 +210,17 @@ def objective_case(base_seq, params, n, duration_ns, start_amplitude=0.3):
     return objective, expected_counts, cfg, branches
 
 
+def objective_anchor(objective):
+    """The anchor that ``objective`` keeps its readout chain at."""
+    return inspect.getclosurevars(objective).nonlocals["anchor"]
+
+
 def assert_anchor_is_a_full_rebuild(objective, params, readout, branches):
-    """The objective's anchor holds, bit for bit, what one forward pass and
-    one backward fold over freshly looked-up blocks of its point on the
-    ``readout`` pieces give."""
-    anchor = inspect.getclosurevars(objective).nonlocals["anchor"]
+    """The objective's anchor, made fully current, holds, bit for bit, what
+    one forward pass and one backward fold over freshly looked-up blocks of
+    its point on the ``readout`` pieces give."""
+    anchor = objective_anchor(objective)
+    anchor.reach(anchor.u.size, 0)
     blocks = [pumpsim.piece_block(params, params.amp_map.rate(a), dt)
               for a, dt in zip(anchor.u.tolist(),
                                pumpsim.piece_durations(readout))]
@@ -341,15 +347,42 @@ class TestIncrementalObjective:
 
         def checked(u):
             value = objective(u)
-            anchor = inspect.getclosurevars(objective).nonlocals["anchor"]
-            if not moves or anchor is not moves[-1]:
-                moves.append(assert_anchor_is_a_full_rebuild(
-                    objective, params, start, branches))
+            if not moves or value > moves[-1]:
+                # a new incumbent: the anchor has moved to it
+                assert_anchor_is_a_full_rebuild(objective, params, start,
+                                                 branches)
+                moves.append(value)
             return value
 
         state = nv.hj_optimize(checked, start.amplitudes, olo_spec.optimizer)
         assert state.queries == 469
         assert len(moves) == sum(r.accepted for r in state.history) == 50
+
+    def test_lazy_extension_gives_the_eager_search(self, olo_spec):
+        # the default search twice: once extending the anchor only as far
+        # as each query reads, once making it fully current after every
+        # query; any bit the lazy extension got differently would show in
+        # the values
+        init_amp = nv.harness._scan_init_amplitude(olo_spec).best_amplitude
+        init_wf = nv.make_constant(olo_spec.base.init_wf.duration_ns, init_amp)
+
+        def search(eager):
+            objective, _ = nv.make_snr_objective(olo_spec, init_wf)
+            anchor = objective_anchor(objective)
+
+            def queried(u):
+                value = objective(u)
+                if eager:
+                    anchor.reach(anchor.u.size, 0)
+                return value
+            return nv.hj_optimize(queried, olo_spec.start_readout.amplitudes,
+                                  olo_spec.optimizer).history
+
+        lazy, eager = search(False), search(True)
+        assert len(lazy) == len(eager) == 469
+        assert (np.array([r.value for r in lazy]).tobytes()
+                == np.array([r.value for r in eager]).tobytes())
+        assert [r.accepted for r in lazy] == [r.accepted for r in eager]
 
     @pytest.mark.parametrize("bad", [[0.3] * 5, [0.3] * 7, [0.3] * 5 + [1.2],
                                      [0.3] * 5 + [np.nan],

@@ -66,10 +66,10 @@ def test_no_module_imports_a_private_name_of_another():
 
 
 def calls_with_branches(path: Path, name: str):
-    """(top-level function, branch conditions) of every call to ``name``, a
-    bare or attribute name: the test of each ``if`` and the iterable of
-    each ``for`` in whose body the call sits, as source text, innermost
-    first."""
+    """(top-level function or class, branch conditions) of every call to
+    ``name``, a bare or attribute name: the test of each ``if`` and the
+    iterable of each ``for`` in whose body the call sits, as source text,
+    innermost first."""
     source = path.read_text()
     found = []
 
@@ -85,7 +85,7 @@ def calls_with_branches(path: Path, name: str):
             visit(child, top, inner)
 
     for top in ast.parse(source).body:
-        visit(top, top.name if isinstance(top, ast.FunctionDef) else None, [])
+        visit(top, getattr(top, "name", None), [])
     return found
 
 
@@ -114,6 +114,25 @@ def test_pumpsim_calls_expm_once_in_its_builder():
             for module in imported_modules(path)
             if module.split(".")[0] == "scipy"] == [("cli", "scipy")]
     assert "expm" in vars(pumpsim)
+
+
+def test_whole_vector_bound_checks_stay_out_of_the_query_path():
+    # a point is checked against the box in full where it enters: the
+    # search's starting point and a waveform's constructor; the objective
+    # checks only the pieces a trial changes, once per query
+    contains = [(path.stem, top) for path in SOURCES
+                for top, _ in calls_with_branches(path, "contains")]
+    assert contains == [("optimizer", "hj_optimize"),
+                        ("waveform", "PiecewiseWaveform")]
+
+
+def test_the_olo_summary_file_is_named_once():
+    # the optimize command writes it and rabi reads it, by one name
+    literals = [path.stem for path in SOURCES
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Constant)
+                and node.value == "olo_summary.json"]
+    assert literals == ["io"]
 
 
 def test_lstsq_only_behind_the_ill_conditioned_branches():
