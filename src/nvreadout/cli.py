@@ -1,14 +1,14 @@
 """Command-line front end: trace | sweep | optimize | rabi.
 
 Every command reads one YAML config, which :func:`config.load_config`
-checks and builds into a :class:`config.Run` before the output directory
-is made: a bad setting exits with one error line that names it.  The
-command runs the model objects the run holds, writes CSV data plus JSON
-summaries into the output directory, and records a manifest with the
-config digest, the checked settings, the seed and the versions of Python
-and the libraries, so a run can be reproduced byte-for-byte (the
-manifest's wall-time field is the one value that varies between identical
-runs).
+checks and builds into a :class:`config.Run`: a bad setting exits with
+one error line that names it.  The command runs the model objects the run
+holds and writes CSV data plus JSON summaries into the output directory,
+which its first write makes, so an error before then leaves no directory.
+A manifest records the config digest, the checked settings, the seed and
+the versions of Python and the libraries, so a run can be reproduced
+byte-for-byte (the manifest's wall-time field is the one value that varies
+between identical runs).
 
 Exit codes: 0 success, 2 configuration error, 3 runtime/model error.
 """
@@ -106,9 +106,18 @@ def cmd_optimize(run, out: Path) -> str:
 
 
 def cmd_rabi(run, out: Path) -> str:
+    path = run.settings["rabi"]["olo_waveform"]
+    # load_config, which does not know the command, lets this be unset
+    if path is None:
+        raise ConfigurationError(
+            "rabi.olo_waveform is not set; run the optimize command first "
+            "and point it at the written olo_waveform.csv")
+    try:
+        olo_readout = read_waveform_csv(path)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"rabi.olo_waveform: {exc}") from exc
     sequences = scheme_sequences(
-        run.rabi_base, run.olo_init,
-        read_waveform_csv(run.settings["rabi"]["olo_waveform"]),
+        run.rabi_base, run.olo_init, olo_readout,
         sweep_snr=run_sweep(run.baseline_snr, run.params),
         sweep_contrast=run_sweep(run.baseline_contrast, run.params))
     comparison = compare_schemes(run.rabi, sequences, run.params)
@@ -170,13 +179,7 @@ def main(argv: list[str] | None = None) -> int:
         run = load_config(args.config, args.set, seed=args.seed,
                           output_dir=args.out, stochastic=stochastic)
         cfg = run.settings
-        # load_config, which does not know the command, lets this be unset
-        if args.command == "rabi" and cfg["rabi"]["olo_waveform"] is None:
-            raise ConfigurationError(
-                "rabi.olo_waveform is not set; run the optimize command first "
-                "and point it at the written olo_waveform.csv")
         out = Path(cfg["output_dir"])
-        out.mkdir(parents=True, exist_ok=True)
         message = args.func(run, out)
         write_json(out / "manifest.json", {
             "command": args.command,

@@ -291,7 +291,7 @@ def _check_spans(cfg: dict) -> dict:
             "sweep.amplitude_points, sweep.duration_points: sweep grid of "
             f"{n_amp} x {n_dur} cells is above {MAX_POINTS}")
     path = cfg["rabi"]["olo_waveform"]
-    if path is not None and not Path(path).exists():
+    if path is not None and not Path(path).is_file():
         raise ConfigurationError(
             f"rabi.olo_waveform: file {path!r} not found; run the optimize "
             "command first")
@@ -381,7 +381,7 @@ def _build_run(cfg: dict, stochastic: bool) -> Run:
         baseline_contrast=baseline_contrast,
         olo=_built(
             "olo.start_duration_ns, olo.start_amplitude, olo.n_read, "
-            "olo.init_scan_points", OloSpec,
+            "olo.bound_lo, olo.bound_hi, olo.init_scan_points", OloSpec,
             base=sequence, params=params, optimizer=optimizer,
             start_duration_ns=o["start_duration_ns"],
             start_amplitude=o["start_amplitude"], n_read=o["n_read"],

@@ -34,7 +34,10 @@ def _texts(values) -> list[str]:
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path``, making its directory if need be: a
+    command's output directory appears with its first file."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:

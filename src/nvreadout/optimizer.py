@@ -1,11 +1,16 @@
 """Hooke-Jeeves direct search over bounded amplitude vectors.
 
-The search maximizes a black-box objective without gradients.  Each cycle
-first adjusts one coordinate at a time by ±alpha (exploratory phase, n to 2n
-objective queries), then extrapolates once along the net displacement of the
-cycle (pattern move, 1 query).  A cycle without strict improvement shrinks
-alpha by the factor rho; the search stops when alpha falls below alpha_min
-or the query budget runs out.
+The search maximizes a black-box objective without gradients, in the one
+loop of :func:`hj_optimize`.  Each cycle first adjusts one coordinate at a
+time by ±alpha (exploratory phase, n to 2n objective queries), then
+extrapolates once along the net displacement of the cycle (pattern move, 1
+query).  One rule judges every query, the first at the starting point
+included: it moves the incumbent only on strict improvement, so the
+incumbent's value never falls, and the query's record says whether it did.
+A cycle without strict improvement shrinks alpha by the factor rho.  The
+search stops when alpha falls below alpha_min, checked at each cycle start,
+or when the query budget, checked before every query after the first, runs
+out.
 
 Every trial point is clipped into the bounds *before* it is queried, and a
 clipped trial that coincides with the incumbent still costs a query: in the
@@ -86,7 +91,6 @@ class OptimizerState:
     ``best`` is the incumbent: a trial replaces it only on strict
     improvement, so it is also the best point queried so far."""
 
-    config: OptimizerConfig
     best: np.ndarray
     best_value: float
     alpha: float
@@ -97,101 +101,61 @@ class OptimizerState:
     history: list[QueryRecord] = field(default_factory=list)
 
 
-def _query(state: OptimizerState, objective, u: np.ndarray) -> tuple[float, QueryRecord]:
-    value = float(objective(u))
-    if not math.isfinite(value):
-        raise ObjectiveError(f"objective returned {value} at u = {u.tolist()}")
-    record = QueryRecord(
-        query_index=state.queries, cycle=state.cycle, u=u.copy(),
-        value=value, alpha=state.alpha, accepted=False,
-    )
-    state.queries += 1
-    state.history.append(record)
-    return value, record
-
-
-def _budget_left(state: OptimizerState) -> bool:
-    if state.queries >= state.config.max_queries:
-        state.budget_exhausted = True
-        return False
-    return True
-
-
-def exploratory_move(state: OptimizerState, objective) -> OptimizerState:
-    """Adjust each coordinate in turn by ±alpha, keeping strict improvements.
-
-    For every coordinate the +alpha trial is queried first; only if it fails
-    to strictly improve on the incumbent is the -alpha trial queried.  Costs
-    between n and 2n queries for an n-vector.  Returns with
-    ``budget_exhausted`` set if the budget runs out mid-phase.
-    """
-    bounds = state.config.bounds
-    for i in range(state.best.size):
-        for sign in (+1.0, -1.0):
-            if not _budget_left(state):
-                return state
-            trial = state.best.copy()
-            trial[i] = bounds.clip(float(state.best[i]) + sign * state.alpha)
-            value, record = _query(state, objective, trial)
-            if value > state.best_value:
-                record.accepted = True
-                state.best = trial
-                state.best_value = value
-                break
-    return state
-
-
-def pattern_move(state: OptimizerState, base: np.ndarray, objective) -> OptimizerState:
-    """Extrapolate once from the cycle's starting point through the incumbent.
-
-    The trial is best + (best - base), clipped into the bounds, and is
-    accepted only on strict improvement.  Always costs one query, even when
-    the exploratory phase made no progress so the trial equals the incumbent.
-    """
-    if not _budget_left(state):
-        return state
-    trial = state.config.bounds.clip(state.best + (state.best - base))
-    value, record = _query(state, objective, trial)
-    if value > state.best_value:
-        record.accepted = True
-        state.best = trial
-        state.best_value = value
-    return state
-
-
 def hj_optimize(objective, u0, cfg: OptimizerConfig) -> OptimizerState:
     """Run the full search from ``u0`` and return the final state.
 
-    The first query evaluates the starting point; each subsequent cycle is
-    an exploratory phase followed by one pattern move (n+1 to 2n+1 queries
-    per cycle).  alpha shrinks by rho exactly on cycles whose best value did
-    not improve.  The incumbent best-value sequence is non-decreasing and,
-    with a deterministic objective, the whole trajectory is a pure function
-    of (u0, cfg).
+    The incumbent starts at ``u0`` with value -inf, so the rule that judges
+    every query accepts the first, at ``u0``.  Each cycle after it costs
+    n+1 to 2n+1 queries.  The alpha floor is checked first at each cycle
+    start, so a search that ends on the floor with its budget exactly spent
+    reports ``budget_exhausted`` false; a cycle that the budget cuts short
+    does not count in ``iterations``.  With a deterministic objective the
+    whole trajectory is a pure function of (u0, cfg).
     """
     u0 = np.asarray(u0, dtype=float).ravel().copy()
     if u0.size < 1:
         raise ParameterError("starting point must have at least one coordinate")
-    if not cfg.bounds.contains(u0):
+    bounds = cfg.bounds
+    if not bounds.contains(u0):
         raise ParameterError(
-            f"starting point outside bounds [{cfg.bounds.lo}, {cfg.bounds.hi}]: {u0}"
-        )
-    state = OptimizerState(config=cfg, best=u0.copy(), best_value=-np.inf,
-                           alpha=cfg.alpha0)
-    value, record = _query(state, objective, u0)
-    record.accepted = True
-    state.best_value = value
+            f"starting point outside bounds [{bounds.lo}, {bounds.hi}]: {u0}")
+    state = OptimizerState(best=u0, best_value=-math.inf, alpha=cfg.alpha0)
 
-    while state.alpha >= cfg.alpha_min and _budget_left(state):
+    def improves(u: np.ndarray) -> bool:
+        value = float(objective(u))
+        if not math.isfinite(value):
+            raise ObjectiveError(f"objective returned {value} at u = {u.tolist()}")
+        accepted = value > state.best_value
+        state.history.append(QueryRecord(
+            query_index=state.queries, cycle=state.cycle, u=u.copy(),
+            value=value, alpha=state.alpha, accepted=accepted))
+        state.queries += 1
+        if accepted:
+            state.best, state.best_value = u, value
+        return accepted
+
+    def budget_left() -> bool:
+        state.budget_exhausted = state.queries >= cfg.max_queries
+        return not state.budget_exhausted
+
+    improves(u0)
+    while state.alpha >= cfg.alpha_min and budget_left():
         state.cycle += 1
-        base = state.best.copy()
-        value_before = state.best_value
-        exploratory_move(state, objective)
-        if state.budget_exhausted:
-            break
-        pattern_move(state, base, objective)
-        if state.budget_exhausted:
-            break
+        base, value_before = state.best, state.best_value
+        # exploratory phase: each coordinate by +alpha, and by -alpha only
+        # where +alpha fails
+        for i in range(u0.size):
+            for sign in (1.0, -1.0):
+                if not budget_left():
+                    return state
+                trial = state.best.copy()
+                trial[i] = bounds.clip(float(trial[i]) + sign * state.alpha)
+                if improves(trial):
+                    break
+        # pattern move: one query, even where it lands on the incumbent
+        if not budget_left():
+            return state
+        improves(bounds.clip(state.best + (state.best - base)))
         state.iterations += 1
         if state.best_value <= value_before:
             state.alpha *= cfg.rho

@@ -355,7 +355,16 @@ class TestRabi:
         bad.write_text(rows)
         assert main(self.rabi_args(tmp_path / "o", bad)) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"config error: {bad}") and reason in err
+        assert err.startswith(f"config error: rabi.olo_waveform: {bad}")
+        assert reason in err
+        assert not (tmp_path / "o").exists()
+
+    def test_directory_as_waveform_exits_2(self, tmp_path, capsys, refuse_runs):
+        assert main(self.rabi_args(tmp_path / "o", tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: rabi.olo_waveform")
+        assert "not found" in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("override", [
         "rabi.olo_init_amplitude=abc",
@@ -590,6 +599,7 @@ class TestChecksAcrossSettings:
          "amplitude 2.0 of piece 0 outside [0.0, 1.0]"),
         (["olo.start_amplitude=1.2"],
          "amplitude 1.2 of piece 0 outside [0.0, 1.0]"),
+        (["olo.bound_lo=0.5"], "amplitude 0.02 of piece 0 outside [0.5, 1.0]"),
         (["olo.bound_hi=3"], "need 0 <= lo < hi <= 1"),
         (["olo.alpha0=-1"], "need 0 < alpha_min < alpha0"),
         (["olo.rho=1"], "rho must lie in (0, 1)"),
@@ -604,10 +614,10 @@ class TestChecksAcrossSettings:
         # no olo_summary.json beside the waveform to read the amplitude from
         (["rabi.olo_init_amplitude=null"], "rabi.olo_waveform"),
     ], ids=["bins-divide", "bins-count", "sweep-cells", "rabi-waveform",
-            "olo-init-amplitude", "olo-start-amplitude", "olo-bounds",
-            "olo-alpha0", "olo-rho", "sweep-amplitudes", "sweep-durations",
-            "tau-span", "tau-start", "wait", "repetitions", "eta", "k-isc1",
-            "olo-init-summary"])
+            "olo-init-amplitude", "olo-start-amplitude", "olo-start-bounds",
+            "olo-bounds", "olo-alpha0", "olo-rho", "sweep-amplitudes",
+            "sweep-durations", "tau-span", "tau-start", "wait", "repetitions",
+            "eta", "k-isc1", "olo-init-summary"])
     @pytest.mark.parametrize("command", ["optimize", "rabi", "sweep", "trace"])
     def test_exits_2_before_the_run(self, tmp_path, capsys, refuse_runs,
                                     command, overrides, named):

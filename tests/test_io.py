@@ -69,8 +69,8 @@ def test_log_lines_equal_json_of_each_record(tmp_path_factory, records):
     # the log is formatted directly; json.dumps is the reference, NaN and
     # infinity included
     path = tmp_path_factory.mktemp("log") / "olo_log.jsonl"
-    state = nv.OptimizerState(config=None, best=None, best_value=0.0,
-                              alpha=0.1, history=records)
+    state = nv.OptimizerState(best=None, best_value=0.0, alpha=0.1,
+                              history=records)
     write_optimizer_log(state, path)
     assert path.read_text() == "\n".join(
         json.dumps(rec.as_dict(), sort_keys=True) for rec in records) + "\n"

@@ -126,6 +126,15 @@ def test_whole_vector_bound_checks_stay_out_of_the_query_path():
                         ("waveform", "PiecewiseWaveform")]
 
 
+def test_the_search_alone_records_and_judges_its_queries():
+    # one loop builds every query record, accepted or not, and rejects
+    # every value that is not finite
+    for name in ("QueryRecord", "ObjectiveError"):
+        sites = [(path.stem, top) for path in SOURCES
+                 for top, _ in calls_with_branches(path, name)]
+        assert sites == [("optimizer", "hj_optimize")], name
+
+
 def test_the_olo_summary_file_is_named_once():
     # the optimize command writes it and rabi reads it, by one name
     literals = [path.stem for path in SOURCES

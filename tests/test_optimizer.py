@@ -111,6 +111,29 @@ class TestHjOptimize:
         assert state.queries == n + 1
         assert state.iterations == 0
 
+    def test_every_budget_cuts_the_full_search_to_its_prefix(self):
+        # the budget is checked before every query after the first, and the
+        # alpha floor before it at each cycle start: a budget of b queries
+        # replays the full search up to its b-th query and stops there
+        f, u0 = quadratic([0.3, 0.7, 0.45, 0.62]), np.full(4, 0.5)
+        full = nv.hj_optimize(f, u0, cfg(alpha0=0.1, alpha_min=1e-2))
+        assert not full.budget_exhausted
+        last = {r.cycle: r.query_index for r in full.history}
+
+        def rows(history):
+            return [(r.query_index, r.cycle, r.u.tolist(), r.value, r.alpha,
+                     r.accepted) for r in history]
+        for budget in range(1, full.queries + 2):
+            cut = nv.hj_optimize(f, u0, cfg(alpha0=0.1, alpha_min=1e-2,
+                                            max_queries=budget))
+            prefix = full.history[:budget]
+            assert rows(cut.history) == rows(prefix)
+            assert cut.budget_exhausted == (budget < full.queries)
+            # a cycle is complete once its last query, the pattern move, is in
+            assert cut.iterations == sum(
+                1 for c, i in last.items() if c > 0 and i < budget)
+            assert cut.best_value == max(r.value for r in prefix)
+
     def test_incumbent_monotone_and_feasible(self):
         state = nv.hj_optimize(quadratic(0.37 * np.ones(8)),
                                0.9 * np.ones(8), cfg())
