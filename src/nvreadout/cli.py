@@ -2,7 +2,9 @@
 
 Every command reads one YAML config, which :func:`config.load_config`
 checks and builds into a :class:`config.Run`: a bad setting exits with
-one error line that names it.  The command runs the model objects the run
+one error line that names it.  That includes the OLO scheme that rabi
+compares, which the run reads from ``rabi.olo_waveform``, so a malformed
+file stops every command.  The command runs the model objects the run
 holds and writes CSV data plus JSON summaries into the output directory,
 which its first write makes, so an error before then leaves no directory.
 A manifest records the config digest, the checked settings, the seed and
@@ -33,7 +35,7 @@ from .harness import run_olo, run_sweep
 from .io import (
     OLO_SUMMARY,
     olo_summary_dict,
-    read_waveform_csv,
+    read_waveform_csv,  # noqa: F401  (unused; perfbench/tracer.py patches it here)
     write_json,
     write_optimizer_log,
     write_pair_trace_csv,
@@ -106,19 +108,14 @@ def cmd_optimize(run, out: Path) -> str:
 
 
 def cmd_rabi(run, out: Path) -> str:
-    path = run.settings["rabi"]["olo_waveform"]
-    # load_config, which does not know the command, lets this be unset
-    if path is None:
+    # load_config, which does not know the command, builds the OLO scheme
+    # from rabi.olo_waveform and lets that be unset
+    if run.olo_scheme is None:
         raise ConfigurationError(
             "rabi.olo_waveform is not set; run the optimize command first "
             "and point it at the written olo_waveform.csv")
-    try:
-        olo_readout = read_waveform_csv(path)
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"rabi.olo_waveform: {exc}") from exc
     sequences = scheme_sequences(
-        run.rabi_base, run.olo_init, olo_readout,
-        sweep_snr=run_sweep(run.baseline_snr, run.params),
+        run.olo_scheme, sweep_snr=run_sweep(run.baseline_snr, run.params),
         sweep_contrast=run_sweep(run.baseline_contrast, run.params))
     comparison = compare_schemes(run.rabi, sequences, run.params)
     for name, curve in comparison.curves.items():

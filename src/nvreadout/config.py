@@ -9,18 +9,22 @@ list of them, a path, a text choice and an optional (``None``) value, some
 with a bound.  :func:`load_config` applies the file, the ``--set
 section.key=value`` overrides and the ``--seed`` and ``--out`` flags, and
 checks every setting at load, whichever command runs: each one alone, then
-what spans settings (:func:`_check_spans`: the readout's bins, the sweep's
-cells and the Rabi waveform file); an unknown key fails with its section
-named.  It returns the :class:`Run`, whose model objects it builds once
-each, and that is the last check: every constructor call goes through
-:func:`_built`, which turns a value the constructor rejects into a
+what spans settings (:func:`_check_spans`: the readout's bins and the
+sweep's cells); an unknown key fails with its section named.  It returns
+the :class:`Run`, whose model objects it builds once each, and that is the
+last check: each constructor that can reject a value is called through
+:func:`_built`, which turns the rejection into a
 :class:`ConfigurationError` that starts with the settings the call read.
+Both OLO sequences are built here: the optimize run's start
+(:attr:`Run.olo`) and the Rabi comparison's OLO scheme, read from
+``rabi.olo_waveform`` (:func:`_olo_scheme`).
 """
 
 from __future__ import annotations
 
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -29,7 +33,7 @@ import yaml
 
 from .errors import ConfigurationError, ParameterError
 from .harness import SWEEP_METRICS, SWEEP_MODES, OloSpec, SweepSpec
-from .io import OLO_SUMMARY
+from .io import OLO_SUMMARY, read_waveform_csv
 from .metrics import FIT_MIN_SAMPLES
 from .optimizer import OptimizerConfig
 from .photophysics import MAP_SHAPES, AmplitudeMap, RateParams
@@ -47,11 +51,15 @@ MAX_POINTS = 10_000
 def _number(kind, *bounds):
     """The check of a finite number: a float, a whole number if ``kind`` is
     ``int``, or one number or a list of at most MAX_POINTS if ``kind`` is
-    ``list``.  A single number must pass each ``(holds, words)`` bound."""
+    ``list``.  A number is an int or a float, never a bool or text.  A
+    single number must pass each ``(holds, words)`` bound."""
     def check(name: str, raw):
+        if not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                   for x in (raw if isinstance(raw, list) else [raw])):
+            raise ConfigurationError(f"{name} must be a number, got {raw!r}")
         try:
             value = np.asarray(raw, dtype=float)
-        except (TypeError, ValueError, OverflowError):
+        except OverflowError:       # an int beyond the float range
             raise ConfigurationError(f"{name} must be a number, got {raw!r}") from None
         if not np.isfinite(value).all():
             raise ConfigurationError(f"{name} must be finite, got {raw!r}")
@@ -152,7 +160,8 @@ SETTINGS: dict = {
         "tau_points": (61, _number(int, _at_least(FIT_MIN_SAMPLES,
                                                   " for the sinusoid fit"),
                                    _AT_MOST_MAX)),
-        "repetitions": (1.0e8, _FLOAT),
+        # no sequence is built at this count unless olo_waveform is set
+        "repetitions": (1.0e8, _number(float, _at_least(1))),
         # the CSV the optimize command writes; the amplitude, if unset, is
         # the init_amplitude of the olo_summary.json beside it
         "olo_waveform": (None, _optional(_path)),
@@ -208,10 +217,9 @@ class Run(NamedTuple):
     sweep: SweepSpec                # the sweep command's mode and metric
     baseline_snr: SweepSpec         # the constant schemes: the grid in
     baseline_contrast: SweepSpec    # global mode, by SNR and by contrast
-    olo: OloSpec
-    olo_init: PiecewiseWaveform | None  # the OLO scheme's init pulse, if set
+    olo: OloSpec                    # its base: the sequence OLO starts from
     rabi: RabiConfig                # the Rabi sweep all three schemes share
-    rabi_base: SequenceConfig       # the sequence at rabi.repetitions
+    olo_scheme: SequenceConfig | None   # the Rabi OLO scheme, if its file is set
 
 
 def load_config(path: str | Path | None = None,
@@ -271,7 +279,7 @@ def _checked(table: dict, raw: dict, prefix: str = "") -> dict:
 def _check_spans(cfg: dict) -> dict:
     """``cfg``, once the checks that span settings pass: the trace's bins
     divide the readout and number at most :data:`MAX_POINTS`, as do the
-    sweep's cells, and a set ``rabi.olo_waveform`` names a file."""
+    sweep's cells."""
     seq, sweep = cfg["sequence"], cfg["sweep"]
     duration, width = seq["readout_duration_ns"], seq["bin_width_ns"]
     if duration > 0:    # a readout of no duration is the waveform's error
@@ -290,11 +298,6 @@ def _check_spans(cfg: dict) -> dict:
         raise ConfigurationError(
             "sweep.amplitude_points, sweep.duration_points: sweep grid of "
             f"{n_amp} x {n_dur} cells is above {MAX_POINTS}")
-    path = cfg["rabi"]["olo_waveform"]
-    if path is not None and not Path(path).is_file():
-        raise ConfigurationError(
-            f"rabi.olo_waveform: file {path!r} not found; run the optimize "
-            "command first")
     return cfg
 
 
@@ -308,28 +311,45 @@ def _built(keys: str, make, *args, **kwargs):
         raise ConfigurationError(f"{keys}: {exc}") from exc
 
 
-def _olo_init_amplitude(rabi: dict) -> float | None:
-    """``rabi.olo_init_amplitude``, or if it is unset, the init amplitude
-    of the optimize run that wrote ``rabi.olo_waveform``: the
-    ``init_amplitude`` of the ``olo_summary.json`` beside it."""
-    path = rabi["olo_waveform"]
-    if rabi["olo_init_amplitude"] is not None or path is None:
-        return rabi["olo_init_amplitude"]
-    summary = Path(path).parent / OLO_SUMMARY
-    try:
-        amplitude = json.loads(summary.read_text())["init_amplitude"]
-    except (OSError, ValueError, KeyError, TypeError):
+def _olo_scheme(cfg: dict) -> SequenceConfig | None:
+    """The OLO scheme of the Rabi comparison, if ``rabi.olo_waveform`` is
+    set: a square init pulse of ``sequence.init_duration_ns`` at
+    ``rabi.olo_init_amplitude``, the ``sequence`` wait, the readout
+    waveform in that file, and ``rabi.repetitions``.  An unset amplitude
+    is the ``init_amplitude`` of the optimize run that wrote the file, read
+    from the ``olo_summary.json`` beside it, and ``cfg`` records it."""
+    s, r = cfg["sequence"], cfg["rabi"]
+    path = r["olo_waveform"]
+    if path is None:
+        return None
+    if not Path(path).is_file():
         raise ConfigurationError(
-            f"rabi.olo_init_amplitude is not set, and no init_amplitude can "
-            f"be read from {summary}, beside rabi.olo_waveform; set it, or "
-            "point rabi.olo_waveform at the olo_waveform.csv of an optimize "
-            "run") from None
-    return _FLOAT(f"rabi.olo_init_amplitude, read from {summary},", amplitude)
+            f"rabi.olo_waveform: file {path!r} not found; run the optimize "
+            "command first")
+    readout = _built("rabi.olo_waveform", read_waveform_csv, path)
+    if r["olo_init_amplitude"] is None:
+        summary = Path(path).parent / OLO_SUMMARY
+        try:
+            amplitude = json.loads(summary.read_text())["init_amplitude"]
+        except (OSError, ValueError, KeyError, TypeError):
+            raise ConfigurationError(
+                f"rabi.olo_init_amplitude is not set, and no init_amplitude "
+                f"can be read from {summary}, beside rabi.olo_waveform; set "
+                "it, or point rabi.olo_waveform at the olo_waveform.csv of an "
+                "optimize run") from None
+        r["olo_init_amplitude"] = _FLOAT(
+            f"rabi.olo_init_amplitude, read from {summary},", amplitude)
+    init_wf = _built("sequence.init_duration_ns, rabi.olo_init_amplitude",
+                     make_constant, s["init_duration_ns"],
+                     r["olo_init_amplitude"])
+    return _built("rabi.repetitions", SequenceConfig,
+                  init_wf, s["wait_ns"], readout, r["repetitions"])
 
 
 def _build_run(cfg: dict, stochastic: bool) -> Run:
     """The run that the checked settings ``cfg`` configure, each model
-    object built once by :func:`_built`."""
+    object built once, through :func:`_built` where its constructor can
+    reject a value."""
     c, s, w = cfg["photophysics"], cfg["sequence"], cfg["sweep"]
     o, r = cfg["olo"], cfg["rabi"]
     lifetime, branch = c["singlet_lifetime_ns"], c["singlet_branching_g0"]
@@ -369,8 +389,11 @@ def _build_run(cfg: dict, stochastic: bool) -> Run:
         "olo.alpha0, olo.rho, olo.alpha_min, olo.max_queries", OptimizerConfig,
         bounds=bounds, alpha0=o["alpha0"], rho=o["rho"],
         alpha_min=o["alpha_min"], max_queries=o["max_queries"])
+    olo_start = _built(
+        "olo.start_duration_ns, olo.start_amplitude, olo.n_read, "
+        "olo.bound_lo, olo.bound_hi", PiecewiseWaveform, o["start_duration_ns"],
+        np.full(o["n_read"], o["start_amplitude"]), bounds)
 
-    amplitude = r["olo_init_amplitude"] = _olo_init_amplitude(r)
     return Run(
         settings=cfg,
         params=params,
@@ -379,17 +402,11 @@ def _build_run(cfg: dict, stochastic: bool) -> Run:
                      **grid, mode=w["mode"], metric=w["metric"]),
         baseline_snr=baseline_snr,
         baseline_contrast=baseline_contrast,
-        olo=_built(
-            "olo.start_duration_ns, olo.start_amplitude, olo.n_read, "
-            "olo.bound_lo, olo.bound_hi, olo.init_scan_points", OloSpec,
-            base=sequence, params=params, optimizer=optimizer,
-            start_duration_ns=o["start_duration_ns"],
-            start_amplitude=o["start_amplitude"], n_read=o["n_read"],
+        olo=OloSpec(
+            base=replace(sequence, readout_wf=olo_start), params=params,
+            optimizer=optimizer,
             init_scan_amplitudes=np.linspace(0.02, 1.0, o["init_scan_points"]),
             stochastic=stochastic, sample_seed=cfg["seed"]),
-        olo_init=None if amplitude is None else _built(
-            "sequence.init_duration_ns, rabi.olo_init_amplitude", make_constant,
-            s["init_duration_ns"], amplitude),
         rabi=_built(
             "rabi.rabi_period_ns, rabi.tau_start_ns, rabi.tau_stop_ns, "
             "rabi.tau_points", RabiConfig,
@@ -397,6 +414,5 @@ def _build_run(cfg: dict, stochastic: bool) -> Run:
             taus_ns=np.linspace(r["tau_start_ns"], r["tau_stop_ns"],
                                 r["tau_points"]),
             stochastic=stochastic, seed=cfg["seed"]),
-        rabi_base=_built("rabi.repetitions", SequenceConfig,
-                         init_wf, s["wait_ns"], readout_wf, r["repetitions"]),
+        olo_scheme=_olo_scheme(cfg),
     )

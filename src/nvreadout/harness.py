@@ -11,7 +11,7 @@ per-piece amplitudes against the measured (here: simulated) SNR.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -147,39 +147,22 @@ def run_sweep(spec: SweepSpec, params: RateParams) -> SweepResult:
 class OloSpec:
     """Online readout-waveform optimization run.
 
-    The initialization pulse is a square pulse at the duration of
-    ``base.init_wf``, whose amplitude a scan over ``init_scan_amplitudes``
-    picks.  The readout pulse starts as ``start_readout``: ``n_read`` pieces
-    over ``start_duration_ns``, every piece at ``start_amplitude``, inside
-    the optimizer's bounds.  It is built and checked once, here, and every
-    query, the scan and the result take its duration, piece count and
-    bounds from it, and photons are counted over the whole of it.  A run
-    takes its values from the ``olo`` section of ``config.SETTINGS`` (its
-    ``config.Run.olo``); a stochastic run samples with ``sample_seed``.
+    ``base`` is the sequence the run starts from.  Its init pulse is square
+    and gives the duration; a scan over ``init_scan_amplitudes`` picks the
+    amplitude.  Its readout waveform is the search's starting point, and
+    every query, the scan and the result take their duration, piece count
+    and bounds from it; photons are counted over the whole of it.  A run
+    takes its values from the ``sequence`` and ``olo`` sections of
+    ``config.SETTINGS`` (its ``config.Run.olo``); a stochastic run samples
+    with ``sample_seed``.
     """
 
     base: SequenceConfig
     params: RateParams
     optimizer: OptimizerConfig
     init_scan_amplitudes: np.ndarray
-    start_duration_ns: float
-    start_amplitude: float
-    n_read: int
     stochastic: bool = False
     sample_seed: int = 0
-    start_readout: PiecewiseWaveform = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.n_read < 1:
-            raise ConfigurationError(f"n_read must be >= 1, got {self.n_read}")
-        scan = np.asarray(self.init_scan_amplitudes, dtype=float).ravel()
-        if scan.size == 0:
-            raise ConfigurationError("init scan grid must be non-empty")
-        scan.setflags(write=False)
-        object.__setattr__(self, "init_scan_amplitudes", scan)
-        object.__setattr__(self, "start_readout", PiecewiseWaveform(
-            self.start_duration_ns, np.full(self.n_read, self.start_amplitude),
-            self.optimizer.bounds))
 
 
 @dataclass(frozen=True)
@@ -237,7 +220,8 @@ class _Anchor:
 
 def make_snr_objective(spec: OloSpec, init_wf: PiecewiseWaveform):
     """SNR of the photons detected over the readout pulse as a function of
-    the piece amplitudes of ``spec.start_readout``.
+    the piece amplitudes of ``spec.base.readout_wf``, after the init pulse
+    ``init_wf``.
 
     The initialization and wait stages are fixed, so the two branch states
     are computed once.  The readout is a chain of piece blocks
@@ -273,8 +257,8 @@ def make_snr_objective(spec: OloSpec, init_wf: PiecewiseWaveform):
     call; the anchor still keeps the expected totals.  A deterministic one
     has no generator and scores the expected totals.
     """
-    start, params = spec.start_readout, spec.params
-    cfg = replace(spec.base, init_wf=init_wf, readout_wf=start)
+    start, params = spec.base.readout_wf, spec.params
+    cfg = replace(spec.base, init_wf=init_wf)
     dts = piece_durations(start).tolist()
     n, bounds, reps = start.n, start.bounds, cfg.repetitions
     anchor = _Anchor(np.column_stack(prepared_states(cfg, params)), n)
@@ -336,10 +320,9 @@ def _scan_init_amplitude(spec: OloSpec) -> SweepResult:
     objective counts them; amplitude modulation buys nothing for
     initialization, which only needs to polarize the spin.
     """
-    readout = replace(spec.base, readout_wf=spec.start_readout)
     scan = SweepSpec(amplitudes=spec.init_scan_amplitudes,
                      durations_ns=np.array([spec.base.init_wf.duration_ns]),
-                     base=readout, mode="init-only", metric="snr")
+                     base=spec.base, mode="init-only", metric="snr")
     return run_sweep(scan, spec.params)
 
 
@@ -363,10 +346,10 @@ def run_olo(spec: OloSpec, baseline: SweepResult | float) -> OloResult:
     init_wf = make_constant(spec.base.init_wf.duration_ns, init_amp)
 
     objective, expected_counts = make_snr_objective(spec, init_wf)
-    u0 = spec.start_readout.amplitudes
+    u0 = spec.base.readout_wf.amplitudes
     state = hj_optimize(objective, u0, spec.optimizer)
 
-    waveform = replace(spec.start_readout, amplitudes=state.best)
+    waveform = replace(spec.base.readout_wf, amplitudes=state.best)
     start_snr = snr_metric(*expected_counts(u0))
     final_snr = snr_metric(*expected_counts(state.best))
 

@@ -41,7 +41,7 @@ from .pumpsim import (
     sampling_seed,
     window_expectation,  # noqa: F401  (unused; perfbench/tracer.py patches it here)
 )
-from .waveform import PiecewiseWaveform, make_constant
+from .waveform import make_constant
 
 SCHEMES = ("olo-snr", "constant-snr", "constant-contrast")
 
@@ -49,13 +49,13 @@ SCHEMES = ("olo-snr", "constant-snr", "constant-contrast")
 @dataclass(frozen=True)
 class RabiConfig:
     """The Rabi sweep every readout scheme shares: drive, tau grid and
-    sampling.  A stochastic sweep draws its counts from ``seed``, an int or
-    a :func:`pumpsim.sampling_seed` key."""
+    sampling.  A stochastic comparison draws its counts from keys of the
+    run seed ``seed`` (:func:`compare_schemes`)."""
 
     omega_rad_per_ns: float
     taus_ns: np.ndarray
     stochastic: bool = False
-    seed: int | np.random.SeedSequence = 0
+    seed: int = 0
 
     def __post_init__(self) -> None:
         taus = np.asarray(self.taus_ns, dtype=float).ravel()
@@ -131,34 +131,34 @@ def _curves(cfg: RabiConfig, expected: np.ndarray, seeds) -> list[RabiCurve]:
     return curves
 
 
-def realize_curve(cfg: RabiConfig, expected: np.ndarray) -> RabiCurve:
+def realize_curve(cfg: RabiConfig, expected: np.ndarray, key) -> RabiCurve:
     """Turn expected totals into a (possibly sampled) fitted Rabi curve,
-    drawn from ``cfg.seed`` if the sweep is stochastic."""
-    return _curves(cfg, np.reshape(expected, (1, -1)), [cfg.seed])[0]
+    drawn from ``key``, an int or a :func:`pumpsim.sampling_seed` key, if
+    the sweep is stochastic."""
+    return _curves(cfg, np.reshape(expected, (1, -1)), [key])[0]
 
 
-def simulate_rabi(cfg: RabiConfig, seq: SequenceConfig,
-                  params: RateParams) -> RabiCurve:
-    """Full Rabi sweep of ``seq``: expectations, optional shot noise, fit."""
-    return realize_curve(cfg, rabi_expectations(cfg, seq, params))
+def simulate_rabi(cfg: RabiConfig, seq: SequenceConfig, params: RateParams,
+                  key) -> RabiCurve:
+    """Full Rabi sweep of ``seq``: expectations, shot noise drawn from
+    ``key`` if the sweep is stochastic, fit."""
+    return realize_curve(cfg, rabi_expectations(cfg, seq, params), key)
 
 
-def scheme_sequences(base: SequenceConfig, olo_init_wf: PiecewiseWaveform,
-                     olo_readout_wf: PiecewiseWaveform, sweep_snr,
+def scheme_sequences(olo: SequenceConfig, sweep_snr,
                      sweep_contrast) -> dict[str, SequenceConfig]:
     """The sequences of the three readout schemes, keyed by scheme name.
 
-    The OLO scheme uses the optimized init and readout waveforms; each
-    constant scheme uses the best square pulse of its sweep (``sweep_snr``
-    and ``sweep_contrast`` are sweep results) for both init and readout.
-    The rest, the wait and the repetitions, is ``base``'s.
+    ``olo`` is the OLO scheme's sequence (``config.Run.olo_scheme``).  Each
+    constant scheme is ``olo`` with the best square pulse of its sweep
+    (``sweep_snr`` and ``sweep_contrast`` are sweep results) for both init
+    and readout, so all three share its wait and repetitions.
     """
-    wf_cs = make_constant(sweep_snr.best_duration_ns, sweep_snr.best_amplitude)
-    wf_cc = make_constant(sweep_contrast.best_duration_ns,
-                          sweep_contrast.best_amplitude)
-    pulses = ((olo_init_wf, olo_readout_wf), (wf_cs, wf_cs), (wf_cc, wf_cc))
-    return {name: replace(base, init_wf=init_wf, readout_wf=readout_wf)
-            for name, (init_wf, readout_wf) in zip(SCHEMES, pulses)}
+    sequences = {"olo-snr": olo}
+    for name, sweep in zip(SCHEMES[1:], (sweep_snr, sweep_contrast)):
+        wf = make_constant(sweep.best_duration_ns, sweep.best_amplitude)
+        sequences[name] = replace(olo, init_wf=wf, readout_wf=wf)
+    return sequences
 
 
 @dataclass(frozen=True)
@@ -180,7 +180,7 @@ def compare_schemes(cfg: RabiConfig, sequences: dict[str, SequenceConfig],
     sequence, as built by :func:`scheme_sequences`.  A stochastic scheme k
     draws all its taus in one call from the generator keyed
     ``(RABI_STREAM, k)`` of the run seed ``cfg.seed``.  The curves are
-    those :func:`realize_curve` gives, fitted in one call; a fit that fails
+    those :func:`realize_curve` gives on those keys, fitted in one call; a fit that fails
     stops the comparison with its ``FitError``.
     """
     missing = [s for s in SCHEMES if s not in sequences]

@@ -4,6 +4,8 @@ import pytest
 import nvreadout as nv
 from nvreadout.config import load_config
 from nvreadout.errors import NumericError, NVReadoutError
+from nvreadout.io import (OLO_SUMMARY, olo_summary_dict, write_json,
+                          write_waveform_csv)
 from nvreadout.photophysics import N_LEVELS, Level, RateParams, check_populations
 
 
@@ -45,6 +47,16 @@ def steady_state(M: np.ndarray) -> np.ndarray:
     if residual >= 1e-10:
         raise NumericError(f"steady-state residual too large: {residual:.3e}")
     return p
+
+
+def load_olo_scheme(olo, out, repetitions: float):
+    """The OLO scheme of the OLO run ``olo`` at ``rabi.repetitions``, as the
+    rabi command loads it from the files the optimize command writes into
+    the directory ``out``."""
+    write_waveform_csv(olo.waveform, out / "olo_waveform.csv")
+    write_json(out / OLO_SUMMARY, olo_summary_dict(olo))
+    return load_config(None, [f"rabi.olo_waveform={out / 'olo_waveform.csv'}",
+                              f"rabi.repetitions={repetitions!r}"]).olo_scheme
 
 
 def emission_rate(p: np.ndarray, params: RateParams) -> float:

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import nvreadout as nv
-from conftest import pure_state
+from conftest import load_olo_scheme, pure_state
 from nvreadout.cli import main
 
 
@@ -36,18 +36,16 @@ def scheme_inputs(run, params):
     return sweep_snr, sweep_con, olo
 
 
-def rabi_scheme_configs(inputs, base_seq, repetitions, stochastic, seed):
+def rabi_scheme_configs(inputs, out, repetitions, stochastic, seed):
     """The shared Rabi sweep and the three scheme sequences of the
-    Fig.-4-style comparison."""
+    Fig.-4-style comparison, the OLO scheme loaded as the rabi command
+    loads it from the OLO run's files, written into ``out``."""
     sweep_snr, sweep_con, olo = inputs
-    olo_init = nv.make_constant(base_seq.init_wf.duration_ns,
-                                olo.init_amplitude)
     cfg = nv.RabiConfig(omega_rad_per_ns=2 * np.pi / 200.0,
                         taus_ns=np.linspace(0.0, 600.0, 241),
                         stochastic=stochastic, seed=seed)
-    return cfg, nv.scheme_sequences(
-        replace(base_seq, repetitions=repetitions), olo_init, olo.waveform,
-        sweep_snr, sweep_con)
+    return cfg, nv.scheme_sequences(load_olo_scheme(olo, out, repetitions),
+                                    sweep_snr, sweep_con)
 
 
 def test_criterion_01_singlet_lifetime(params):
@@ -156,10 +154,10 @@ def test_criterion_07_order_of_magnitude_anchor(run, params, base_seq):
                   f"(~0.02 target), {elapsed:.2f}s")
 
 
-def test_criterion_08_rabi_orderings_deterministic(run, params, base_seq):
+def test_criterion_08_rabi_orderings_deterministic(run, params, tmp_path):
     t0 = time.perf_counter()
     rabi_cfg, sequences = rabi_scheme_configs(
-        scheme_inputs(run, params), base_seq, repetitions=1e8,
+        scheme_inputs(run, params), tmp_path, repetitions=1e8,
         stochastic=False, seed=0)
     comp = nv.compare_schemes(rabi_cfg, sequences, params)
     elapsed = time.perf_counter() - t0
@@ -177,13 +175,13 @@ def test_criterion_08_rabi_orderings_deterministic(run, params, base_seq):
     report(8, contrast_ok and meandev_ok and elapsed < 300.0, detail)
 
 
-def test_criterion_08_rabi_orderings_stochastic(run, params, base_seq):
+def test_criterion_08_rabi_orderings_stochastic(run, params, tmp_path):
     t0 = time.perf_counter()
     inputs = scheme_inputs(run, params)
     hold = 0
     for seed in range(20):
         rabi_cfg, sequences = rabi_scheme_configs(
-            inputs, base_seq, repetitions=1e6, stochastic=True, seed=seed)
+            inputs, tmp_path, repetitions=1e6, stochastic=True, seed=seed)
         comp = nv.compare_schemes(rabi_cfg, sequences, params)
         if (comp.orderings["olo_contrast_above_constant_snr"]
                 and comp.orderings["olo_meandev_below_constant_contrast"]):

@@ -124,6 +124,7 @@ class TestSweep:
         "sequence.wait_ns=-1",
         "sequence.readout_amplitude=[]",
         "sequence.readout_amplitude=[0.1,1.5]",
+        "sequence.readout_amplitude=[true, 0.2]",
         "sequence.init_duration_ns=.nan",
         "seed=abc",
         "seed=-1",
@@ -211,6 +212,8 @@ class TestOptimize:
         "olo.bound_lo=0.5",
         "olo.n_init=1",
         "olo.init_scan_points=-1",
+        "olo.n_read=true",
+        "olo.alpha0='0.05'",
     ])
     def test_bad_config_value_exits_2(self, tmp_path, capsys, override):
         code = main(["optimize", "--out", str(tmp_path / "o"), *FAST_SWEEP,
@@ -303,14 +306,15 @@ class TestRabi:
         (olo_waveform_file.parent / "olo_summary.json").write_text(
             '{"init_amplitude": 0.5}')
         sets = [f"rabi.olo_waveform={olo_waveform_file}"]
-        assert load_config(None, sets).olo_init.amplitudes.tolist() == [0.5]
+        loaded = load_config(None, sets).olo_scheme
+        assert loaded.init_wf.amplitudes.tolist() == [0.5]
         given = load_config(None, [*sets, "rabi.olo_init_amplitude=0.02"])
-        assert given.olo_init.amplitudes.tolist() == [0.02]
+        assert given.olo_scheme.init_wf.amplitudes.tolist() == [0.02]
         assert given.settings["rabi"]["olo_init_amplitude"] == 0.02
 
     @pytest.mark.parametrize("summary", [
         "{}", "not json", "[0.02]", '{"init_amplitude": "abc"}',
-        '{"init_amplitude": 2.0}'])
+        '{"init_amplitude": 2.0}', '{"init_amplitude": true}'])
     def test_summary_without_an_init_amplitude_exits_2(
             self, tmp_path, capsys, refuse_runs, olo_waveform_file, summary):
         (olo_waveform_file.parent / "olo_summary.json").write_text(summary)
@@ -370,6 +374,7 @@ class TestRabi:
         "rabi.olo_init_amplitude=abc",
         "rabi.olo_init_amplitude=.nan",
         "rabi.olo_init_amplitude=2.0",
+        "rabi.olo_init_amplitude=false",
         "rabi.repetitions=abc",
         "rabi.tau_points=-1",
         "rabi.tau_points=7",
@@ -594,6 +599,8 @@ class TestChecksAcrossSettings:
         (["sweep.amplitude_points=10000", "sweep.duration_points=10000"],
          "sweep grid"),
         (["rabi.olo_waveform=/nonexistent.csv"], "not found"),
+        (["rabi.olo_waveform=malformed.csv"],
+         "rabi.olo_waveform: malformed.csv: not a waveform CSV"),
         # bounds that only a model object's constructor states
         (["rabi.olo_init_amplitude=2.0"],
          "amplitude 2.0 of piece 0 outside [0.0, 1.0]"),
@@ -614,15 +621,18 @@ class TestChecksAcrossSettings:
         # no olo_summary.json beside the waveform to read the amplitude from
         (["rabi.olo_init_amplitude=null"], "rabi.olo_waveform"),
     ], ids=["bins-divide", "bins-count", "sweep-cells", "rabi-waveform",
-            "olo-init-amplitude", "olo-start-amplitude", "olo-start-bounds",
-            "olo-bounds", "olo-alpha0", "olo-rho", "sweep-amplitudes",
-            "sweep-durations", "tau-span", "tau-start", "wait", "repetitions",
-            "eta", "k-isc1", "olo-init-summary"])
+            "rabi-waveform-malformed", "olo-init-amplitude",
+            "olo-start-amplitude", "olo-start-bounds", "olo-bounds",
+            "olo-alpha0", "olo-rho", "sweep-amplitudes", "sweep-durations",
+            "tau-span", "tau-start", "wait", "repetitions", "eta", "k-isc1",
+            "olo-init-summary"])
     @pytest.mark.parametrize("command", ["optimize", "rabi", "sweep", "trace"])
-    def test_exits_2_before_the_run(self, tmp_path, capsys, refuse_runs,
-                                    command, overrides, named):
+    def test_exits_2_before_the_run(self, tmp_path, capsys, monkeypatch,
+                                    refuse_runs, command, overrides, named):
         wf = tmp_path / "olo_waveform.csv"
         write_waveform_csv(nv.make_constant(920.0, 1.0), wf)
+        (tmp_path / "malformed.csv").write_text("a,b\n1,2\n")
+        monkeypatch.chdir(tmp_path)
         sets = [arg for o in [f"rabi.olo_waveform={wf}",
                               "rabi.olo_init_amplitude=0.02", *overrides]
                 for arg in ("--set", o)]
@@ -631,6 +641,17 @@ class TestChecksAcrossSettings:
         assert len(err.splitlines()) == 1
         assert err.startswith("config error:") and named in err
         assert all(o.split("=")[0] in err for o in overrides)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["optimize", "rabi", "sweep", "trace"])
+    def test_rabi_repetitions_are_checked_without_a_waveform(
+            self, tmp_path, capsys, refuse_runs, command):
+        # with rabi.olo_waveform unset no sequence is built at
+        # rabi.repetitions, so the settings table states its bound
+        assert main([command, "--out", str(tmp_path / "o"),
+                     "--set", "rabi.repetitions=0"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: rabi.repetitions must be >= 1, got 0.0\n")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("given", ["file", "--set"])

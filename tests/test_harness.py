@@ -193,19 +193,28 @@ def rounding_scale(cfg, params):
     return sum(block[5].max() for block in piece_references(cfg, params))
 
 
+def olo_run(base_seq, params, optimizer, duration_ns, amplitude, n,
+            **kwargs):
+    """The OLO run on ``base_seq`` whose search starts from ``n`` pieces of
+    ``duration_ns`` at ``amplitude``."""
+    start = nv.PiecewiseWaveform(duration_ns, np.full(n, amplitude),
+                                 optimizer.bounds)
+    return nv.OloSpec(base=replace(base_seq, readout_wf=start), params=params,
+                      optimizer=optimizer, **kwargs)
+
+
 def objective_case(base_seq, params, n, duration_ns, start_amplitude=0.3):
     """An OLO objective over ``n`` pieces of ``duration_ns``, and the
     readout-ready branches and the sequence of its starting point, which a
     reference needs."""
-    spec = nv.OloSpec(
-        base=base_seq, params=params,
-        optimizer=nv.OptimizerConfig(alpha0=0.1, rho=0.5, alpha_min=1e-3,
-                                     max_queries=100),
-        init_scan_amplitudes=np.array([0.2]), start_duration_ns=duration_ns,
-        start_amplitude=start_amplitude, n_read=n)
+    spec = olo_run(
+        base_seq, params,
+        nv.OptimizerConfig(alpha0=0.1, rho=0.5, alpha_min=1e-3,
+                           max_queries=100),
+        duration_ns, start_amplitude, n, init_scan_amplitudes=np.array([0.2]))
     init_wf = nv.make_constant(1000.0, 0.2)
     objective, expected_counts = nv.make_snr_objective(spec, init_wf)
-    cfg = replace(base_seq, init_wf=init_wf, readout_wf=spec.start_readout)
+    cfg = replace(spec.base, init_wf=init_wf)
     branches = np.column_stack(nv.prepared_states(cfg, params))
     return objective, expected_counts, cfg, branches
 
@@ -340,7 +349,7 @@ class TestIncrementalObjective:
         init_amp = nv.harness._scan_init_amplitude(olo_spec).best_amplitude
         init_wf = nv.make_constant(olo_spec.base.init_wf.duration_ns, init_amp)
         objective, _ = nv.make_snr_objective(olo_spec, init_wf)
-        start = olo_spec.start_readout
+        start = olo_spec.base.readout_wf
         cfg = replace(olo_spec.base, init_wf=init_wf)
         branches = np.column_stack(nv.prepared_states(cfg, params))
         moves = []
@@ -375,7 +384,7 @@ class TestIncrementalObjective:
                 if eager:
                     anchor.reach(anchor.u.size, 0)
                 return value
-            return nv.hj_optimize(queried, olo_spec.start_readout.amplitudes,
+            return nv.hj_optimize(queried, olo_spec.base.readout_wf.amplitudes,
                                   olo_spec.optimizer).history
 
         lazy, eager = search(False), search(True)
@@ -406,13 +415,11 @@ class TestRunOlo:
                                                    sweep_snr):
         # derived from incumbent monotonicity: if the search starts at the
         # traversal optimum, the final SNR cannot drop below the baseline
-        spec = nv.OloSpec(
-            base=base_seq, params=params,
-            optimizer=nv.OptimizerConfig(alpha0=0.05, rho=0.5, alpha_min=1e-2,
-                                         max_queries=150),
-            start_duration_ns=sweep_snr.best_duration_ns,
-            start_amplitude=sweep_snr.best_amplitude,
-            n_read=1,
+        spec = olo_run(
+            base_seq, params,
+            nv.OptimizerConfig(alpha0=0.05, rho=0.5, alpha_min=1e-2,
+                               max_queries=150),
+            sweep_snr.best_duration_ns, sweep_snr.best_amplitude, 1,
             init_scan_amplitudes=np.array([sweep_snr.best_amplitude]),
         )
         res = nv.run_olo(spec, baseline=sweep_snr)
@@ -422,12 +429,11 @@ class TestRunOlo:
 
     def test_one_piece_olo_matches_dense_scan(self, params, base_seq):
         # oracle: dense 1-D amplitude scan of the same deterministic objective
-        spec = nv.OloSpec(
-            base=base_seq, params=params,
-            optimizer=nv.OptimizerConfig(alpha0=0.25, rho=0.5, alpha_min=1e-3,
-                                         max_queries=2000),
-            start_duration_ns=920.0, start_amplitude=0.5, n_read=1,
-            init_scan_amplitudes=np.array([0.1]),
+        spec = olo_run(
+            base_seq, params,
+            nv.OptimizerConfig(alpha0=0.25, rho=0.5, alpha_min=1e-3,
+                               max_queries=2000),
+            920.0, 0.5, 1, init_scan_amplitudes=np.array([0.1]),
         )
         objective, _ = nv.make_snr_objective(spec, nv.make_constant(1000.0, 0.1))
         res = nv.run_olo(spec, baseline=1.0)
@@ -441,7 +447,7 @@ class TestRunOlo:
         # oracle: the search space holds every pulse of k leading pieces at
         # amplitude a and dark pieces after them; scored by the sequence's
         # own window sum, not by the objective's anchored chain
-        start = olo_spec.start_readout
+        start = olo_spec.base.readout_wf
         cfg = replace(olo_spec.base,
                       init_wf=nv.make_constant(olo_spec.base.init_wf.duration_ns,
                                                olo_result.init_amplitude))
@@ -457,24 +463,22 @@ class TestRunOlo:
 
     def test_free_never_below_tied(self, params, base_seq, sweep_snr):
         # a 1-piece (tied) search explores a subset of the 20-piece space
-        common = dict(base=base_seq, params=params,
-                      start_duration_ns=920.0, start_amplitude=0.1,
-                      init_scan_amplitudes=np.array([0.1]))
         opt = nv.OptimizerConfig(alpha0=0.1, rho=0.5, alpha_min=1e-3,
                                  max_queries=5000)
-        tied = nv.run_olo(nv.OloSpec(optimizer=opt, n_read=1, **common),
-                          baseline=sweep_snr)
-        free = nv.run_olo(nv.OloSpec(optimizer=opt, n_read=20, **common),
-                          baseline=sweep_snr)
+
+        def run(n):
+            return nv.run_olo(olo_run(base_seq, params, opt, 920.0, 0.1, n,
+                                      init_scan_amplitudes=np.array([0.1])),
+                              baseline=sweep_snr)
+        tied, free = run(1), run(20)
         assert free.final_snr >= tied.final_snr - 1e-9
 
     def test_reproducible(self, params, base_seq):
-        spec = nv.OloSpec(
-            base=base_seq, params=params,
-            optimizer=nv.OptimizerConfig(alpha0=0.1, rho=0.5, alpha_min=1e-2,
-                                         max_queries=200),
-            start_duration_ns=920.0, start_amplitude=0.1, n_read=5,
-            init_scan_amplitudes=np.linspace(0.05, 0.5, 5),
+        spec = olo_run(
+            base_seq, params,
+            nv.OptimizerConfig(alpha0=0.1, rho=0.5, alpha_min=1e-2,
+                               max_queries=200),
+            920.0, 0.1, 5, init_scan_amplitudes=np.linspace(0.05, 0.5, 5),
             stochastic=True, sample_seed=9,
         )
         r1 = nv.run_olo(spec, baseline=100.0)
@@ -484,12 +488,11 @@ class TestRunOlo:
                [q.value for q in r2.state.history]
 
     def test_stochastic_mode_differs_from_deterministic(self, params, base_seq):
-        spec = nv.OloSpec(
-            base=base_seq, params=params,
-            optimizer=nv.OptimizerConfig(alpha0=0.1, rho=0.5, alpha_min=1e-2,
-                                         max_queries=60),
-            start_duration_ns=920.0, start_amplitude=0.1, n_read=3,
-            init_scan_amplitudes=np.array([0.1]),
+        spec = olo_run(
+            base_seq, params,
+            nv.OptimizerConfig(alpha0=0.1, rho=0.5, alpha_min=1e-2,
+                               max_queries=60),
+            920.0, 0.1, 3, init_scan_amplitudes=np.array([0.1]),
         )
         det = nv.run_olo(spec, baseline=100.0)
         noisy = nv.run_olo(replace(spec, stochastic=True, sample_seed=1),

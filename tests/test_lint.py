@@ -89,6 +89,16 @@ def calls_with_branches(path: Path, name: str):
     return found
 
 
+def uses(path: Path, name: str):
+    """The top-level function or class of every read of ``name``, a bare or
+    attribute name, outside the imports: each call to it, and each time it
+    is passed on."""
+    return [getattr(top, "name", None)
+            for top in ast.parse(path.read_text()).body
+            for node in ast.walk(top)
+            if name in (getattr(node, "id", None), getattr(node, "attr", None))]
+
+
 def imported_modules(path: Path):
     """The dotted name of every module ``path`` imports from."""
     for node in ast.walk(ast.parse(path.read_text())):
@@ -191,12 +201,22 @@ def test_every_setting_is_read():
 def test_cli_builds_no_model_object():
     # the run's model objects have one home, config.load_config, which
     # checks a setting by building what it configures: the CLI takes
-    # nothing else from config and replaces no field of what it gets
+    # nothing else from config, replaces no field of what it gets, and
+    # reads no waveform and builds no pulse of its own
     cli = Path(nv.__file__).parent / "cli.py"
     from_config = [alias.name for node in ast.walk(ast.parse(cli.read_text()))
                    if isinstance(node, ast.ImportFrom)
                    and node.module in ("config", "nvreadout.config")
                    for alias in node.names]
     assert from_config == ["load_config"]
-    assert calls_with_branches(cli, "replace") == []
+    for name in ("replace", "read_waveform_csv", "make_constant"):
+        assert uses(cli, name) == [], name
     assert "replace" not in {name for name, _, _ in imported_names(cli)}
+
+
+def test_the_config_alone_reads_a_waveform_file():
+    # the rabi command's OLO scheme is read at load, so every command
+    # checks the file
+    sites = [(path.stem, top) for path in SOURCES
+             for top in uses(path, "read_waveform_csv")]
+    assert sites == [("config", "_olo_scheme")]

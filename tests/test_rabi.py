@@ -3,6 +3,7 @@ import pytest
 from dataclasses import replace
 
 import nvreadout as nv
+from conftest import load_olo_scheme
 from nvreadout import Level
 from nvreadout.errors import ConfigurationError, FitError
 from nvreadout.pumpsim import RABI_STREAM
@@ -67,27 +68,27 @@ class TestRabiExpectations:
 
 class TestSimulateRabi:
     def test_deterministic_curve_sits_on_fit(self, params, rabi_base):
-        curve = nv.simulate_rabi(make_cfg(), rabi_base, params)
+        curve = nv.simulate_rabi(make_cfg(), rabi_base, params, 0)
         assert curve.fit is not None
         assert nv.mean_deviation(curve.signals, curve.fit, curve.taus_ns) < 1e-6
         assert curve.fit.omega == pytest.approx(OMEGA, rel=1e-6)
 
     def test_contrast_equals_fitted_extrema_ratio(self, params, rabi_base):
-        curve = nv.simulate_rabi(make_cfg(), rabi_base, params)
+        curve = nv.simulate_rabi(make_cfg(), rabi_base, params, 0)
         y_max = curve.fit.offset + curve.fit.amplitude
         y_min = curve.fit.offset - curve.fit.amplitude
         assert curve.contrast == pytest.approx((y_max - y_min) / y_max,
                                                rel=1e-12)
 
     def test_normalization_anchor_is_max_count(self, params, rabi_base):
-        curve = nv.simulate_rabi(make_cfg(), rabi_base, params)
+        curve = nv.simulate_rabi(make_cfg(), rabi_base, params, 0)
         assert curve.signals.max() == pytest.approx(1.0, abs=1e-12)
 
     def test_stochastic_mode_reproducible(self, params, rabi_base):
-        cfg = make_cfg(stochastic=True, seed=5)
+        cfg = make_cfg(stochastic=True)
         seq = replace(rabi_base, repetitions=1e6)
-        a = nv.simulate_rabi(cfg, seq, params)
-        b = nv.simulate_rabi(cfg, seq, params)
+        a = nv.simulate_rabi(cfg, seq, params, 5)
+        b = nv.simulate_rabi(cfg, seq, params, 5)
         assert np.array_equal(a.counts, b.counts)
 
     def test_mean_dev_follows_shot_noise_scaling(self, params, rabi_base):
@@ -96,9 +97,9 @@ class TestSimulateRabi:
         for N in (1e4, 1e6, 1e8):
             vals = []
             for seed in range(10):
-                cfg = make_cfg(stochastic=True, seed=1000 + seed)
                 seq = replace(rabi_base, repetitions=N)
-                vals.append(nv.simulate_rabi(cfg, seq, params).mean_dev)
+                vals.append(nv.simulate_rabi(make_cfg(stochastic=True), seq,
+                                             params, 1000 + seed).mean_dev)
             devs[N] = np.mean(vals)
         for big, small in ((1e6, 1e4), (1e8, 1e6)):
             ratio = devs[small] / devs[big]
@@ -113,10 +114,10 @@ class TestSimulateRabi:
         N=1e4 (up to 3.5e2 counts per point) it reads about 10 % high.
         """
         base = replace(rabi_base, repetitions=1e8)
-        expected = nv.simulate_rabi(make_cfg(), base, params).mean_dev
+        expected = nv.simulate_rabi(make_cfg(), base, params, 0).mean_dev
         sampled = np.array([
-            nv.simulate_rabi(make_cfg(stochastic=True, seed=seed), base,
-                             params).mean_dev
+            nv.simulate_rabi(make_cfg(stochastic=True), base, params,
+                             seed).mean_dev
             for seed in range(1000, 1020)
         ])
         stderr = sampled.std(ddof=1) / np.sqrt(sampled.size)
@@ -126,7 +127,7 @@ class TestSimulateRabi:
         # too few samples for the fit, but a valid Rabi grid
         cfg = make_cfg(taus=np.linspace(0.0, 600.0, 5))
         with pytest.raises(FitError, match="at least 8 samples"):
-            nv.simulate_rabi(cfg, rabi_base, params)
+            nv.simulate_rabi(cfg, rabi_base, params, 0)
 
     def test_grid_validation(self):
         with pytest.raises(ConfigurationError):
@@ -138,10 +139,10 @@ class TestSimulateRabi:
 
 class TestCompareSchemes:
     @pytest.fixture(scope="class")
-    def sequences(self, rabi_base, sweep_snr, sweep_contrast, olo_result):
-        return nv.scheme_sequences(
-            rabi_base, nv.make_constant(1000.0, olo_result.init_amplitude),
-            olo_result.waveform, sweep_snr, sweep_contrast)
+    def sequences(self, olo_result, sweep_snr, sweep_contrast,
+                  tmp_path_factory):
+        olo = load_olo_scheme(olo_result, tmp_path_factory.mktemp("olo"), 1e8)
+        return nv.scheme_sequences(olo, sweep_snr, sweep_contrast)
 
     def test_contrast_baseline_beats_snr_baseline(self, sequences, params):
         comp = nv.compare_schemes(make_cfg(), sequences, params)
@@ -169,8 +170,7 @@ class TestCompareSchemes:
             got = comp.curves[name]
             assert np.array_equal(got.counts, nv.sample_counts(expected, key)
                                   if stochastic else expected)
-            alone = nv.simulate_rabi(replace(cfg, seed=key), sequences[name],
-                                     params)
+            alone = nv.simulate_rabi(cfg, sequences[name], params, key)
             assert np.array_equal(got.counts, alone.counts)
             assert np.array_equal(got.signals, alone.signals)
             assert got.fit == alone.fit
