@@ -22,6 +22,7 @@ import hashlib
 import platform
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ import yaml
 from . import __version__
 from .config import load_config
 from .errors import ConfigurationError, NVReadoutError, SamplingRangeError
-from .harness import run_olo, run_sweep
+from .harness import run_olo, run_sweep, score_sweep, sweep_totals
 from .io import (
     OLO_SUMMARY,
     olo_summary_dict,
@@ -114,9 +115,14 @@ def cmd_rabi(run, out: Path) -> str:
         raise ConfigurationError(
             "rabi.olo_waveform is not set; run the optimize command first "
             "and point it at the written olo_waveform.csv")
+    snr, contrast = run.baseline_snr, run.baseline_contrast
+    # the two baselines differ only in their metric, so they score one grid
+    assert all(np.array_equal(getattr(snr, f.name), getattr(contrast, f.name))
+               for f in fields(snr) if f.name != "metric")
+    totals = sweep_totals(snr, run.params)
     sequences = scheme_sequences(
-        run.olo_scheme, sweep_snr=run_sweep(run.baseline_snr, run.params),
-        sweep_contrast=run_sweep(run.baseline_contrast, run.params))
+        run.olo_scheme, sweep_snr=score_sweep(snr, totals),
+        sweep_contrast=score_sweep(contrast, totals))
     comparison = compare_schemes(run.rabi, sequences, run.params)
     for name, curve in comparison.curves.items():
         write_rabi_curve_csv(curve, out / f"rabi_{name}.csv")

@@ -233,8 +233,8 @@ def load_config(path: str | Path | None = None,
            for name, entry in DEFAULT_CONFIG.items()}
     if path is not None:
         try:
-            text = Path(path).read_text()
-        except OSError as exc:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
         loaded = _parse_yaml(text, f"config file {path}")
         _merge(cfg, {} if loaded is None else loaded, f"config file {path}")

@@ -100,25 +100,35 @@ class SweepResult:
             ("duration", self.best_duration_ns, self.spec.durations_ns))}
 
 
-def run_sweep(spec: SweepSpec, params: RateParams) -> SweepResult:
-    """Evaluate the metric on the full grid and project onto the power axis.
+def sweep_totals(spec: SweepSpec, params: RateParams) -> np.ndarray:
+    """The readout totals (L0, L1) of every cell of the grid, shape
+    (2, n_amplitudes, n_durations).
 
     :func:`square_pulse_states` prepares both branches for every cell at
     once, and a cell's readout totals are a readout row applied to them: in
     global mode the pulse's own count row, in init-only mode the row of
-    ``base``'s readout pulse, built once.  The metric scores the whole grid
-    in one call; cells without photons (for the contrast, without m_s=0
-    photons) stay NaN.
+    ``base``'s readout pulse, built once.  The metric plays no part, so
+    specs that differ only in it share one array of totals.
     """
-    metric = snr_metric if spec.metric == "snr" else contrast_metric
     base = spec.base
     states, rows = square_pulse_states(base, params, spec.amplitudes,
                                        spec.durations_ns)
     if spec.mode == "init-only":
         rows = np.broadcast_to(window_expectation(base, params), rows.shape)
     # (amplitude, duration) cells, as the grid holds them
-    L0, L1 = (base.repetitions * np.einsum("dik,kdbi->bdi", rows, states)
-              ).transpose(0, 2, 1)
+    return (base.repetitions * np.einsum("dik,kdbi->bdi", rows, states)
+            ).transpose(0, 2, 1)
+
+
+def score_sweep(spec: SweepSpec, totals: np.ndarray) -> SweepResult:
+    """Score the :func:`sweep_totals` of ``spec``'s grid by its metric and
+    project onto the power axis.
+
+    The metric scores the whole grid in one call; cells without photons
+    (for the contrast, without m_s=0 photons) stay NaN.
+    """
+    metric = snr_metric if spec.metric == "snr" else contrast_metric
+    L0, L1 = totals
     undefined = L0 + L1 <= 0
     if spec.metric == "contrast":
         undefined |= L0 <= 0
@@ -141,6 +151,11 @@ def run_sweep(spec: SweepSpec, params: RateParams) -> SweepResult:
         best_duration_ns=float(best_dur_per_amp[i_best]),
         best_value=float(best_per_amp[i_best]),
     )
+
+
+def run_sweep(spec: SweepSpec, params: RateParams) -> SweepResult:
+    """Evaluate the metric on the full grid and project onto the power axis."""
+    return score_sweep(spec, sweep_totals(spec, params))
 
 
 @dataclass(frozen=True)

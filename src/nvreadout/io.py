@@ -73,17 +73,22 @@ def read_waveform_csv(path: str | Path) -> PiecewiseWaveform:
     """The waveform in a CSV as :func:`write_waveform_csv` writes it.  The
     path comes from the config, so any malformed file (a missing column or
     cell, a value that is not a number, widths that are not finite, positive
-    and equal, amplitudes the waveform rejects) raises ConfigurationError."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if not {"width_ns", "amplitude"} <= set(reader.fieldnames or ()):
-            raise ConfigurationError(f"{path}: not a waveform CSV")
-        try:
-            pieces = [(float(row["width_ns"]), float(row["amplitude"]))
-                      for row in reader]
-        except (TypeError, ValueError):
-            raise ConfigurationError(f"{path}, line {reader.line_num}: width_ns"
-                                     " and amplitude must be numbers") from None
+    and equal, amplitudes the waveform rejects, text that is not UTF-8)
+    raises ConfigurationError."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not UTF-8 text: {exc}") from None
+    reader = csv.DictReader(lines)
+    if not {"width_ns", "amplitude"} <= set(reader.fieldnames or ()):
+        raise ConfigurationError(f"{path}: not a waveform CSV")
+    try:
+        pieces = [(float(row["width_ns"]), float(row["amplitude"]))
+                  for row in reader]
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{path}, line {reader.line_num}: width_ns"
+                                 " and amplitude must be numbers") from None
     if not pieces:
         raise ConfigurationError(f"{path}: empty waveform CSV")
     widths, amps = np.array(pieces).T

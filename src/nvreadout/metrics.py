@@ -8,7 +8,11 @@ sums its normal equations need factor into one product of two small tables
 of complex exponentials, so no (frequencies, samples) table is ever built;
 curves sampled at the same times share those tables.  Brent's method then
 polishes the best frequency, solving the same normal equations at one
-frequency per step.
+frequency per step.  Where those equations are ill-conditioned (sin
+vanishes on uniform samples at the Nyquist limit) the fit falls back to a
+least-squares solve by modified Gram-Schmidt, which drops a column by
+``numpy.linalg.lstsq``'s own rank rule but calls no LAPACK routine of its
+own: the first call of one pages about a megabyte into the process.
 """
 
 from __future__ import annotations
@@ -61,17 +65,63 @@ class SinusoidFit:
         return self.offset + self.amplitude * np.cos(self.omega * ts + self.phase)
 
 
+_EPS = np.finfo(float).eps
+
+
+def _largest_eigenvalue(g: np.ndarray) -> float:
+    """Largest eigenvalue of the symmetric 3x3 matrix ``g``, not a multiple
+    of the identity, from the trigonometric roots of its characteristic
+    cubic (Smith, Commun. ACM 4, 168, 1961).  The Gram matrix of
+    {1, cos, sin} on n samples has trace 2n and entry n at (0, 0), so it
+    never is one."""
+    q = float(np.trace(g)) / 3.0
+    shifted = g - q * np.eye(3)
+    p = math.sqrt(float(np.sum(shifted * shifted)) / 6.0)
+    (a, b, c), (_, d, e), (_, _, f) = (shifted / p).tolist()
+    half_det = 0.5 * (a * (d * f - e * e) - b * (b * f - c * e)
+                      + c * (b * e - c * d))
+    return q + 2.0 * p * math.cos(math.acos(min(max(half_det, -1.0), 1.0)) / 3.0)
+
+
 def _linear_fit_at(omega: float, ts: np.ndarray, ys: np.ndarray):
     """Least-squares (offset, cos, sin) coefficients and residual at fixed
-    omega by ``lstsq``: the fallback where cos and sin barely span two
-    dimensions on the samples and the normal equations lose their accuracy."""
-    design = np.column_stack([np.ones_like(ts), np.cos(omega * ts), np.sin(omega * ts)])
-    coef, _, _, _ = np.linalg.lstsq(design, ys, rcond=None)
-    residual = float(np.linalg.norm(ys - design @ coef))
-    return coef, residual
+    omega by modified Gram-Schmidt: the fallback where cos and sin barely
+    span two dimensions on the samples and the normal equations lose their
+    accuracy.
+
+    The columns 1, cos and sin are orthogonalized in that order, and ``ys``
+    against each kept one.  A column whose part orthogonal to the kept
+    columns has norm at most ``eps * max(n, 3) * sigma_max``, the cutoff
+    ``numpy.linalg.lstsq`` applies to the singular values of the design,
+    counts as dependent and gets coefficient 0: at the Nyquist limit of
+    uniform samples sin is rounding noise, and fitting it would chase that
+    noise.  The residual norm is that of the residual vector.
+    """
+    design = np.stack([np.ones_like(ts), np.cos(omega * ts), np.sin(omega * ts)])
+    cutoff = (_EPS * max(ts.size, 3)
+              * math.sqrt(_largest_eigenvalue(design @ design.T)))
+    r, z, basis = np.zeros((3, 3)), np.zeros(3), np.zeros_like(design)
+    rest = np.array(ys, dtype=float)
+    kept = []
+    for j, column in enumerate(design):
+        for i in kept:
+            r[i, j] = basis[i] @ column
+            column = column - r[i, j] * basis[i]
+        r[j, j] = np.linalg.norm(column)
+        if r[j, j] > cutoff:
+            kept.append(j)
+            basis[j] = column / r[j, j]
+            z[j] = basis[j] @ rest
+            rest -= z[j] * basis[j]
+    coef = np.zeros(3)
+    for j in reversed(kept):    # back-substitution; r[j] is 0 left of j
+        coef[j] = (z[j] - r[j] @ coef) / r[j, j]
+    return coef, float(np.linalg.norm(ys - coef @ design))
 
 
-_ILL_CONDITIONED = 1e-8    # determinant / n² below which lstsq takes over
+# determinant / n² below which the normal equations hand over to the
+# Gram-Schmidt fallback, _linear_fit_at, and its lstsq rank rule
+_ILL_CONDITIONED = 1e-8
 _OVERSAMPLE = 24           # frequency grid points per 2π/span
 _COARSE = 6                # grid points per step of the coarse scan
 FIT_MIN_SAMPLES = 8        # fewest samples fit_sinusoid accepts
@@ -156,7 +206,6 @@ def _grid_residuals(w0: float, dw: float, count: int, ts: np.ndarray,
 
 
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
-_EPS = np.finfo(float).eps
 
 
 def _brent(f, a: float, b: float, x: float, xatol: float) -> float:

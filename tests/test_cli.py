@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nvreadout as nv
-from nvreadout import cli, pumpsim
+from nvreadout import cli, metrics, pumpsim
 from nvreadout.cli import main
 from nvreadout.config import DEFAULT_CONFIG, load_config
 from nvreadout.io import write_waveform_csv
@@ -35,7 +35,8 @@ def refuse_runs(monkeypatch):
     """Fail the test if a command starts its run."""
     def refuse(*args, **kwargs):
         raise AssertionError("the run started before the config check")
-    for name in ("run_sweep", "run_olo", "compare_schemes", "simulate_pair"):
+    for name in ("run_sweep", "sweep_totals", "run_olo", "compare_schemes",
+                 "simulate_pair"):
         monkeypatch.setattr(cli, name, refuse)
 
 
@@ -402,6 +403,69 @@ class TestRabi:
             "--set", "rabi.repetitions=1.0e6"]
         run_twice_and_compare(argv, out)
 
+    def bench_sets(self, wf_path):
+        # the benchmark's Rabi settings, on the default baseline grid
+        return ["rabi.tau_points=241", "rabi.repetitions=1.0e6",
+                f"rabi.olo_waveform={wf_path}", "rabi.olo_init_amplitude=0.02"]
+
+    def test_baselines_score_one_grid(self, tmp_path, monkeypatch,
+                                      olo_waveform_file):
+        # rabi sweeps the baseline grid once and scores it by SNR and by
+        # contrast; each equals a sweep of its own spec, bit for bit
+        scored = {}
+        build = cli.scheme_sequences
+
+        def capture(olo, sweep_snr, sweep_contrast):
+            scored.update(snr=sweep_snr, contrast=sweep_contrast)
+            return build(olo, sweep_snr=sweep_snr, sweep_contrast=sweep_contrast)
+        monkeypatch.setattr(cli, "scheme_sequences", capture)
+        sweeps = []
+        sweep = cli.sweep_totals
+
+        def counted(spec, params):
+            sweeps.append(spec.metric)
+            return sweep(spec, params)
+        monkeypatch.setattr(cli, "sweep_totals", counted)
+        sets = self.bench_sets(olo_waveform_file)
+        out = tmp_path / "o"
+        assert main(["rabi", "--stochastic", "--seed", "3", "--out", str(out),
+                     *[arg for o in sets for arg in ("--set", o)]]) == 0
+        assert sweeps == ["snr"]
+        run = load_config(None, sets)
+        for got, spec in ((scored["snr"], run.baseline_snr),
+                          (scored["contrast"], run.baseline_contrast)):
+            want = nv.run_sweep(spec, run.params)
+            assert got.spec.metric == spec.metric
+            for name in ("grid", "best_per_amplitude",
+                         "best_duration_per_amplitude"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+            assert ((got.best_amplitude, got.best_duration_ns, got.best_value)
+                    == (want.best_amplitude, want.best_duration_ns,
+                        want.best_value))
+        summary = json.loads(read(out / "rabi_summary.json"))
+        assert summary["propagators_built"] == 44
+
+    def test_runs_without_lapack_least_squares(self, tmp_path, monkeypatch,
+                                               olo_waveform_file):
+        # the fits score the Nyquist point of the uniform tau grid, where
+        # the normal equations are ill-conditioned, without any LAPACK
+        # routine but expm's solve
+        def refuse(*args, **kwargs):
+            raise AssertionError("a LAPACK routine other than solve ran")
+        for name in ("lstsq", "svd", "eigh", "qr", "pinv"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        fallbacks = []
+        fallback = metrics._linear_fit_at
+
+        def counted(*args):
+            fallbacks.append(args)
+            return fallback(*args)
+        monkeypatch.setattr(metrics, "_linear_fit_at", counted)
+        sets = self.bench_sets(olo_waveform_file)
+        assert main(["rabi", "--out", str(tmp_path / "o"),
+                     *[arg for o in sets for arg in ("--set", o)]]) == 0
+        assert fallbacks
+
 
 class TestPointCounts:
     """A count too large to allocate is a config error, raised before any
@@ -601,6 +665,9 @@ class TestChecksAcrossSettings:
         (["rabi.olo_waveform=/nonexistent.csv"], "not found"),
         (["rabi.olo_waveform=malformed.csv"],
          "rabi.olo_waveform: malformed.csv: not a waveform CSV"),
+        (["rabi.olo_waveform=latin.csv"],
+         "rabi.olo_waveform: latin.csv: not UTF-8 text"),
+        (["--config=latin.yaml"], "cannot read config file latin.yaml"),
         # bounds that only a model object's constructor states
         (["rabi.olo_init_amplitude=2.0"],
          "amplitude 2.0 of piece 0 outside [0.0, 1.0]"),
@@ -621,7 +688,8 @@ class TestChecksAcrossSettings:
         # no olo_summary.json beside the waveform to read the amplitude from
         (["rabi.olo_init_amplitude=null"], "rabi.olo_waveform"),
     ], ids=["bins-divide", "bins-count", "sweep-cells", "rabi-waveform",
-            "rabi-waveform-malformed", "olo-init-amplitude",
+            "rabi-waveform-malformed", "rabi-waveform-not-utf8",
+            "config-not-utf8", "olo-init-amplitude",
             "olo-start-amplitude", "olo-start-bounds", "olo-bounds",
             "olo-alpha0", "olo-rho", "sweep-amplitudes", "sweep-durations",
             "tau-span", "tau-start", "wait", "repetitions", "eta", "k-isc1",
@@ -632,15 +700,20 @@ class TestChecksAcrossSettings:
         wf = tmp_path / "olo_waveform.csv"
         write_waveform_csv(nv.make_constant(920.0, 1.0), wf)
         (tmp_path / "malformed.csv").write_text("a,b\n1,2\n")
+        (tmp_path / "latin.csv").write_bytes(b"width_ns,amplitude\n46.0,\xff\xfe\n")
+        (tmp_path / "latin.yaml").write_bytes(b"\xff\xfe: 1\n")
         monkeypatch.chdir(tmp_path)
-        sets = [arg for o in [f"rabi.olo_waveform={wf}",
-                              "rabi.olo_init_amplitude=0.02", *overrides]
-                for arg in ("--set", o)]
-        assert main([command, "--out", str(tmp_path / "o"), *sets]) == 2
+        # an override is a --set, unless it is a --config=FILE
+        args = [o if o.startswith("--config=") else f"--set={o}"
+                for o in [f"rabi.olo_waveform={wf}",
+                          "rabi.olo_init_amplitude=0.02", *overrides]]
+        assert main([command, "--out", str(tmp_path / "o"), *args]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith("config error:") and named in err
-        assert all(o.split("=")[0] in err for o in overrides)
+        # each names its setting, or its file
+        assert all(o.removeprefix("--config=").split("=")[0] in err
+                   for o in overrides)
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["optimize", "rabi", "sweep", "trace"])

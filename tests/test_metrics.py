@@ -354,7 +354,8 @@ class TestFitAt:
         det = centred_det(omega, ts)
         assume(not 0.1 < det / metrics._ILL_CONDITIONED < 10)
         if det < metrics._ILL_CONDITIONED:
-            # ill-conditioned: the lstsq fallback, as it stands
+            # ill-conditioned: the fallback, which TestLinearFitAt
+            # checks against lstsq
             want_coef, want_residual = metrics._linear_fit_at(omega, ts, ys)
             assert np.array_equal(coef, want_coef)
             assert residual == want_residual
@@ -368,6 +369,68 @@ class TestFitAt:
                           np.max(np.abs(np.sin(omega * ts)))])
         assert np.max(np.abs(coef - want_coef) * reach) < 1e-12 * scale
         assert abs(residual - want_residual) < 1e-12 * scale
+
+
+class TestLinearFitAt:
+    """The Gram-Schmidt fallback against ``numpy.linalg.lstsq``, computed
+    here, where the normal equations are ill-conditioned."""
+
+    @staticmethod
+    def assert_matches_lstsq(omega, ts, ys):
+        design = np.column_stack([np.ones_like(ts), np.cos(omega * ts),
+                                  np.sin(omega * ts)])
+        want = np.linalg.lstsq(design, ys, rcond=None)[0]
+        coef, residual = metrics._linear_fit_at(omega, ts, ys)
+        scale = np.sum((ys - ys.mean()) ** 2)
+        # the coefficients as the fitted curve they give: near the Nyquist
+        # limit cos and sin are nearly dependent, so each coefficient alone
+        # carries both solvers' rounding times the condition number
+        assert np.sum((design @ (coef - want)) ** 2) < 1e-12 * scale
+        assert abs(residual**2 - np.sum((ys - design @ want) ** 2)) < 1e-12 * scale
+        return coef, residual
+
+    @staticmethod
+    def noisy(ts, seed):
+        rng = np.random.default_rng(seed)
+        return (0.8 + 0.1 * np.cos(0.03 * ts + rng.uniform(-np.pi, np.pi))
+                + rng.normal(0.0, 0.01, ts.size))
+
+    @pytest.mark.parametrize("points", [31, 61, 241])
+    def test_uniform_grid_at_the_nyquist_limit(self, points):
+        # sin is rounding noise on the samples, below lstsq's cutoff: lstsq
+        # drops it from the rank, and the fallback gives it coefficient 0
+        ts = np.linspace(0.0, 600.0, points)
+        omega = np.pi / np.min(np.diff(ts))
+        assert centred_det(omega, ts) < metrics._ILL_CONDITIONED
+        for seed in range(5):
+            coef, _ = self.assert_matches_lstsq(omega, ts, self.noisy(ts, seed))
+            assert coef[2] == 0.0
+
+    @pytest.mark.parametrize("points", [31, 61, 241])
+    def test_uniform_grid_just_below_the_nyquist_limit(self, points):
+        # 1e-9 below the limit sin is small but above the cutoff, so both
+        # keep it
+        ts = np.linspace(0.0, 600.0, points)
+        omega = np.pi / np.min(np.diff(ts)) * (1 - 1e-9)
+        assert centred_det(omega, ts) < metrics._ILL_CONDITIONED
+        for seed in range(5):
+            coef, _ = self.assert_matches_lstsq(omega, ts, self.noisy(ts, seed))
+            assert coef[2] != 0.0
+
+    def test_non_uniform_grid(self):
+        rng = np.random.default_rng(7)
+        ts = np.sort(rng.uniform(0.0, 500.0, 90))
+        hi = np.pi / np.min(np.diff(ts))
+        for k, omega in enumerate(np.linspace(2 * np.pi / np.ptp(ts), hi, 25)):
+            self.assert_matches_lstsq(omega, ts, self.noisy(ts, k))
+
+    @pytest.mark.parametrize("gap", [0.0, 1e-9], ids=["nyquist", "below"])
+    def test_noiseless_curve_fits_to_rounding(self, gap):
+        ts = np.linspace(0.0, 600.0, 241)
+        omega = np.pi / np.min(np.diff(ts)) * (1 - gap)
+        ys = synth(ts, 0.5, 0.25, omega, 0.0)
+        _, residual = self.assert_matches_lstsq(omega, ts, ys)
+        assert residual < 1e-14 * np.linalg.norm(ys)
 
 
 class TestBatchFit:
